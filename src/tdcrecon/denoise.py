@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
+from ._neighbours import ball_pairs, check_finite
 from .geometry import Subspace, random_subspace, tilt_subspace
 from .models import LabeledCloud, ManifoldModel
 from .tangent import TangentField, TseParams, estimate_tangents
@@ -55,17 +57,24 @@ def default_slab_spec(
     return SlabSpec(k1=k1, k2=k2, t=t)
 
 
+def _slab_mask(
+    diff: np.ndarray, basis: np.ndarray, h: float, spec: SlabSpec
+) -> np.ndarray:
+    """Closed slab membership of offsets from slab centres, one per row of ``diff``.
+
+    ``basis`` is the D x d tangent basis shared by every row, or a stack of
+    one basis per row.
+    """
+    tang = np.einsum("...i,...ij->...j", diff, basis)
+    tang2 = np.einsum("ij,ij->i", tang, tang)
+    norm2 = np.einsum("ij,ij->i", diff, diff) - tang2
+    return (tang2 <= (spec.k1 * h) ** 2) & (np.maximum(norm2, 0.0) <= (spec.k2 * h * h) ** 2)
+
+
 def in_slab(x: np.ndarray, tangent: Subspace, h: float, spec: SlabSpec, y) -> bool:
     """Closed-condition membership of y in the slab at x with direction T."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    diff = y - x
-    tang = tangent.basis.T @ diff
-    tang_norm2 = float(tang @ tang)
-    normal_norm2 = float(diff @ diff) - tang_norm2
-    return tang_norm2 <= (spec.k1 * h) ** 2 and max(normal_norm2, 0.0) <= (
-        spec.k2 * h * h
-    ) ** 2
+    diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+    return bool(_slab_mask(diff[None, :], tangent.basis, h, spec)[0])
 
 
 def slab_counts(
@@ -73,16 +82,20 @@ def slab_counts(
 ) -> np.ndarray:
     """Number of cloud points inside each point's slab (self included)."""
     points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    counts = np.zeros(n, dtype=int)
-    t1 = (spec.k1 * h) ** 2
-    t2 = (spec.k2 * h * h) ** 2
-    for j, sub in zip(field_.indices, field_.subspaces):
-        diff = points - points[j]
-        tang = diff @ sub.basis
-        tang2 = np.einsum("ij,ij->i", tang, tang)
-        norm2 = np.einsum("ij,ij->i", diff, diff) - tang2
-        counts[j] = int(np.sum((tang2 <= t1) & (np.maximum(norm2, 0.0) <= t2)))
+    check_finite(points, "points")
+    counts = np.zeros(points.shape[0], dtype=int)
+    if not field_.indices:
+        return counts
+    centres = np.asarray(field_.indices)
+    bases = np.stack([sub.basis for sub in field_.subspaces])
+    # the slab lies in the ball of squared radius (k1 h)^2 + (k2 h^2)^2; the
+    # margin keeps every point the rounded slab test admits
+    r2 = ((spec.k1 * h) ** 2 + (spec.k2 * h * h) ** 2) * (1.0 + 1e-12)
+    found = np.zeros(len(centres), dtype=int)
+    for _, rows, _, diff, _ in ball_pairs(cKDTree(points), points[centres], r2):
+        rows = rows[_slab_mask(diff, bases[rows], h, spec)]
+        found += np.bincount(rows, minlength=len(centres))
+    counts[centres] = found
     return counts
 
 
@@ -102,7 +115,7 @@ def sd_step(
         raise ValueError("tangent field must cover every point of the cloud")
     threshold = spec.t * math.log(n_total - 1)
     counts = slab_counts(points, field_, h, spec)
-    return [j for j in range(len(points)) if counts[j] >= threshold]
+    return np.flatnonzero(counts >= threshold).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +177,16 @@ def k_delta(d: int, delta: float) -> int:
     while g < target:
         g = (2.0 * g + 1.0) / (d + 2.0)
         k += 1
-    # closed-form sanity bound
-    bound = (math.log(1.0 / delta) - math.log(d * (d + 1))) / (
+    if k > math.ceil(_k_delta_bound(d, delta)) + 1:
+        raise RuntimeError(f"k_delta({d}, {delta}) = {k} exceeds its closed-form bound")
+    return k
+
+
+def _k_delta_bound(d: int, delta: float) -> float:
+    """Closed form of k_delta before rounding up: gamma_k = 1/d - (2/(d+2))^k / (d(d+1))."""
+    return (math.log(1.0 / delta) - math.log(d * (d + 1))) / (
         math.log(d + 2.0) - math.log(2.0)
     )
-    assert k <= math.ceil(bound) + 1
-    return k
 
 
 def k_hat(distances_to_manifold: np.ndarray, sched: Schedule, rho: float) -> int:
@@ -284,14 +301,6 @@ class SlabCheckReport:
         return self.violations == 0
 
 
-def _slab_mask(grid: np.ndarray, x: np.ndarray, basis: np.ndarray, h: float, spec: SlabSpec):
-    diff = grid - x
-    tang = diff @ basis
-    tang2 = np.einsum("ij,ij->i", tang, tang)
-    norm2 = np.einsum("ij,ij->i", diff, diff) - tang2
-    return (tang2 <= (spec.k1 * h) ** 2) & (np.maximum(norm2, 0.0) <= (spec.k2 * h * h) ** 2)
-
-
 def verify_slab_separation(
     model: ManifoldModel,
     trials: int,
@@ -302,8 +311,6 @@ def verify_slab_separation(
     """Far points have manifold-free slabs: d(x, M) >= h/sqrt(2) with any
     direction, or d(x, M) >= h^2/rho with a direction within K h / rho of the
     true tangent."""
-    from scipy.spatial import cKDTree
-
     rng = np.random.default_rng(seed)
     rho = model.reach
     d = model.intrinsic_dim
@@ -333,7 +340,7 @@ def verify_slab_separation(
         near = tree.query_ball_point(x, spec.k1 * h + spec.k2 * h * h + res)
         if not near:
             continue
-        violations += int(np.sum(_slab_mask(grid[near], x, tangent.basis, h, spec)))
+        violations += int(np.sum(_slab_mask(grid[near] - x, tangent.basis, h, spec)))
     return SlabCheckReport(trials=trials, violations=violations)
 
 
@@ -346,8 +353,6 @@ def verify_slab_inclusion(
 ) -> SlabCheckReport:
     """Close manifold pairs fall inside each other's true-tangent slabs:
     x, y in M with ||x - y|| <= k3 h implies y in S(x, T_x M, h)."""
-    from scipy.spatial import cKDTree
-
     rng = np.random.default_rng(seed)
     rho = model.reach
     d = model.intrinsic_dim
@@ -366,7 +371,7 @@ def verify_slab_inclusion(
             continue
         near = grid[idx]
         near = near[np.linalg.norm(near - p, axis=1) <= k3 * h]
-        inside = _slab_mask(near, p, model.tangent(p).basis, h, spec)
+        inside = _slab_mask(near - p, model.tangent(p).basis, h, spec)
         violations += int(np.sum(~inside))
     return SlabCheckReport(trials=trials, violations=violations)
 

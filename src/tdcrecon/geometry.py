@@ -1,5 +1,5 @@
 """Dimension-agnostic subspace algebra, symmetric eigendecompositions, and
-set-to-set distances.
+set-to-set distances (nearest points from a KD-tree).
 
 Everything here is pure and operates on plain numpy arrays plus the small
 :class:`Subspace` wrapper.  Tolerances are fixed module constants, not knobs.
@@ -7,6 +7,9 @@ Everything here is pure and operates on plain numpy arrays plus the small
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
+
+from ._neighbours import check_finite
 
 ORTHONORMALITY_TOL = 1e-10
 EIGEN_RESIDUAL_REL = 1e-8
@@ -134,10 +137,15 @@ def top_eigenspace(s: np.ndarray, d: int) -> tuple[Subspace, np.ndarray]:
 
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    """Hausdorff distance between two finite point sets in R^D.
+    """Hausdorff distance between two finite point sets in R^D."""
+    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
-    Deliberately the brute-force double loop (vectorized); it doubles as the
-    oracle any accelerated variant would have to match.
+
+def directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+    """sup_{x in a} d(x, b) for finite point sets.
+
+    A KD-tree on ``b`` finds each nearest point; the distance to it is then
+    recomputed from the coordinates, so the value matches an all-pairs scan.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -145,30 +153,11 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("hausdorff distance of an empty set is undefined")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"ambient dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    d_ab = 0.0  # sup over a of the distance to b
-    d_ba = np.full(b.shape[0], np.inf)
-    chunk = max(1, int(2e7) // max(1, b.shape[0]))
-    for lo in range(0, a.shape[0], chunk):
-        diff = a[lo : lo + chunk, None, :] - b[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        d_ab = max(d_ab, float(dist.min(axis=1).max()))
-        d_ba = np.minimum(d_ba, dist.min(axis=0))
-    return max(d_ab, float(d_ba.max()))
-
-
-def directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    """sup_{x in a} d(x, b) for finite point sets."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("directed hausdorff distance of an empty set is undefined")
-    best = 0.0
-    chunk = max(1, int(2e7) // max(1, b.shape[0]))
-    for lo in range(0, a.shape[0], chunk):
-        diff = a[lo : lo + chunk, None, :] - b[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        best = max(best, float(dist2.min(axis=1).max()))
-    return float(np.sqrt(best))
+    check_finite(a, "a")
+    check_finite(b, "b")
+    _, nearest = cKDTree(b).query(a)
+    diff = a - b[nearest]
+    return float(np.sqrt(np.einsum("ij,ij->i", diff, diff).max()))
 
 
 def subspace_rotation(u: Subspace, v: Subspace) -> np.ndarray:

@@ -5,18 +5,21 @@ of radius h (the point itself excluded, scaled by 1/(n-1)) is eigendecomposed
 and the span of the top d eigenvectors is the tangent estimate.  Points with
 fewer than ``min_neighbors`` neighbors are flagged and excluded from the
 field; downstream users can fill them in by nearest-neighbor inheritance.
+Neighbors come from a KD-tree ball query (:mod:`._neighbours`), so the work
+grows with the number of neighbor pairs, not with n^2.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+from scipy.spatial import cKDTree
 
+from ._neighbours import ball_pairs, check_finite
 from .geometry import Subspace
-
-_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -64,20 +67,33 @@ class TangentField:
         return self._by_index[index]
 
     def complete(self, points: np.ndarray) -> "TangentField":
-        """Fill skipped indices with the nearest estimated neighbor's subspace."""
+        """Fill skipped indices with the nearest estimated neighbor's subspace.
+
+        Ties in distance go to the estimate listed first in ``indices``.
+        """
         if not self.skipped:
             return self
         if not self.indices:
             raise ValueError("cannot complete an empty tangent field")
         points = np.asarray(points, dtype=float)
-        est_idx = np.asarray(self.indices)
-        est_pts = points[est_idx]
-        indices = list(self.indices)
-        subspaces = list(self.subspaces)
-        for j in self.skipped:
-            nearest = int(np.argmin(np.linalg.norm(est_pts - points[j], axis=1)))
-            indices.append(j)
-            subspaces.append(self.subspaces[nearest])
+        tree = cKDTree(points[self.indices])
+        queries = points[self.skipped]
+        # the tree returns one of possibly several tied nearest estimates:
+        # gather every estimate within its distance (plus a margin above the
+        # tree's rounding) and keep, per query, the first at the least norm
+        nearest_dist, _ = tree.query(queries)
+        ties = tree.query_ball_point(queries, nearest_dist * (1.0 + 1e-9))
+        lengths = [len(t) for t in ties]
+        rows = np.repeat(np.arange(len(ties)), lengths)
+        cols = np.fromiter(chain.from_iterable(ties), dtype=np.intp, count=sum(lengths))
+        dist = np.linalg.norm(tree.data[cols] - queries[rows], axis=1)
+        # per query: least norm first, then the earliest estimate
+        order = np.lexsort((cols, dist, rows))
+        rows, cols = rows[order], cols[order]
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        source = cols[first]
+        indices = list(self.indices) + list(self.skipped)
+        subspaces = list(self.subspaces) + [self.subspaces[k] for k in source]
         order = np.argsort(indices)
         return TangentField(
             indices=[indices[k] for k in order],
@@ -143,30 +159,34 @@ def estimate_tangents(
     estimates are produced.
     """
     points = np.asarray(points, dtype=float)
+    check_finite(points, "points")
     n, big_d = points.shape
     targets = np.arange(n) if subset is None else np.asarray(subset, dtype=int)
     indices: list[int] = []
     subspaces: list[Subspace] = []
     skipped: list[int] = []
-    for lo in range(0, len(targets), _CHUNK):
-        idx = targets[lo : lo + _CHUNK]
-        diff = points[None, :, :] - points[idx][:, None, :]  # (c, n, D)
-        dist2 = np.einsum("cnd,cnd->cn", diff, diff)
-        mask = dist2 <= params.h * params.h
-        mask[np.arange(len(idx)), idx] = False
-        counts = mask.sum(axis=1)
+    h2 = params.h * params.h
+    for chunk, rows, cols, diff, _ in ball_pairs(cKDTree(points), points[targets], h2):
+        idx = targets[chunk]
+        rows = rows - chunk.start
+        others = cols != idx[rows]
+        rows, diff = rows[others], diff[others]
+        counts = np.bincount(rows, minlength=len(idx))
         ok = counts >= params.min_neighbors
         skipped.extend(int(j) for j in idx[~ok])
         if not np.any(ok):
             continue
-        w = np.where(mask[:, :, None], diff, 0.0)
-        sums = w.sum(axis=1)
-        means = np.zeros_like(sums)
-        means[ok] = sums[ok] / counts[ok, None]
+        # each target's neighbor offsets in increasing index order, padded
+        # with zero rows to a common length
+        slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        w = np.zeros((len(idx), int(counts.max()), big_d))
+        w[rows, slot] = diff
+        w, counts = w[ok], counts[ok]
+        means = w.sum(axis=1) / counts[:, None]
         # sum of outer products minus the rank-one mean correction
-        scatter = np.matmul(w.transpose(0, 2, 1), diff)
+        scatter = np.matmul(w.transpose(0, 2, 1), w)
         scatter -= counts[:, None, None] * np.einsum("ca,cb->cab", means, means)
-        cov = scatter[ok] / (n - 1)
+        cov = scatter / (n - 1)
         cov = 0.5 * (cov + cov.transpose(0, 2, 1))
         eigvals, eigvecs = np.linalg.eigh(cov)
         for row, j in enumerate(idx[ok]):

@@ -1,0 +1,101 @@
+"""All-pairs reference implementations of the library's local queries.
+
+Each function scans every point for every query, as the library did before
+its KD-tree neighbour layer; the tests require the library to return what
+these return.
+"""
+import numpy as np
+
+from tdcrecon.geometry import Subspace
+from tdcrecon.tangent import TangentField
+
+_CHUNK = 256
+
+
+def estimate_tangents(points, params, subset=None):
+    points = np.asarray(points, dtype=float)
+    n, big_d = points.shape
+    targets = np.arange(n) if subset is None else np.asarray(subset, dtype=int)
+    indices, subspaces, skipped = [], [], []
+    for lo in range(0, len(targets), _CHUNK):
+        idx = targets[lo : lo + _CHUNK]
+        diff = points[None, :, :] - points[idx][:, None, :]  # (c, n, D)
+        dist2 = np.einsum("cnd,cnd->cn", diff, diff)
+        mask = dist2 <= params.h * params.h
+        mask[np.arange(len(idx)), idx] = False
+        counts = mask.sum(axis=1)
+        ok = counts >= params.min_neighbors
+        skipped.extend(int(j) for j in idx[~ok])
+        if not np.any(ok):
+            continue
+        w = np.where(mask[:, :, None], diff, 0.0)
+        sums = w.sum(axis=1)
+        means = np.zeros_like(sums)
+        means[ok] = sums[ok] / counts[ok, None]
+        # sum of outer products minus the rank-one mean correction
+        scatter = np.matmul(w.transpose(0, 2, 1), diff)
+        scatter -= counts[:, None, None] * np.einsum("ca,cb->cab", means, means)
+        cov = scatter[ok] / (n - 1)
+        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        for row, j in enumerate(idx[ok]):
+            basis = eigvecs[row][:, ::-1][:, : params.d]
+            indices.append(int(j))
+            subspaces.append(Subspace(basis))
+    return TangentField(indices=indices, subspaces=subspaces, skipped=skipped)
+
+
+def complete(field_, points):
+    """Skipped indices inherit from the first nearest estimate (argmin)."""
+    points = np.asarray(points, dtype=float)
+    est_pts = points[np.asarray(field_.indices)]
+    indices = list(field_.indices)
+    subspaces = list(field_.subspaces)
+    for j in field_.skipped:
+        nearest = int(np.argmin(np.linalg.norm(est_pts - points[j], axis=1)))
+        indices.append(j)
+        subspaces.append(field_.subspaces[nearest])
+    order = np.argsort(indices)
+    return TangentField(
+        indices=[indices[k] for k in order],
+        subspaces=[subspaces[k] for k in order],
+        skipped=[],
+    )
+
+
+def slab_counts(points, field_, h, spec):
+    points = np.asarray(points, dtype=float)
+    counts = np.zeros(points.shape[0], dtype=int)
+    t1 = (spec.k1 * h) ** 2
+    t2 = (spec.k2 * h * h) ** 2
+    for j, sub in zip(field_.indices, field_.subspaces):
+        diff = points - points[j]
+        tang = diff @ sub.basis
+        tang2 = np.einsum("ij,ij->i", tang, tang)
+        norm2 = np.einsum("ij,ij->i", diff, diff) - tang2
+        counts[j] = int(np.sum((tang2 <= t1) & (np.maximum(norm2, 0.0) <= t2)))
+    return counts
+
+
+def farthest_point_sampling(points, eps, start=0):
+    points = np.asarray(points, dtype=float)
+    chosen = [start]
+    dist = np.linalg.norm(points - points[start], axis=1)
+    while True:
+        far = int(np.argmax(dist))  # first occurrence wins ties
+        if dist[far] <= eps:
+            return chosen
+        chosen.append(far)
+        np.minimum(dist, np.linalg.norm(points - points[far], axis=1), out=dist)
+
+
+def directed_hausdorff(a, b):
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    best = 0.0
+    chunk = max(1, int(2e7) // max(1, b.shape[0]))
+    for lo in range(0, a.shape[0], chunk):
+        diff = a[lo : lo + chunk, None, :] - b[None, :, :]
+        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+        best = max(best, float(dist2.min(axis=1).max()))
+    return float(np.sqrt(best))

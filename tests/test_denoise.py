@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tdcrecon import denoise
 from tdcrecon.denoise import (
     IterationDiagnostics,
     Schedule,
@@ -216,6 +217,12 @@ class TestKDelta:
 
     def test_delta_to_zero_grows(self):
         assert k_delta(1, 1e-4) > k_delta(1, 1e-2) > 0
+
+    def test_bound_violation_raises(self, monkeypatch):
+        # the closed-form check is an exception, not an assert that -O strips
+        monkeypatch.setattr(denoise, "_k_delta_bound", lambda d, delta: -5.0)
+        with pytest.raises(RuntimeError, match="closed-form bound"):
+            k_delta(2, 0.05)
 
 
 class TestKHat:

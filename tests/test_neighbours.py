@@ -1,0 +1,302 @@
+"""The KD-tree neighbour layer against the all-pairs oracles in dense_oracles.
+
+Every local query (tangents, slab counts, tangent inheritance, the
+farthest-point net, Hausdorff) must return what the dense scan returns: the
+same indices, counts, net order and distances, with closed-ball boundaries
+and ties resolved the same way.
+"""
+import itertools
+
+import numpy as np
+import pytest
+from scipy.spatial import cKDTree
+
+import dense_oracles as dense
+from tdcrecon import _neighbours
+from tdcrecon.denoise import SlabSpec, slab_counts
+from tdcrecon.geometry import Subspace, directed_hausdorff, hausdorff, random_subspace
+from tdcrecon.models import Circle, SampleSpec, Sphere, sample
+from tdcrecon.sparsify import farthest_point_sampling
+from tdcrecon.tangent import TangentField, TseParams, estimate_tangents
+
+PROJECTOR_TOL = 1e-12
+
+
+def lattice(*axes):
+    """Integer lattice points, one coordinate range per axis."""
+    return np.array(list(itertools.product(*axes)), dtype=float)
+
+
+def clouds():
+    """Fixed-seed clouds in D = 1, 3 and 10, with a bandwidth and dimension."""
+    rng = np.random.default_rng(101)
+    line = rng.uniform(0.0, 4.0, size=(300, 1))
+    sphere = sample(Sphere(1.0, ambient_dim=3), SampleSpec(n=500, beta=0.8, seed=102))
+    circle = sample(Circle(1.0, ambient_dim=10), SampleSpec(n=600, beta=0.8, seed=103))
+    return {
+        "D1-line": (line, 0.05, 1),
+        "D3-sphere": (sphere.points, 0.3, 2),
+        "D10-circle": (circle.points, 0.25, 1),
+        # every point twice: duplicates are neighbours at distance zero
+        "D10-duplicates": (np.vstack([circle.points[:200], circle.points[:200]]), 0.3, 1),
+    }
+
+
+CLOUDS = clouds()
+
+
+def assert_same_field(got, want):
+    assert got.indices == want.indices
+    assert got.skipped == want.skipped
+    for g, w in zip(got.subspaces, want.subspaces):
+        assert np.max(np.abs(g.projector() - w.projector())) <= PROJECTOR_TOL
+
+
+def random_field(rng, n, big_d, d):
+    return TangentField(
+        indices=list(range(n)), subspaces=[random_subspace(rng, big_d, d) for _ in range(n)]
+    )
+
+
+def constant_field(n, basis):
+    return TangentField(indices=list(range(n)), subspaces=[Subspace(basis)] * n)
+
+
+class TestBallPairs:
+    def test_closed_ball_pairs_sorted(self):
+        # unit lattice, radius 1: the four axis neighbours sit on the sphere
+        pts = lattice(range(5), range(5))
+        centres = pts[[0, 12, 24, 7]]
+        parts = list(_neighbours.ball_pairs(cKDTree(pts), centres, 1.0))
+        rows, cols, diff, d2 = (np.concatenate([p[k] for p in parts]) for k in range(1, 5))
+        want = [
+            (r, c)
+            for r in range(len(centres))
+            for c in range(len(pts))
+            if np.sum((pts[c] - centres[r]) ** 2) <= 1.0
+        ]
+        assert list(zip(rows.tolist(), cols.tolist())) == want
+        assert np.array_equal(diff, pts[cols] - centres[rows])
+        assert np.array_equal(d2, np.einsum("ij,ij->i", diff, diff))
+
+    def test_chunks_cover_every_query(self, monkeypatch):
+        monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 7)
+        pts = lattice(range(6), range(6))
+        chunks = [p[0] for p in _neighbours.ball_pairs(cKDTree(pts), pts, 2.0)]
+        covered = [i for c in chunks for i in range(c.start, c.stop)]
+        assert covered == list(range(len(pts)))
+        assert len(chunks) > 1
+
+
+class TestEstimateTangentsOracle:
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    def test_matches_dense(self, name):
+        pts, h, d = CLOUDS[name]
+        params = TseParams(h=h, d=d)
+        assert_same_field(estimate_tangents(pts, params), dense.estimate_tangents(pts, params))
+
+    def test_subset(self):
+        pts, h, d = CLOUDS["D10-circle"]
+        params = TseParams(h=h, d=d)
+        subset = [5, 17, 599, 100, 5, 3]
+        assert_same_field(
+            estimate_tangents(pts, params, subset=subset),
+            dense.estimate_tangents(pts, params, subset=subset),
+        )
+
+    def test_small_chunks(self, monkeypatch):
+        # chunks smaller than one ball: every target gets a chunk of its own
+        monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 5)
+        pts, h, d = CLOUDS["D3-sphere"]
+        params = TseParams(h=h, d=d)
+        assert_same_field(estimate_tangents(pts, params), dense.estimate_tangents(pts, params))
+
+    def test_lattice_closed_ball(self):
+        # the plane z = 0 in R^3 with h = 1: each interior point has exactly
+        # its four axis neighbours, all on the sphere of radius h
+        pts = np.column_stack([lattice(range(6), range(5)), np.zeros(30)])
+        params = TseParams(h=1.0, d=2, min_neighbors=4)
+        field = estimate_tangents(pts, params)
+        assert_same_field(field, dense.estimate_tangents(pts, params))
+        interior = [j for j, p in enumerate(pts) if 0 < p[0] < 5 and 0 < p[1] < 4]
+        assert field.indices == interior
+        plane = np.diag([1.0, 1.0, 0.0])
+        for sub in field.subspaces:
+            assert np.max(np.abs(sub.projector() - plane)) <= PROJECTOR_TOL
+
+
+class TestSlabCountsOracle:
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    def test_matches_dense_random_tangents(self, name):
+        pts, h, d = CLOUDS[name]
+        rng = np.random.default_rng(7)
+        field = random_field(rng, len(pts), pts.shape[1], d)
+        spec = SlabSpec(k1=0.6, k2=1.5, t=1.0)
+        assert np.array_equal(
+            slab_counts(pts, field, h, spec), dense.slab_counts(pts, field, h, spec)
+        )
+
+    def test_matches_dense_estimated_tangents(self):
+        pts, h, d = CLOUDS["D10-circle"]
+        field = estimate_tangents(pts, TseParams(h=h, d=d)).complete(pts)
+        spec = SlabSpec(k1=0.375, k2=1.0 / 12.0, t=0.4)
+        assert np.array_equal(
+            slab_counts(pts, field, h, spec), dense.slab_counts(pts, field, h, spec)
+        )
+
+    def test_partial_field(self):
+        pts, h, d = CLOUDS["D3-sphere"]
+        rng = np.random.default_rng(8)
+        field = TangentField(
+            indices=[3, 40, 7], subspaces=[random_subspace(rng, 3, 2) for _ in range(3)]
+        )
+        spec = SlabSpec(k1=0.5, k2=2.0, t=1.0)
+        got = slab_counts(pts, field, h, spec)
+        assert np.array_equal(got, dense.slab_counts(pts, field, h, spec))
+        assert np.count_nonzero(got) == 3
+
+    @pytest.mark.parametrize(
+        "h, k1, k2",
+        [(1.0, 1.0, 1.0), (2.0, 0.5, 0.25)],
+    )
+    def test_lattice_slab_radii_hit_exactly(self, h, k1, k2):
+        # tangential radius k1 h = 1 and normal radius k2 h^2 = 1 on a unit
+        # lattice: the slab corners (1, 1, 0) lie on both slab boundaries and
+        # on the sphere that bounds the slab
+        pts = lattice(range(5), range(-2, 3), range(-2, 3))
+        field = constant_field(len(pts), np.eye(3)[:, :1])
+        spec = SlabSpec(k1=k1, k2=k2, t=1.0)
+        got = slab_counts(pts, field, h, spec)
+        assert np.array_equal(got, dense.slab_counts(pts, field, h, spec))
+        centre = int(np.flatnonzero(np.all(pts == [2.0, 0.0, 0.0], axis=1))[0])
+        # |x| <= 1 along the tangent, y^2 + z^2 <= 1 across it: 3 x 5 points
+        assert got[centre] == 15
+
+    def test_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 3)
+        pts, h, d = CLOUDS["D3-sphere"]
+        field = random_field(np.random.default_rng(9), len(pts), 3, d)
+        spec = SlabSpec(k1=0.6, k2=1.5, t=1.0)
+        assert np.array_equal(
+            slab_counts(pts, field, h, spec), dense.slab_counts(pts, field, h, spec)
+        )
+
+
+class TestCompleteOracle:
+    def test_matches_dense(self):
+        pts, h, d = CLOUDS["D10-circle"]
+        field = estimate_tangents(pts, TseParams(h=h, d=d))
+        assert field.skipped
+        assert_same_field(field.complete(pts), dense.complete(field, pts))
+
+    def test_exact_ties_go_to_lowest_index(self):
+        # cell centres of a unit lattice are equidistant from four lattice
+        # points; a KD-tree nearest query returns a higher-index one for
+        # several of them, the dense argmin the lowest
+        grid = lattice(range(-3, 4), range(-3, 4))
+        centres = lattice(range(-3, 3), range(-3, 3)) + 0.5
+        pts = np.vstack([grid, centres])
+        rng = np.random.default_rng(10)
+        field = TangentField(
+            indices=list(range(len(grid))),
+            subspaces=[random_subspace(rng, 2, 1) for _ in grid],
+            skipped=list(range(len(grid), len(pts))),
+        )
+        full = field.complete(pts)
+        want = dense.complete(field, pts)
+        for j, centre in enumerate(centres, start=len(grid)):
+            dist = np.linalg.norm(grid - centre, axis=1)
+            lowest = int(np.flatnonzero(dist == dist.min())[0])
+            assert full.subspace_at(j) is field.subspace_at(lowest)
+            assert want.subspace_at(j) is field.subspace_at(lowest)
+
+    def test_duplicate_of_an_estimate(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        field = TangentField(
+            indices=[0, 3, 1],
+            subspaces=[Subspace(np.eye(2)[:, :1]), Subspace(np.eye(2)[:, 1:]),
+                       Subspace(np.ones((2, 1)) / np.sqrt(2.0))],
+            skipped=[2],
+        )
+        # points 3 and 1 both coincide with 2; 3 is listed first
+        assert field.complete(pts).subspace_at(2) is field.subspace_at(3)
+        assert dense.complete(field, pts).subspace_at(2) is field.subspace_at(3)
+
+
+class TestFarthestPointOracle:
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.7])
+    def test_same_net_order(self, name, eps):
+        pts = CLOUDS[name][0]
+        assert farthest_point_sampling(pts, eps) == dense.farthest_point_sampling(pts, eps)
+
+    def test_start_index(self):
+        pts = CLOUDS["D3-sphere"][0]
+        got = farthest_point_sampling(pts, 0.3, start=77)
+        assert got == dense.farthest_point_sampling(pts, 0.3, start=77)
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 1.5, 2.0])
+    def test_lattice_ties_and_boundaries(self, eps):
+        # integer distances tie everywhere and hit eps exactly
+        pts = lattice(range(6), range(5), range(3))
+        assert farthest_point_sampling(pts, eps) == dense.farthest_point_sampling(pts, eps)
+
+
+class TestHausdorffOracle:
+    @pytest.mark.parametrize("big_d", [1, 3, 10])
+    def test_same_values(self, big_d):
+        rng = np.random.default_rng(200 + big_d)
+        for _ in range(5):
+            a = rng.normal(size=(int(rng.integers(1, 300)), big_d))
+            b = rng.normal(size=(int(rng.integers(1, 300)), big_d))
+            assert directed_hausdorff(a, b) == dense.directed_hausdorff(a, b)
+            assert directed_hausdorff(b, a) == dense.directed_hausdorff(b, a)
+            assert hausdorff(a, b) == max(
+                dense.directed_hausdorff(a, b), dense.directed_hausdorff(b, a)
+            )
+
+    def test_lattice_with_duplicates(self):
+        a = lattice(range(4), range(4))
+        b = np.vstack([a[::3], a[::3]]) + 0.5
+        assert directed_hausdorff(a, b) == dense.directed_hausdorff(a, b)
+        assert directed_hausdorff(b, a) == dense.directed_hausdorff(b, a)
+
+
+BAD = [np.nan, np.inf, -np.inf]
+
+
+def with_bad(points, value, row=3):
+    out = np.array(points, dtype=float)
+    out[row, 0] = value
+    return out
+
+
+class TestNonFiniteInput:
+    pts = CLOUDS["D3-sphere"][0][:50]
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_estimate_tangents(self, value):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            estimate_tangents(with_bad(self.pts, value), TseParams(h=0.3, d=2))
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_slab_counts(self, value):
+        field = constant_field(len(self.pts), np.eye(3)[:, :2])
+        with pytest.raises(ValueError, match="NaN or inf"):
+            slab_counts(with_bad(self.pts, value), field, 0.3, SlabSpec(0.5, 0.5, 1.0))
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_farthest_point_sampling(self, value):
+        # a NaN used to be picked by argmax forever: the loop never ended
+        with pytest.raises(ValueError, match="NaN or inf"):
+            farthest_point_sampling(with_bad(self.pts, value), 0.2)
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("func", [directed_hausdorff, hausdorff])
+    def test_hausdorff_either_argument(self, func, value):
+        # a NaN used to vanish in the minimum and give 0.0
+        bad = with_bad(self.pts, value)
+        with pytest.raises(ValueError, match="NaN or inf"):
+            func(bad, self.pts)
+        with pytest.raises(ValueError, match="NaN or inf"):
+            func(self.pts, bad)
