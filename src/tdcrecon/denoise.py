@@ -6,6 +6,11 @@ when its slab holds at least t*log(n-1) sample points (itself included).  The
 bandwidths shrink along the exponent recurrence
 gamma_{k+1} = (2*gamma_k + 1) / (d + 2), gamma_0 = 1/(d+1), whose fixed point
 is 1/d.
+
+The slab at bandwidth h lies in the ball of radius sqrt((k1 h)^2 + (k2 h^2)^2),
+so each iteration runs one neighbour search, at the larger of that radius and
+the tangent bandwidth, and its lists serve both the local-PCA tangents and the
+slab counts (:class:`._neighbours.SharedNeighbours`).
 """
 from __future__ import annotations
 
@@ -16,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._neighbours import ball_pairs, check_finite
+from . import _neighbours
+from ._neighbours import check_finite
 from .geometry import Subspace, random_subspace, tilt_subspace
-from .models import LabeledCloud, ManifoldModel
+from .models import LabeledCloud, ManifoldModel, _unit_normal_at
 from .tangent import TangentField, TseParams, estimate_tangents
 
 
@@ -77,10 +83,28 @@ def in_slab(x: np.ndarray, tangent: Subspace, h: float, spec: SlabSpec, y) -> bo
     return bool(_slab_mask(diff[None, :], tangent.basis, h, spec)[0])
 
 
+def _slab_ball_r2(h: float, spec: SlabSpec) -> float:
+    """Squared radius of a ball around the slab centre that holds the slab.
+
+    The slab lies in the ball of squared radius (k1 h)^2 + (k2 h^2)^2; the
+    margin keeps every point the rounded slab test admits.
+    """
+    return ((spec.k1 * h) ** 2 + (spec.k2 * h * h) ** 2) * (1.0 + 1e-12)
+
+
 def slab_counts(
-    points: np.ndarray, field_: TangentField, h: float, spec: SlabSpec
+    points: np.ndarray,
+    field_: TangentField,
+    h: float,
+    spec: SlabSpec,
+    *,
+    neighbours: _neighbours.SharedNeighbours | None = None,
 ) -> np.ndarray:
-    """Number of cloud points inside each point's slab (self included)."""
+    """Number of cloud points inside each point's slab (self included).
+
+    ``neighbours``, a search of ``points`` that keeps the pairs in the ball
+    around each slab, replaces the call's own ball search.
+    """
     points = np.asarray(points, dtype=float)
     check_finite(points, "points")
     counts = np.zeros(points.shape[0], dtype=int)
@@ -88,11 +112,13 @@ def slab_counts(
         return counts
     centres = np.asarray(field_.indices)
     bases = np.stack([sub.basis for sub in field_.subspaces])
-    # the slab lies in the ball of squared radius (k1 h)^2 + (k2 h^2)^2; the
-    # margin keeps every point the rounded slab test admits
-    r2 = ((spec.k1 * h) ** 2 + (spec.k2 * h * h) ** 2) * (1.0 + 1e-12)
+    r2 = _slab_ball_r2(h, spec)
+    if neighbours is None:
+        pairs = _neighbours.ball_pairs(cKDTree(points), points[centres], r2)
+    else:
+        pairs = neighbours.pairs(points, centres, r2)
     found = np.zeros(len(centres), dtype=int)
-    for _, rows, _, diff, _ in ball_pairs(cKDTree(points), points[centres], r2):
+    for _, rows, _, diff, _ in pairs:
         rows = rows[_slab_mask(diff, bases[rows], h, spec)]
         found += np.bincount(rows, minlength=len(centres))
     counts[centres] = found
@@ -105,16 +131,19 @@ def sd_step(
     h: float,
     spec: SlabSpec,
     n_total: int,
+    *,
+    neighbours: _neighbours.SharedNeighbours | None = None,
 ) -> list[int]:
     """One denoising pass: keep index j iff its slab count >= t * log(n-1).
 
     ``n_total`` is the original sample size; the threshold does not shrink as
-    points are removed across iterations.
+    points are removed across iterations.  ``neighbours`` go to
+    :func:`slab_counts`.
     """
     if sorted(field_.indices) != list(range(len(points))):
         raise ValueError("tangent field must cover every point of the cloud")
     threshold = spec.t * math.log(n_total - 1)
-    counts = slab_counts(points, field_, h, spec)
+    counts = slab_counts(points, field_, h, spec, neighbours=neighbours)
     return np.flatnonzero(counts >= threshold).tolist()
 
 
@@ -218,6 +247,10 @@ def calibrate_threshold(pilot_counts: np.ndarray, n: int) -> float:
 # iterative procedure
 
 
+# stop reason: no point has params.min_neighbors neighbours within params.h
+NO_TANGENT = "no tangent estimable"
+
+
 @dataclass
 class IterationDiagnostics:
     k: int
@@ -225,6 +258,8 @@ class IterationDiagnostics:
     survivors: int
     true_positives: int | None = None  # signal points kept
     false_positives: int | None = None  # outliers kept
+    inherited: int = 0  # tangents skipped at h and filled from the nearest estimate
+    stop_reason: str | None = None  # why the loop ended at this iteration, if it did
 
 
 def diagnostics_to_json(diags: list[IterationDiagnostics]) -> str:
@@ -236,6 +271,8 @@ def diagnostics_to_json(diags: list[IterationDiagnostics]) -> str:
                 "survivors": d.survivors,
                 "true_positives": d.true_positives,
                 "false_positives": d.false_positives,
+                "inherited": d.inherited,
+                "stop_reason": d.stop_reason,
             }
             for d in diags
         ]
@@ -254,7 +291,10 @@ def iterative_denoise(
     """Alternate tangent estimation and slab filtering for k = 0 .. k_iters.
 
     Returns surviving indices into the original cloud plus per-iteration
-    diagnostics (confusion counts when labels are available).
+    diagnostics (confusion counts when labels are available).  Each iteration
+    searches the surviving cloud once, and the tangents and slab counts share
+    the neighbour lists.  When no tangent can be estimated the loop stops;
+    that iteration's diagnostics keep the survivors and give the reason.
     """
     if k_iters < 0:
         raise ValueError("need k_iters >= 0")
@@ -269,21 +309,35 @@ def iterative_denoise(
             break
         h = sched.hs[k]
         pts = cloud.points[alive]
-        field_ = estimate_tangents(pts, tse_params_factory(h))
-        if not field_.indices:
-            break  # nothing estimable at this bandwidth; stop filtering
-        field_ = field_.complete(pts)
-        keep_local = sd_step(pts, field_, h, spec, n_total)
-        alive = alive[keep_local]
+        params = tse_params_factory(h)
+        slab_r2 = _slab_ball_r2(h, spec)
+        neighbours = _neighbours.SharedNeighbours(
+            pts, max(params.h * params.h, slab_r2), keep_r2=slab_r2
+        )
+        field_ = estimate_tangents(pts, params, neighbours=neighbours)
+        inherited, stop_reason = len(field_.skipped), None
+        if field_.indices:
+            field_ = field_.complete(pts)
+            alive = alive[sd_step(pts, field_, h, spec, n_total, neighbours=neighbours)]
+        else:
+            inherited, stop_reason = 0, NO_TANGENT
         tp = fp = None
         if cloud.labels is not None:
             tp = int(np.sum(cloud.labels[alive] == 1))
             fp = int(np.sum(cloud.labels[alive] == 0))
         diags.append(
             IterationDiagnostics(
-                k=k, h=h, survivors=int(alive.size), true_positives=tp, false_positives=fp
+                k=k,
+                h=h,
+                survivors=int(alive.size),
+                true_positives=tp,
+                false_positives=fp,
+                inherited=inherited,
+                stop_reason=stop_reason,
             )
         )
+        if stop_reason is not None:
+            break
     return [int(j) for j in alive], diags
 
 
@@ -325,7 +379,7 @@ def verify_slab_separation(
     for trial in range(trials):
         h = rng.uniform(0.2, 1.0) * h_max
         p = model.sample_points(rng, 1)[0]
-        normal = _unit_normal(model, p, rng)
+        normal = _unit_normal_at(model, p, rng)
         if trial % 2 == 0:
             # unconditional branch: distance at least h / sqrt(2)
             u = rng.uniform(h / math.sqrt(2.0), 0.9 * rho)
@@ -374,15 +428,3 @@ def verify_slab_inclusion(
         inside = _slab_mask(near - p, model.tangent(p).basis, h, spec)
         violations += int(np.sum(~inside))
     return SlabCheckReport(trials=trials, violations=violations)
-
-
-def _unit_normal(model: ManifoldModel, p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    basis = model.tangent(p).basis
-    g = rng.standard_normal(model.ambient_dim)
-    g -= basis @ (basis.T @ g)
-    norm = np.linalg.norm(g)
-    while norm < 1e-12:
-        g = rng.standard_normal(model.ambient_dim)
-        g -= basis @ (basis.T @ g)
-        norm = np.linalg.norm(g)
-    return g / norm

@@ -36,16 +36,28 @@ class Subspace:
         basis = np.array(basis, dtype=float)
         if basis.ndim == 1:
             basis = basis[:, None]
-        if not np.all(np.isfinite(basis)):
-            raise ValueError("subspace basis contains non-finite entries")
-        big_d, d = basis.shape
-        if not 1 <= d <= big_d:
-            raise ValueError(f"need 1 <= dim <= ambient_dim, got {d} and {big_d}")
-        gram = basis.T @ basis
-        if np.max(np.abs(gram - np.eye(d))) > ORTHONORMALITY_TOL:
-            raise ValueError("basis columns are not orthonormal to 1e-10")
+        _check_bases(basis[None])
         basis.setflags(write=False)
         self.basis = basis
+
+    @classmethod
+    def stack(cls, bases: np.ndarray) -> list["Subspace"]:
+        """One subspace per D x d basis of an (m, D, d) stack, checked together.
+
+        Each basis passes the same checks as in ``Subspace(basis)`` and is a
+        read-only view of one copy of the stack.
+        """
+        bases = np.array(bases, dtype=float)
+        if bases.ndim != 3:
+            raise ValueError(f"expected an (m, D, d) stack of bases, got shape {bases.shape}")
+        _check_bases(bases)
+        bases.setflags(write=False)
+        subspaces = []
+        for basis in bases:
+            sub = object.__new__(cls)
+            sub.basis = basis
+            subspaces.append(sub)
+        return subspaces
 
     @property
     def ambient_dim(self) -> int:
@@ -70,6 +82,19 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient_dim={self.ambient_dim})"
+
+
+def _check_bases(bases: np.ndarray) -> None:
+    """Raise ValueError unless every D x d matrix of the (m, D, d) stack is a
+    finite basis with orthonormal columns (to 1e-10)."""
+    if not np.all(np.isfinite(bases)):
+        raise ValueError("subspace basis contains non-finite entries")
+    _, big_d, d = bases.shape
+    if not 1 <= d <= big_d:
+        raise ValueError(f"need 1 <= dim <= ambient_dim, got {d} and {big_d}")
+    gram = np.matmul(bases.transpose(0, 2, 1), bases)
+    if np.max(np.abs(gram - np.eye(d)), initial=0.0) > ORTHONORMALITY_TOL:
+        raise ValueError("basis columns are not orthonormal to 1e-10")
 
 
 def random_subspace(rng: np.random.Generator, ambient_dim: int, dim: int) -> Subspace:

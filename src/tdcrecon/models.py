@@ -91,10 +91,6 @@ class ManifoldModel:
         pairs to curves where the geodesic is known."""
         raise NotImplementedError
 
-    def param_curves(self, p: np.ndarray):
-        """d unit-speed curves through p covering the tangent directions."""
-        raise NotImplementedError
-
     def kind(self) -> str:
         return type(self).__name__.lower()
 
@@ -176,14 +172,6 @@ class Circle(ManifoldModel):
         y = np.concatenate(ys)[:k]
         d = np.concatenate(ds)[:k]
         return x, y, d
-
-    def param_curves(self, p):
-        t0 = self.angle_of(p)
-
-        def curve(t):
-            return self.point(t0 + np.asarray(t) / self.radius)
-
-        return [curve]
 
 
 @dataclass(frozen=True)
@@ -270,24 +258,6 @@ class Sphere(ManifoldModel):
         y = np.concatenate(ys)[:k]
         d = np.concatenate(ds)[:k]
         return x, y, d
-
-    def param_curves(self, p):
-        basis = self._tangent_impl(np.asarray(p, dtype=float)).basis
-        p3 = np.asarray(p, dtype=float)[:3]
-        curves = []
-        for k in range(2):
-            e = basis[:3, k]
-
-            def curve(t, e=e):
-                t = np.atleast_1d(np.asarray(t, dtype=float))
-                pts = (
-                    p3[None, :] * np.cos(t / self.radius)[:, None]
-                    + self.radius * e[None, :] * np.sin(t / self.radius)[:, None]
-                )
-                return _pad(pts, self.ambient_dim)
-
-            curves.append(curve)
-        return curves
 
 
 @dataclass(frozen=True)
@@ -418,18 +388,6 @@ class Torus(ManifoldModel):
             np.concatenate(ys)[:k],
             np.concatenate(ds)[:k],
         )
-
-    def param_curves(self, p):
-        u0, v0 = self.params_of(np.asarray(p, dtype=float))
-        ring = self.major_radius + self.minor_radius * math.cos(v0)
-
-        def curve_u(t):
-            return self.point(u0 + np.asarray(t) / ring, v0)
-
-        def curve_v(t):
-            return self.point(u0, v0 + np.asarray(t) / self.minor_radius)
-
-        return [curve_u, curve_v]
 
 
 def make_model(kind: str, **params) -> ManifoldModel:

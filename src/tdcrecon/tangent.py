@@ -6,7 +6,9 @@ and the span of the top d eigenvectors is the tangent estimate.  Points with
 fewer than ``min_neighbors`` neighbors are flagged and excluded from the
 field; downstream users can fill them in by nearest-neighbor inheritance.
 Neighbors come from a KD-tree ball query (:mod:`._neighbours`), so the work
-grows with the number of neighbor pairs, not with n^2.
+grows with the number of neighbor pairs, not with n^2.  Inside a denoising
+iteration that query is the one search whose neighbor lists the slab counts
+share; a standalone call searches on its own.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._neighbours import ball_pairs, check_finite
+from . import _neighbours
+from ._neighbours import check_finite
 from .geometry import Subspace
 
 
@@ -151,37 +154,48 @@ def local_covariance(points: np.ndarray, j: int, h: float) -> np.ndarray:
 
 
 def estimate_tangents(
-    points: np.ndarray, params: TseParams, subset: list[int] | None = None
+    points: np.ndarray,
+    params: TseParams,
+    subset: list[int] | None = None,
+    *,
+    neighbours: _neighbours.SharedNeighbours | None = None,
 ) -> TangentField:
     """Local-PCA tangent field over the whole cloud or a subset of indices.
 
     The neighbor pool is always the full cloud; ``subset`` only selects where
-    estimates are produced.
+    estimates are produced.  ``neighbours``, a search of ``points`` that
+    reaches radius h, replaces the call's own ball search.
     """
     points = np.asarray(points, dtype=float)
     check_finite(points, "points")
     n, big_d = points.shape
+    if params.d > big_d:
+        raise ValueError(f"need d <= ambient dimension, got d={params.d} in R^{big_d}")
     targets = np.arange(n) if subset is None else np.asarray(subset, dtype=int)
     indices: list[int] = []
     subspaces: list[Subspace] = []
     skipped: list[int] = []
     h2 = params.h * params.h
-    for chunk, rows, cols, diff, _ in ball_pairs(cKDTree(points), points[targets], h2):
+    if neighbours is None:
+        pairs = _neighbours.ball_pairs(cKDTree(points), points[targets], h2)
+    else:
+        pairs = neighbours.pairs(points, targets, h2)
+    for chunk, rows, cols, diff, _ in pairs:
         idx = targets[chunk]
         rows = rows - chunk.start
         others = cols != idx[rows]
-        rows, diff = rows[others], diff[others]
-        counts = np.bincount(rows, minlength=len(idx))
+        counts = np.bincount(rows[others], minlength=len(idx))
         ok = counts >= params.min_neighbors
         skipped.extend(int(j) for j in idx[~ok])
         if not np.any(ok):
             continue
-        # each target's neighbor offsets in increasing index order, padded
-        # with zero rows to a common length
+        # each estimable target's neighbor offsets in increasing index order,
+        # padded with zero rows to a common length
+        use = others & ok[rows]
+        rows, counts = (np.cumsum(ok) - 1)[rows[use]], counts[ok]
         slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-        w = np.zeros((len(idx), int(counts.max()), big_d))
-        w[rows, slot] = diff
-        w, counts = w[ok], counts[ok]
+        w = np.zeros((len(counts), int(counts.max()), big_d))
+        w[rows, slot] = diff[use]
         means = w.sum(axis=1) / counts[:, None]
         # sum of outer products minus the rank-one mean correction
         scatter = np.matmul(w.transpose(0, 2, 1), w)
@@ -189,8 +203,6 @@ def estimate_tangents(
         cov = scatter / (n - 1)
         cov = 0.5 * (cov + cov.transpose(0, 2, 1))
         eigvals, eigvecs = np.linalg.eigh(cov)
-        for row, j in enumerate(idx[ok]):
-            basis = eigvecs[row][:, ::-1][:, : params.d]
-            indices.append(int(j))
-            subspaces.append(Subspace(basis))
+        indices.extend(idx[ok].tolist())
+        subspaces.extend(Subspace.stack(eigvecs[:, :, ::-1][:, :, : params.d]))
     return TangentField(indices=indices, subspaces=subspaces, skipped=skipped)

@@ -2,12 +2,16 @@
 
 Each function scans every point for every query, as the library did before
 its KD-tree neighbour layer; the tests require the library to return what
-these return.
+these return.  ``iterative_denoise`` runs the denoising loop on these dense
+stages, each with a scan of its own.
 """
+import math
+
 import numpy as np
 
+from tdcrecon.denoise import NO_TANGENT, IterationDiagnostics, schedule
 from tdcrecon.geometry import Subspace
-from tdcrecon.tangent import TangentField
+from tdcrecon.tangent import TangentField, TseParams
 
 _CHUNK = 256
 
@@ -99,3 +103,40 @@ def directed_hausdorff(a, b):
         dist2 = np.einsum("ijk,ijk->ij", diff, diff)
         best = max(best, float(dist2.min(axis=1).max()))
     return float(np.sqrt(best))
+
+
+def iterative_denoise(cloud, d, beta, kappa, spec, k_iters, tse_params_factory=None):
+    """The denoising loop on the dense tangents, completion and slab counts."""
+    if tse_params_factory is None:
+        tse_params_factory = lambda h: TseParams(h=h, d=d)
+    n_total = cloud.n
+    hs = schedule(n_total, d, beta, kappa, k_iters).hs
+    threshold = spec.t * math.log(n_total - 1)
+    alive = np.arange(n_total)
+    diags = []
+    for k in range(k_iters + 1):
+        if alive.size == 0:
+            break
+        pts = cloud.points[alive]
+        field_ = estimate_tangents(pts, tse_params_factory(hs[k]))
+        inherited, stop_reason = len(field_.skipped), None
+        if field_.indices:
+            counts = slab_counts(pts, complete(field_, pts), hs[k], spec)
+            alive = alive[counts >= threshold]
+        else:
+            inherited, stop_reason = 0, NO_TANGENT
+        labels = cloud.labels[alive]
+        diags.append(
+            IterationDiagnostics(
+                k=k,
+                h=hs[k],
+                survivors=int(alive.size),
+                true_positives=int(np.sum(labels == 1)),
+                false_positives=int(np.sum(labels == 0)),
+                inherited=inherited,
+                stop_reason=stop_reason,
+            )
+        )
+        if stop_reason is not None:
+            break
+    return alive.tolist(), diags

@@ -42,6 +42,54 @@ class TestSubspace:
         assert np.allclose(p @ p, p, atol=1e-12)
 
 
+class TestSubspaceStack:
+    def valid(self):
+        rng = np.random.default_rng(4)
+        return np.stack([random_subspace(rng, 4, 2).basis for _ in range(5)])
+
+    def error_of(self, build):
+        with pytest.raises(ValueError) as info:
+            build()
+        return str(info.value)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[np.nan, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+            np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+            np.eye(4)[:, :2] * (1.0 + 1e-9),
+        ],
+        ids=["nan", "skew", "long"],
+    )
+    def test_one_bad_basis_raises_as_alone(self, bad):
+        bases = self.valid()
+        bases[3] = bad
+        assert self.error_of(lambda: Subspace.stack(bases)) == self.error_of(
+            lambda: Subspace(bad)
+        )
+
+    def test_bad_dims_raise_as_alone(self):
+        bases = np.zeros((2, 3, 0))
+        assert self.error_of(lambda: Subspace.stack(bases)) == self.error_of(
+            lambda: Subspace(bases[0])
+        )
+
+    def test_valid_stack(self):
+        bases = self.valid()
+        subs = Subspace.stack(bases)
+        assert len(subs) == len(bases)
+        for sub, basis in zip(subs, bases):
+            assert isinstance(sub, Subspace)
+            assert np.array_equal(sub.basis, basis)
+            assert not sub.basis.flags.writeable
+        # the stack is copied: changing the input changes no subspace
+        bases[0, 0, 0] = 7.0
+        assert subs[0].basis[0, 0] != 7.0
+
+    def test_empty_stack(self):
+        assert Subspace.stack(np.zeros((0, 3, 1))) == []
+
+
 class TestPrincipalAngle:
     def test_identical_line(self):
         u = span([1, 0, 0])

@@ -3,7 +3,9 @@
 Every local query (tangents, slab counts, tangent inheritance, the
 farthest-point net, Hausdorff) must return what the dense scan returns: the
 same indices, counts, net order and distances, with closed-ball boundaries
-and ties resolved the same way.
+and ties resolved the same way.  The denoising loop, whose tangents and slab
+counts share one search per iteration, must return what the loop over the
+dense stages returns.
 """
 import itertools
 
@@ -13,7 +15,16 @@ from scipy.spatial import cKDTree
 
 import dense_oracles as dense
 from tdcrecon import _neighbours
-from tdcrecon.denoise import SlabSpec, slab_counts
+from tdcrecon.denoise import (
+    NO_TANGENT,
+    SlabSpec,
+    _slab_ball_r2,
+    default_slab_spec,
+    diagnostics_to_json,
+    iterative_denoise,
+    schedule,
+    slab_counts,
+)
 from tdcrecon.geometry import Subspace, directed_hausdorff, hausdorff, random_subspace
 from tdcrecon.models import Circle, SampleSpec, Sphere, sample
 from tdcrecon.sparsify import farthest_point_sampling
@@ -86,6 +97,82 @@ class TestBallPairs:
         covered = [i for c in chunks for i in range(c.start, c.stop)]
         assert covered == list(range(len(pts)))
         assert len(chunks) > 1
+
+
+def concat_pairs(parts):
+    """(rows, cols, diff, d2) of chunked ball pairs, joined."""
+    parts = list(parts)
+    return tuple(np.concatenate([p[k] for p in parts]) for k in range(1, 5))
+
+
+class TestSharedNeighbours:
+    pts = CLOUDS["D3-sphere"][0]
+
+    def assert_same_pairs(self, got, want):
+        for g, w in zip(concat_pairs(got), concat_pairs(want)):
+            assert np.array_equal(g, w)
+
+    def test_both_readers_match_own_searches(self):
+        tree = cKDTree(self.pts)
+        every = np.arange(len(self.pts))
+        shared = _neighbours.SharedNeighbours(self.pts, 0.09, keep_r2=0.04)
+        self.assert_same_pairs(
+            shared.pairs(self.pts, every, 0.0625), _neighbours.ball_pairs(tree, self.pts, 0.0625)
+        )
+        subset = np.array([7, 3, 3, 400])
+        self.assert_same_pairs(
+            shared.pairs(self.pts, subset, 0.04),
+            _neighbours.ball_pairs(tree, self.pts[subset], 0.04),
+        )
+        self.assert_same_pairs(
+            shared.pairs(self.pts, every, 0.01), _neighbours.ball_pairs(tree, self.pts, 0.01)
+        )
+
+    def test_lattice_radii_hit_exactly(self):
+        # integer squared distances: the stream at 2 and the kept pairs at 1
+        # both have pairs on their spheres
+        pts = lattice(range(5), range(4), range(3))
+        tree = cKDTree(pts)
+        every = np.arange(len(pts))
+        shared = _neighbours.SharedNeighbours(pts, 2.0, keep_r2=1.0)
+        self.assert_same_pairs(shared.pairs(pts, every, 2.0), _neighbours.ball_pairs(tree, pts, 2.0))
+        self.assert_same_pairs(shared.pairs(pts, every, 1.0), _neighbours.ball_pairs(tree, pts, 1.0))
+
+    def test_kept_pairs_in_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 4)
+        shared = _neighbours.SharedNeighbours(self.pts, 0.09, keep_r2=0.09)
+        every = np.arange(len(self.pts))
+        for _ in shared.pairs(self.pts, every, 0.09):
+            pass
+        self.assert_same_pairs(
+            shared.pairs(self.pts, every, 0.09),
+            _neighbours.ball_pairs(cKDTree(self.pts), self.pts, 0.09),
+        )
+
+    def test_misuse_raises(self):
+        every = np.arange(len(self.pts))
+        with pytest.raises(ValueError, match="kept squared radius"):
+            _neighbours.SharedNeighbours(self.pts, 0.04, keep_r2=0.09)
+        shared = _neighbours.SharedNeighbours(self.pts, 0.09, keep_r2=0.04)
+        with pytest.raises(ValueError, match="another cloud"):
+            shared.pairs(self.pts + 1.0, every, 0.09)
+        with pytest.raises(ValueError, match="first reader"):
+            shared.pairs(self.pts, every[:10], 0.09)
+        with pytest.raises(ValueError, match="first reader"):
+            shared.pairs(self.pts, every, 0.1)
+        search = shared.pairs(self.pts, every, 0.09)
+        next(search)
+        search.close()
+        with pytest.raises(ValueError, match="stopped before the search ended"):
+            shared.pairs(self.pts, every, 0.04)
+
+    def test_kept_radius_bound(self):
+        every = np.arange(len(self.pts))
+        shared = _neighbours.SharedNeighbours(self.pts, 0.09, keep_r2=0.04)
+        for _ in shared.pairs(self.pts, every, 0.09):
+            pass
+        with pytest.raises(ValueError, match="exceeds the kept"):
+            shared.pairs(self.pts, every, 0.0625)
 
 
 class TestEstimateTangentsOracle:
@@ -260,6 +347,81 @@ class TestHausdorffOracle:
         b = np.vstack([a[::3], a[::3]]) + 0.5
         assert directed_hausdorff(a, b) == dense.directed_hausdorff(a, b)
         assert directed_hausdorff(b, a) == dense.directed_hausdorff(b, a)
+
+
+def denoise_case(name):
+    """(cloud, d, kappa, spec) of a fixed-seed denoising run, beta = 0.8."""
+    if name == "circle-D2":
+        cloud = sample(Circle(1.0, ambient_dim=2), SampleSpec(n=600, beta=0.8, seed=301))
+        return cloud, 1, 8.0, default_slab_spec(1, 2, 1.0, t=0.4, angle_constant=0.5)
+    if name == "circle-D10":
+        cloud = sample(Circle(1.0, ambient_dim=10), SampleSpec(n=600, beta=0.8, seed=302))
+        return cloud, 1, 8.0, default_slab_spec(1, 10, 1.0, t=0.4, angle_constant=0.5)
+    if name == "sphere-D3":
+        cloud = sample(Sphere(1.0, ambient_dim=3), SampleSpec(n=800, beta=0.8, seed=303))
+        return cloud, 2, 30.0, default_slab_spec(2, 3, 1.0, t=0.15, angle_constant=0.5)
+    # k1 > 1: the ball around each slab is wider than the tangent bandwidth
+    cloud = sample(Circle(1.0, ambient_dim=3), SampleSpec(n=600, beta=0.8, seed=304))
+    return cloud, 1, 8.0, SlabSpec(k1=1.5, k2=0.5, t=0.6)
+
+
+def count_searches(monkeypatch):
+    """Record the squared radius of every ball_pairs search from now on."""
+    radii = []
+    search = _neighbours.ball_pairs
+
+    def counted(tree, x, r2):
+        radii.append(r2)
+        return search(tree, x, r2)
+
+    monkeypatch.setattr(_neighbours, "ball_pairs", counted)
+    return radii
+
+
+class TestIterativeDenoiseOracle:
+    def assert_matches_dense(self, name, k_iters=2):
+        cloud, d, kappa, spec = denoise_case(name)
+        got = iterative_denoise(cloud, d, 0.8, kappa, spec, k_iters)
+        assert got == dense.iterative_denoise(cloud, d, 0.8, kappa, spec, k_iters)
+        return cloud, got[1]
+
+    @pytest.mark.parametrize("name", ["circle-D2", "circle-D10", "sphere-D3"])
+    def test_matches_dense(self, name):
+        cloud, diags = self.assert_matches_dense(name)
+        # the runs do work: skipped tangents are filled, most outliers go
+        outliers = int(np.sum(cloud.labels == 0))
+        assert diags[0].inherited > 0
+        assert diags[-1].false_positives < 0.1 * outliers
+
+    def test_slab_ball_wider_than_h(self):
+        cloud, d, kappa, spec = denoise_case("wide-slab")
+        h = schedule(cloud.n, d, 0.8, kappa, 0).hs[0]
+        assert _slab_ball_r2(h, spec) > h * h
+        self.assert_matches_dense("wide-slab")
+
+    def test_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 5)
+        self.assert_matches_dense("circle-D10")
+
+    def test_one_search_per_iteration(self, monkeypatch):
+        radii = count_searches(monkeypatch)
+        cloud, d, kappa, spec = denoise_case("sphere-D3")
+        _, diags = iterative_denoise(cloud, d, 0.8, kappa, spec, k_iters=2)
+        assert len(diags) == 3
+        assert len(radii) == 3
+
+    def test_stop_when_nothing_estimable(self, monkeypatch):
+        radii = count_searches(monkeypatch)
+        cloud, d, kappa, spec = denoise_case("circle-D2")
+        factory = lambda h: TseParams(h=h, d=1, min_neighbors=cloud.n)
+        keep, diags = iterative_denoise(cloud, d, 0.8, kappa, spec, 2, factory)
+        assert keep == list(range(cloud.n))
+        assert len(diags) == 1 and len(radii) == 1
+        assert diags[0].survivors == cloud.n
+        assert diags[0].inherited == 0
+        assert diags[0].stop_reason == NO_TANGENT
+        assert (keep, diags) == dense.iterative_denoise(cloud, d, 0.8, kappa, spec, 2, factory)
+        assert '"stop_reason": "no tangent estimable"' in diagnostics_to_json(diags)
 
 
 BAD = [np.nan, np.inf, -np.inf]

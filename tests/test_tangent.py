@@ -115,6 +115,19 @@ class TestEstimateTangents:
         assert field.skipped == [3]
         assert sorted(field.indices) == [0, 1, 2]
 
+    def test_dimension_above_ambient_raises(self):
+        # d > D used to return D-dimensional "tangents" without complaint
+        pts = np.random.default_rng(2).normal(size=(50, 3))
+        with pytest.raises(ValueError, match="d <= ambient dimension"):
+            estimate_tangents(pts, TseParams(h=5.0, d=4))
+
+    def test_dimension_equal_to_ambient(self):
+        pts = np.random.default_rng(2).normal(size=(50, 3))
+        field = estimate_tangents(pts, TseParams(h=5.0, d=3))
+        assert len(field) == 50
+        for sub in field.subspaces:
+            assert np.allclose(sub.projector(), np.eye(3), atol=1e-12)
+
     def test_subset_matches_full(self):
         cloud = sample(Circle(1.0), SampleSpec(n=300, beta=1.0, seed=2))
         params = TseParams(h=0.2, d=1)
