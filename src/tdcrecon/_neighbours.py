@@ -1,9 +1,12 @@
 """The neighbour query behind every local computation of the package.
 
-Tangent estimation, slab counting and tangent inheritance all ask the same
-question: which cloud points lie in a closed ball around a query point.
-:func:`ball_pairs` answers it from a ``scipy.spatial.cKDTree`` in bounded
-chunks, with ball membership decided exactly as a dense scan decides it.
+Tangent estimation and slab counting ask the same question: which points of
+a cloud lie in a closed ball around a point of the same cloud.  One
+``scipy.spatial.cKDTree`` self-join of the cloud answers it for every point
+at once, finding each unordered pair once; :func:`ball_pairs` reads the
+answer in bounded chunks, with ball membership decided exactly as a dense
+scan decides it.  A call about a subset of the points reads its rows from
+the search of the whole cloud.
 
 A denoising iteration asks it twice at one bandwidth: local PCA in the
 h-ball, then slab counts in the ball that holds each slab.  One search at the
@@ -32,36 +35,104 @@ def check_finite(x: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains NaN or inf")
 
 
-def ball_pairs(tree: cKDTree, x: np.ndarray, r2: float):
-    """Closed-ball pairs between query points ``x`` and the points of ``tree``.
+def _candidates(points: np.ndarray, r2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour lists of a self-join of ``points`` a little wider than ``r2``.
 
-    Yields ``(chunk, rows, cols, diff, d2)`` per chunk of consecutive query
-    points; ``chunk`` is the slice of ``x`` it covers.  Pair p says that tree
-    point ``cols[p]`` lies in the closed ball of squared radius ``r2`` around
-    ``x[rows[p]]``, with ``diff[p] = tree.data[cols[p]] - x[rows[p]]`` and
-    ``d2[p]`` its squared length.  Pairs are sorted by row, then by column.
+    Returns CSR lists ``(indptr, cols)``: the columns of row i are
+    ``cols[indptr[i]:indptr[i + 1]]``, increasing, with i itself left out.
+    """
+    n = len(points)
+    radius = math.sqrt(r2) * (1.0 + _RADIUS_SLACK)
+    found = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    # each pair (i, j), i < j, becomes the keys i n + j and j n + i in its
+    # own two slots, so the search's result is the only index array:
+    # (i, j) -> (i, j - i) -> (i n + j, j - i) -> (i n + j, j n + i)
+    first, second = found[:, 0], found[:, 1]
+    second -= first
+    first *= n + 1
+    first += second
+    second *= n - 1
+    second += first
+    keys = found.reshape(-1)
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    np.remainder(keys, n, out=keys)
+    return indptr, keys
 
+
+def _chunks(sizes: np.ndarray):
+    """Slices of consecutive entries whose ``sizes`` sum to about ``_CHUNK_PAIRS``.
+
+    No slice sums to more, except one that holds a single larger entry.
+    """
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(ends):
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _CHUNK_PAIRS, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _pairs(points: np.ndarray, indptr: np.ndarray, cols: np.ndarray, targets: np.ndarray):
+    """Every listed pair of ``points[targets]``, plus each target's self pair.
+
+    Yields ``(chunk, at, rows, cols, diff, d2)`` per chunk of targets, as
+    :func:`ball_pairs` does but before the exact test; ``at`` gives the
+    positions in ``cols`` of the chunk's listed pairs, in the order they
+    appear among the yielded pairs that are not self pairs.
+    """
+    n = len(points)
+    starts = indptr[targets]
+    counts = indptr[targets + 1] - starts
+    for chunk in _chunks(counts + 1):
+        own, c = targets[chunk], counts[chunk]
+        local = np.repeat(np.arange(len(c)), c)
+        at = np.arange(len(local)) + np.repeat(starts[chunk] - (np.cumsum(c) - c), c)
+        # sort keys within the chunk; each self pair goes in at its column
+        key = local * n + cols[at]
+        own_key = np.arange(len(c)) * n + own
+        key = np.insert(key, np.searchsorted(key, own_key), own_key)
+        rows, found = np.divmod(key, n)
+        # each target's point repeated over its pairs: faster than a gather
+        diff = points[found] - np.repeat(points[own], c + 1, axis=0)
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        yield chunk, at, chunk.start + rows, found, diff, d2
+
+
+def _exact(rows, cols, diff, d2, r2: float):
+    """The pairs that pass the exact test ``d2 <= r2``, uncopied when all do."""
+    inside = d2 <= r2
+    if inside.all():
+        return rows, cols, diff, d2
+    return rows[inside], cols[inside], diff[inside], d2[inside]
+
+
+def _within(parts, r2: float):
+    """The pairs of :func:`_pairs` chunks that pass the exact test ``d2 <= r2``."""
+    for chunk, _, rows, cols, diff, d2 in parts:
+        yield chunk, *_exact(rows, cols, diff, d2, r2)
+
+
+def ball_pairs(points: np.ndarray, targets: np.ndarray, r2: float):
+    """Closed-ball pairs between ``points[targets]`` and the points of the cloud.
+
+    Yields ``(chunk, rows, cols, diff, d2)`` per chunk of consecutive
+    targets; ``chunk`` is the slice of ``targets`` it covers.  Pair p says
+    that ``points[cols[p]]`` lies in the closed ball of squared radius ``r2``
+    around ``points[targets[rows[p]]]``, with ``diff[p]`` the difference of
+    the two and ``d2[p]`` its squared length.  Pairs are sorted by row, then
+    by column; each target is its own neighbour at distance zero.
+
+    The search is one self-join of the whole cloud, whatever the targets.
     Membership is the test ``d2 <= r2`` on these differences, so points on
     the sphere are in or out exactly as in a dense scan that uses the same
-    predicate; the trees only propose candidates.
+    predicate; the tree only proposes candidates.
     """
-    x = np.asarray(x, dtype=float)
-    n = tree.n
-    radius = math.sqrt(r2) * (1.0 + _RADIUS_SLACK)
-    widest = np.max(tree.query_ball_point(x, radius, return_length=True), initial=1)
-    step = max(1, _CHUNK_PAIRS // int(widest))
-    for lo in range(0, len(x), step):
-        chunk = slice(lo, min(lo + step, len(x)))
-        # a dual-tree search returns numpy arrays, not a Python object per pair
-        found = cKDTree(x[chunk]).sparse_distance_matrix(
-            tree, radius, output_type="ndarray"
-        )
-        key = np.sort(found["i"] * n + found["j"])
-        rows, cols = lo + key // n, key % n
-        diff = tree.data[cols] - x[rows]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        inside = d2 <= r2
-        yield chunk, rows[inside], cols[inside], diff[inside], d2[inside]
+    points = np.asarray(points, dtype=float)
+    targets = np.asarray(targets, dtype=np.intp)
+    indptr, cols = _candidates(points, r2)
+    yield from _within(_pairs(points, indptr, cols, targets), r2)
 
 
 class SharedNeighbours:
@@ -72,7 +143,7 @@ class SharedNeighbours:
     chunks as they come; meanwhile the pairs within squared radius
     ``keep_r2`` are kept as index lists, and later calls are served from
     them.  Either way a call yields what :func:`ball_pairs` yields for its
-    query points and radius: the same pairs in the same order, with the same
+    targets and radius: the same pairs in the same order, with the same
     differences and squared distances, though chunked in its own way.
     """
 
@@ -103,47 +174,31 @@ class SharedNeighbours:
                     f"within squared radius {self.r2}"
                 )
             self._searched = True
-            return self._search(r2)
+            return self._search(targets, r2)
         if self.cols is None:
             raise ValueError("the first reader stopped before the search ended")
         if r2 > self.keep_r2:
             raise ValueError(f"squared radius {r2} exceeds the kept {self.keep_r2}")
-        return self._read(targets, r2)
+        return _within(_pairs(self.points, self.indptr, self.cols, targets), r2)
 
-    def _search(self, r2: float):
-        n = len(self.points)
+    def _search(self, every: np.ndarray, r2: float):
+        indptr, cols = _candidates(self.points, self.r2)
+        # the listed pairs within keep_r2, marked as their chunks pass, and
+        # how many each point has
+        kept = np.zeros(len(cols), dtype=bool)
+        lengths = np.zeros(len(every), dtype=np.intp)
+        for chunk, at, rows, found, diff, d2 in _pairs(self.points, indptr, cols, every):
+            # every point is read in order, so a row is its point's index
+            listed = found != rows
+            keep = d2[listed] <= self.keep_r2
+            kept[at] = keep
+            lengths[chunk] = np.bincount(
+                rows[listed][keep] - chunk.start, minlength=chunk.stop - chunk.start
+            )
+            yield chunk, *_exact(rows, found, diff, d2, r2)
+            # the reader has this chunk: hold none of it while the next is made
+            del at, rows, found, diff, d2
+        self.indptr = np.concatenate([[0], np.cumsum(lengths)])
         # the narrowest unsigned type for the kept indices: at n=100k in
         # D=10 they number tens of millions
-        index = np.min_scalar_type(max(n - 1, 0))
-        lengths = np.zeros(n, dtype=np.intp)
-        kept = []
-        for chunk, rows, cols, diff, d2 in ball_pairs(cKDTree(self.points), self.points, self.r2):
-            keep = d2 <= self.keep_r2
-            lengths[chunk] = np.bincount(rows[keep] - chunk.start, minlength=chunk.stop - chunk.start)
-            kept.append(cols[keep].astype(index))
-            if r2 < self.r2:
-                inside = d2 <= r2
-                rows, cols, diff, d2 = rows[inside], cols[inside], diff[inside], d2[inside]
-            yield chunk, rows, cols, diff, d2
-            # the reader has this chunk: hold none of it while the next is made
-            del rows, cols, diff, d2
-        self.indptr = np.concatenate([[0], np.cumsum(lengths)])
-        self.cols = np.concatenate(kept or [np.zeros(0, dtype=index)])
-
-    def _read(self, targets: np.ndarray, r2: float):
-        # chunks of about _CHUNK_PAIRS pairs; each difference is recomputed as
-        # the search computed it, so the exact test below keeps the same pairs
-        starts = self.indptr[targets]
-        lengths = self.indptr[targets + 1] - starts
-        step = max(1, _CHUNK_PAIRS // int(np.max(lengths, initial=1)))
-        for lo in range(0, len(targets), step):
-            chunk = slice(lo, min(lo + step, len(targets)))
-            counts = lengths[chunk]
-            rows = np.repeat(np.arange(chunk.start, chunk.stop), counts)
-            # position of each pair in the lists: its list's start plus its rank
-            at = np.arange(len(rows)) + np.repeat(starts[chunk] - (np.cumsum(counts) - counts), counts)
-            cols = self.cols[at].astype(np.intp)
-            diff = self.points[cols] - self.points[targets[rows]]
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            inside = d2 <= r2
-            yield chunk, rows[inside], cols[inside], diff[inside], d2[inside]
+        self.cols = cols[kept].astype(np.min_scalar_type(max(len(every) - 1, 0)))

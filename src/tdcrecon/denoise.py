@@ -10,7 +10,8 @@ is 1/d.
 The slab at bandwidth h lies in the ball of radius sqrt((k1 h)^2 + (k2 h^2)^2),
 so each iteration runs one neighbour search, at the larger of that radius and
 the tangent bandwidth, and its lists serve both the local-PCA tangents and the
-slab counts (:class:`._neighbours.SharedNeighbours`).
+slab counts (:class:`._neighbours.SharedNeighbours`).  The search is one
+KD-tree self-join of the surviving cloud, which finds each pair once.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from scipy.spatial import cKDTree
 from . import _neighbours
 from ._neighbours import check_finite
 from .geometry import Subspace, random_subspace, tilt_subspace
-from .models import LabeledCloud, ManifoldModel, _unit_normal_at
+from .models import CheckReport, LabeledCloud, ManifoldModel, _unit_normal_at
 from .tangent import TangentField, TseParams, estimate_tangents
 
 
@@ -102,8 +103,10 @@ def slab_counts(
 ) -> np.ndarray:
     """Number of cloud points inside each point's slab (self included).
 
-    ``neighbours``, a search of ``points`` that keeps the pairs in the ball
-    around each slab, replaces the call's own ball search.
+    Only the points of ``field_`` get a count; their rows are read from a
+    search of the whole cloud.  ``neighbours``, a search of ``points`` that
+    keeps the pairs in the ball around each slab, replaces the call's own
+    search.
     """
     points = np.asarray(points, dtype=float)
     check_finite(points, "points")
@@ -114,7 +117,7 @@ def slab_counts(
     bases = np.stack([sub.basis for sub in field_.subspaces])
     r2 = _slab_ball_r2(h, spec)
     if neighbours is None:
-        pairs = _neighbours.ball_pairs(cKDTree(points), points[centres], r2)
+        pairs = _neighbours.ball_pairs(points, centres, r2)
     else:
         pairs = neighbours.pairs(points, centres, r2)
     found = np.zeros(len(centres), dtype=int)
@@ -140,6 +143,8 @@ def sd_step(
     points are removed across iterations.  ``neighbours`` go to
     :func:`slab_counts`.
     """
+    if n_total < 3:
+        raise ValueError("need n >= 3")
     if sorted(field_.indices) != list(range(len(points))):
         raise ValueError("tangent field must cover every point of the cloud")
     threshold = spec.t * math.log(n_total - 1)
@@ -239,6 +244,8 @@ def k_hat(distances_to_manifold: np.ndarray, sched: Schedule, rho: float) -> int
 def calibrate_threshold(pilot_counts: np.ndarray, n: int) -> float:
     """Default threshold rule: half the 5th percentile of pilot on-slab counts,
     expressed in units of log(n-1)."""
+    if n < 3:
+        raise ValueError("need n >= 3")
     counts = np.asarray(pilot_counts, dtype=float)
     return 0.5 * float(np.percentile(counts, 5.0)) / math.log(n - 1)
 
@@ -345,23 +352,13 @@ def iterative_denoise(
 # Monte-Carlo checks of the slab geometry statements
 
 
-@dataclass
-class SlabCheckReport:
-    trials: int
-    violations: int
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
 def verify_slab_separation(
     model: ManifoldModel,
     trials: int,
     seed: int,
     angle_constant: float = 2.0,
     grid_resolution: float | None = None,
-) -> SlabCheckReport:
+) -> CheckReport:
     """Far points have manifold-free slabs: d(x, M) >= h/sqrt(2) with any
     direction, or d(x, M) >= h^2/rho with a direction within K h / rho of the
     true tangent."""
@@ -395,7 +392,7 @@ def verify_slab_separation(
         if not near:
             continue
         violations += int(np.sum(_slab_mask(grid[near] - x, tangent.basis, h, spec)))
-    return SlabCheckReport(trials=trials, violations=violations)
+    return CheckReport(trials=trials, violations=violations)
 
 
 def verify_slab_inclusion(
@@ -404,7 +401,7 @@ def verify_slab_inclusion(
     seed: int,
     angle_constant: float = 2.0,
     grid_resolution: float | None = None,
-) -> SlabCheckReport:
+) -> CheckReport:
     """Close manifold pairs fall inside each other's true-tangent slabs:
     x, y in M with ||x - y|| <= k3 h implies y in S(x, T_x M, h)."""
     rng = np.random.default_rng(seed)
@@ -427,4 +424,4 @@ def verify_slab_inclusion(
         near = near[np.linalg.norm(near - p, axis=1) <= k3 * h]
         inside = _slab_mask(near - p, model.tangent(p).basis, h, spec)
         violations += int(np.sum(~inside))
-    return SlabCheckReport(trials=trials, violations=violations)
+    return CheckReport(trials=trials, violations=violations)

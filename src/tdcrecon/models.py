@@ -603,7 +603,9 @@ def verify_standardness(
 
 
 @dataclass
-class InclusionReport:
+class CheckReport:
+    """Outcome of a Monte-Carlo check of a geometric statement."""
+
     trials: int
     violations: int
 
@@ -626,7 +628,7 @@ def _unit_normal_at(model: ManifoldModel, p: np.ndarray, rng: np.random.Generato
 
 def verify_ball_projection(
     model: ManifoldModel, trials: int, seed: int, grid_resolution: float | None = None
-) -> InclusionReport:
+) -> CheckReport:
     """Projection sandwich for balls centered off the manifold:
     B(pi(x), r_h^-) cap M  inside  B(x, h) cap M  inside  B(pi(x), r_h^+) cap M
     with r_h^2 = h^2 - Delta^2 and r_h^pm = (1 +- alpha^2 Delta / rho) r_h."""
@@ -654,12 +656,12 @@ def verify_ball_projection(
         d_p = np.linalg.norm(near - p, axis=1)
         violations += int(np.sum((d_x <= h) & (d_p > r_plus + slack)))
         violations += int(np.sum((d_p <= r_minus) & (d_x > h + slack)))
-    return InclusionReport(trials=trials, violations=violations)
+    return CheckReport(trials=trials, violations=violations)
 
 
 def verify_normal_offset(
     model: ManifoldModel, trials: int, seed: int, grid_resolution: float | None = None
-) -> InclusionReport:
+) -> CheckReport:
     """Normal-coordinate bound: points z near x (both near M) have normal
     component over pi(x) at most 10 h_k^2 / rho."""
     from scipy.spatial import cKDTree
@@ -690,7 +692,7 @@ def verify_normal_offset(
         if np.linalg.norm(normal_part) > 10.0 * h_k**2 / rho + 1e-9 * rho:
             violations += 1
         done += 1
-    return InclusionReport(trials=trials, violations=violations)
+    return CheckReport(trials=trials, violations=violations)
 
 
 def monte_carlo_reach(model: ManifoldModel, n_points: int, seed: int) -> float:

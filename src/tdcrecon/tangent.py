@@ -5,10 +5,11 @@ of radius h (the point itself excluded, scaled by 1/(n-1)) is eigendecomposed
 and the span of the top d eigenvectors is the tangent estimate.  Points with
 fewer than ``min_neighbors`` neighbors are flagged and excluded from the
 field; downstream users can fill them in by nearest-neighbor inheritance.
-Neighbors come from a KD-tree ball query (:mod:`._neighbours`), so the work
-grows with the number of neighbor pairs, not with n^2.  Inside a denoising
-iteration that query is the one search whose neighbor lists the slab counts
-share; a standalone call searches on its own.
+Neighbors come from one KD-tree self-join of the cloud (:mod:`._neighbours`),
+which finds each neighbor pair once, so the work grows with the number of
+neighbor pairs, not with n^2.  Inside a denoising iteration that self-join is
+the one search whose neighbor lists the slab counts share; a standalone call
+runs its own.
 """
 from __future__ import annotations
 
@@ -163,8 +164,9 @@ def estimate_tangents(
     """Local-PCA tangent field over the whole cloud or a subset of indices.
 
     The neighbor pool is always the full cloud; ``subset`` only selects where
-    estimates are produced.  ``neighbours``, a search of ``points`` that
-    reaches radius h, replaces the call's own ball search.
+    estimates are produced, and its rows are read from a search of the whole
+    cloud.  ``neighbours``, a search of ``points`` that reaches radius h,
+    replaces the call's own search.
     """
     points = np.asarray(points, dtype=float)
     check_finite(points, "points")
@@ -177,7 +179,7 @@ def estimate_tangents(
     skipped: list[int] = []
     h2 = params.h * params.h
     if neighbours is None:
-        pairs = _neighbours.ball_pairs(cKDTree(points), points[targets], h2)
+        pairs = _neighbours.ball_pairs(points, targets, h2)
     else:
         pairs = neighbours.pairs(points, targets, h2)
     for chunk, rows, cols, diff, _ in pairs:

@@ -16,6 +16,22 @@ from tdcrecon.tangent import TangentField, TseParams
 _CHUNK = 256
 
 
+def ball_pairs(points, targets, r2):
+    """(rows, cols, diff, d2) of the points within squared distance r2 of each target.
+
+    Row r holds target ``targets[r]``; its columns are every point index in
+    increasing order whose difference from the target passes ``d2 <= r2``.
+    """
+    points = np.asarray(points, dtype=float)
+    parts = []
+    for row, t in enumerate(targets):
+        diff = points - points[t]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        cols = np.flatnonzero(d2 <= r2)
+        parts.append((np.full(len(cols), row), cols, diff[cols], d2[cols]))
+    return tuple(np.concatenate([p[k] for p in parts]) for k in range(4))
+
+
 def estimate_tangents(points, params, subset=None):
     points = np.asarray(points, dtype=float)
     n, big_d = points.shape

@@ -152,6 +152,13 @@ class TestSdStep:
         with pytest.raises(ValueError):
             sd_step(pts, partial, 0.1, SlabSpec(0.5, 0.5, 1.0), 3)
 
+    @pytest.mark.parametrize("n_total", [0, 1, 2])
+    def test_degenerate_sample_size(self, n_total):
+        # log(n - 1) is 0 at n = 2, so every point used to pass whatever t
+        pts = np.random.default_rng(4).normal(size=(20, 2))
+        with pytest.raises(ValueError, match="need n >= 3"):
+            sd_step(pts, constant_field(20, X_AXIS), 0.5, SlabSpec(0.5, 0.5, 5.0), n_total)
+
 
 class TestSchedule:
     def test_gamma_d2(self):
@@ -293,6 +300,13 @@ def test_calibrate_threshold():
     counts = np.arange(1, 101)
     t = calibrate_threshold(counts, n=1001)
     assert t == pytest.approx(0.5 * np.percentile(counts, 5) / math.log(1000))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_calibrate_threshold_degenerate_sample_size(n):
+    # n = 2 used to divide by log(1) = 0
+    with pytest.raises(ValueError, match="need n >= 3"):
+        calibrate_threshold(np.arange(1, 101), n=n)
 
 
 class TestLemma4MonteCarla:

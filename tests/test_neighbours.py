@@ -73,70 +73,126 @@ def constant_field(n, basis):
     return TangentField(indices=list(range(n)), subspaces=[Subspace(basis)] * n)
 
 
-class TestBallPairs:
-    def test_closed_ball_pairs_sorted(self):
-        # unit lattice, radius 1: the four axis neighbours sit on the sphere
-        pts = lattice(range(5), range(5))
-        centres = pts[[0, 12, 24, 7]]
-        parts = list(_neighbours.ball_pairs(cKDTree(pts), centres, 1.0))
-        rows, cols, diff, d2 = (np.concatenate([p[k] for p in parts]) for k in range(1, 5))
-        want = [
-            (r, c)
-            for r in range(len(centres))
-            for c in range(len(pts))
-            if np.sum((pts[c] - centres[r]) ** 2) <= 1.0
-        ]
-        assert list(zip(rows.tolist(), cols.tolist())) == want
-        assert np.array_equal(diff, pts[cols] - centres[rows])
-        assert np.array_equal(d2, np.einsum("ij,ij->i", diff, diff))
-
-    def test_chunks_cover_every_query(self, monkeypatch):
-        monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 7)
-        pts = lattice(range(6), range(6))
-        chunks = [p[0] for p in _neighbours.ball_pairs(cKDTree(pts), pts, 2.0)]
-        covered = [i for c in chunks for i in range(c.start, c.stop)]
-        assert covered == list(range(len(pts)))
-        assert len(chunks) > 1
-
-
 def concat_pairs(parts):
     """(rows, cols, diff, d2) of chunked ball pairs, joined."""
     parts = list(parts)
     return tuple(np.concatenate([p[k] for p in parts]) for k in range(1, 5))
 
 
+def assert_same_pairs(got, want):
+    """Chunked ball pairs ``got`` equal the joined pairs ``want``, bit for bit."""
+    for g, w in zip(concat_pairs(got), want, strict=True):
+        assert np.array_equal(g, w)
+
+
+def pair_cases():
+    """(points, targets, r2) of self-joins with boundary pairs, duplicates and tiny clouds."""
+    grid = lattice(range(5), range(4), range(3))
+    sphere = CLOUDS["D3-sphere"][0]
+    every = lambda pts: np.arange(len(pts))
+    return {
+        # integer squared distances: axis, face and cube diagonals on the sphere
+        "lattice-r1": (grid, every(grid), 1.0),
+        "lattice-r2": (grid, every(grid), 2.0),
+        "lattice-r3": (grid, every(grid), 3.0),
+        # distinct indices at distance zero
+        "duplicates": (CLOUDS["D10-duplicates"][0], every(CLOUDS["D10-duplicates"][0]), 0.09),
+        "n1": (np.zeros((1, 3)), np.array([0]), 1.0),
+        "n2-boundary": (np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), 1.0),
+        "n2-apart": (np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), 0.25),
+        "sphere": (sphere, every(sphere), 0.09),
+        # a subset reads its rows from the search of the whole cloud
+        "subset": (sphere, np.array([7, 3, 3, 400, 0, 499, 7]), 0.09),
+    }
+
+
+PAIR_CASES = pair_cases()
+
+
+class TestBallPairs:
+    def test_closed_ball_pairs_sorted(self):
+        # unit lattice, radius 1: the four axis neighbours sit on the sphere
+        pts = lattice(range(5), range(5))
+        targets = [0, 12, 24, 7]
+        rows, cols, diff, d2 = concat_pairs(_neighbours.ball_pairs(pts, targets, 1.0))
+        want = [
+            (r, c)
+            for r, t in enumerate(targets)
+            for c in range(len(pts))
+            if np.sum((pts[c] - pts[t]) ** 2) <= 1.0
+        ]
+        assert list(zip(rows.tolist(), cols.tolist())) == want
+        assert np.array_equal(diff, pts[cols] - pts[targets][rows])
+        assert np.array_equal(d2, np.einsum("ij,ij->i", diff, diff))
+
+    def test_chunks_cover_every_query(self, monkeypatch):
+        monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 7)
+        pts = lattice(range(6), range(6))
+        chunks = list(_neighbours.ball_pairs(pts, np.arange(len(pts)), 2.0))
+        covered = [i for c in chunks for i in range(c[0].start, c[0].stop)]
+        assert covered == list(range(len(pts)))
+        assert len(chunks) > 1
+        # a hard bound: more pairs than that only in a chunk of one row
+        for chunk, rows, *_ in chunks:
+            assert len(rows) <= 7 or chunk.stop - chunk.start == 1
+
+    @pytest.mark.parametrize("name", sorted(PAIR_CASES))
+    def test_matches_dense(self, name):
+        pts, targets, r2 = PAIR_CASES[name]
+        assert_same_pairs(
+            _neighbours.ball_pairs(pts, targets, r2), dense.ball_pairs(pts, targets, r2)
+        )
+
+    @pytest.mark.parametrize("name", ["lattice-r2", "duplicates", "subset"])
+    def test_chunks_below_one_row(self, monkeypatch, name):
+        # every row holds more candidates than a chunk: one row per chunk
+        monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 1)
+        pts, targets, r2 = PAIR_CASES[name]
+        chunks = list(_neighbours.ball_pairs(pts, targets, r2))
+        assert [c[0] for c in chunks] == [slice(i, i + 1) for i in range(len(targets))]
+        assert_same_pairs(chunks, dense.ball_pairs(pts, targets, r2))
+
+    def test_one_self_join(self, monkeypatch):
+        calls = count_searches(monkeypatch)
+        pts, targets, r2 = PAIR_CASES["subset"]
+        list(_neighbours.ball_pairs(pts, targets, r2))
+        assert calls == ["query_pairs"]
+
+
 class TestSharedNeighbours:
     pts = CLOUDS["D3-sphere"][0]
 
-    def assert_same_pairs(self, got, want):
-        for g, w in zip(concat_pairs(got), concat_pairs(want)):
-            assert np.array_equal(g, w)
-
     def test_both_readers_match_own_searches(self):
-        tree = cKDTree(self.pts)
         every = np.arange(len(self.pts))
         shared = _neighbours.SharedNeighbours(self.pts, 0.09, keep_r2=0.04)
-        self.assert_same_pairs(
-            shared.pairs(self.pts, every, 0.0625), _neighbours.ball_pairs(tree, self.pts, 0.0625)
+        assert_same_pairs(
+            shared.pairs(self.pts, every, 0.0625), dense.ball_pairs(self.pts, every, 0.0625)
         )
         subset = np.array([7, 3, 3, 400])
-        self.assert_same_pairs(
-            shared.pairs(self.pts, subset, 0.04),
-            _neighbours.ball_pairs(tree, self.pts[subset], 0.04),
+        assert_same_pairs(
+            shared.pairs(self.pts, subset, 0.04), dense.ball_pairs(self.pts, subset, 0.04)
         )
-        self.assert_same_pairs(
-            shared.pairs(self.pts, every, 0.01), _neighbours.ball_pairs(tree, self.pts, 0.01)
+        assert_same_pairs(
+            shared.pairs(self.pts, every, 0.01),
+            concat_pairs(_neighbours.ball_pairs(self.pts, every, 0.01)),
         )
 
     def test_lattice_radii_hit_exactly(self):
         # integer squared distances: the stream at 2 and the kept pairs at 1
         # both have pairs on their spheres
         pts = lattice(range(5), range(4), range(3))
-        tree = cKDTree(pts)
         every = np.arange(len(pts))
         shared = _neighbours.SharedNeighbours(pts, 2.0, keep_r2=1.0)
-        self.assert_same_pairs(shared.pairs(pts, every, 2.0), _neighbours.ball_pairs(tree, pts, 2.0))
-        self.assert_same_pairs(shared.pairs(pts, every, 1.0), _neighbours.ball_pairs(tree, pts, 1.0))
+        assert_same_pairs(shared.pairs(pts, every, 2.0), dense.ball_pairs(pts, every, 2.0))
+        assert_same_pairs(shared.pairs(pts, every, 1.0), dense.ball_pairs(pts, every, 1.0))
+
+    def test_kept_radius_equal_to_search(self):
+        pts, every, r2 = PAIR_CASES["lattice-r2"]
+        shared = _neighbours.SharedNeighbours(pts, r2, keep_r2=r2)
+        assert_same_pairs(shared.pairs(pts, every, r2), dense.ball_pairs(pts, every, r2))
+        subset = np.array([59, 0, 17, 17, 30])
+        assert_same_pairs(shared.pairs(pts, subset, r2), dense.ball_pairs(pts, subset, r2))
+        assert_same_pairs(shared.pairs(pts, every, 1.0), dense.ball_pairs(pts, every, 1.0))
 
     def test_kept_pairs_in_small_chunks(self, monkeypatch):
         monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 4)
@@ -144,9 +200,8 @@ class TestSharedNeighbours:
         every = np.arange(len(self.pts))
         for _ in shared.pairs(self.pts, every, 0.09):
             pass
-        self.assert_same_pairs(
-            shared.pairs(self.pts, every, 0.09),
-            _neighbours.ball_pairs(cKDTree(self.pts), self.pts, 0.09),
+        assert_same_pairs(
+            shared.pairs(self.pts, every, 0.09), dense.ball_pairs(self.pts, every, 0.09)
         )
 
     def test_misuse_raises(self):
@@ -366,16 +421,24 @@ def denoise_case(name):
 
 
 def count_searches(monkeypatch):
-    """Record the squared radius of every ball_pairs search from now on."""
-    radii = []
-    search = _neighbours.ball_pairs
+    """Record, by method name, every search of a tree the neighbour layer builds from now on."""
+    calls = []
 
-    def counted(tree, x, r2):
-        radii.append(r2)
-        return search(tree, x, r2)
+    class Counted(cKDTree):
+        def query_pairs(self, *args, **kwargs):
+            calls.append("query_pairs")
+            return super().query_pairs(*args, **kwargs)
 
-    monkeypatch.setattr(_neighbours, "ball_pairs", counted)
-    return radii
+        def query_ball_point(self, *args, **kwargs):
+            calls.append("query_ball_point")
+            return super().query_ball_point(*args, **kwargs)
+
+        def sparse_distance_matrix(self, *args, **kwargs):
+            calls.append("sparse_distance_matrix")
+            return super().sparse_distance_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(_neighbours, "cKDTree", Counted)
+    return calls
 
 
 class TestIterativeDenoiseOracle:
@@ -404,19 +467,21 @@ class TestIterativeDenoiseOracle:
         self.assert_matches_dense("circle-D10")
 
     def test_one_search_per_iteration(self, monkeypatch):
-        radii = count_searches(monkeypatch)
+        calls = count_searches(monkeypatch)
         cloud, d, kappa, spec = denoise_case("sphere-D3")
         _, diags = iterative_denoise(cloud, d, 0.8, kappa, spec, k_iters=2)
         assert len(diags) == 3
-        assert len(radii) == 3
+        # one self-join each, and no other search: no counting pass, no
+        # per-chunk dual-tree search
+        assert calls == ["query_pairs"] * 3
 
     def test_stop_when_nothing_estimable(self, monkeypatch):
-        radii = count_searches(monkeypatch)
+        calls = count_searches(monkeypatch)
         cloud, d, kappa, spec = denoise_case("circle-D2")
         factory = lambda h: TseParams(h=h, d=1, min_neighbors=cloud.n)
         keep, diags = iterative_denoise(cloud, d, 0.8, kappa, spec, 2, factory)
         assert keep == list(range(cloud.n))
-        assert len(diags) == 1 and len(radii) == 1
+        assert len(diags) == 1 and calls == ["query_pairs"]
         assert diags[0].survivors == cloud.n
         assert diags[0].inherited == 0
         assert diags[0].stop_reason == NO_TANGENT
