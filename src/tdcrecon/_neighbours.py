@@ -3,16 +3,24 @@
 Tangent estimation and slab counting ask the same question: which points of
 a cloud lie in a closed ball around a point of the same cloud.  One
 ``scipy.spatial.cKDTree`` self-join of the cloud answers it for every point
-at once, finding each unordered pair once; :func:`ball_pairs` reads the
-answer in bounded chunks, with ball membership decided exactly as a dense
-scan decides it.  A call about a subset of the points reads its rows from
-the search of the whole cloud.
+at once, finding each unordered pair once; :func:`ball_blocks` reads the
+answer as padded neighbour blocks, with ball membership decided exactly as a
+dense scan decides it.  A call about a subset of the points reads its rows
+from the search of the whole cloud.
+
+A block covers consecutive targets, one row each, as wide as the widest of
+their neighbour lists; a row shorter than that is padded with the target's
+own index.  Blocks are cut so that the block of differences (rows x widest
+row x D float64 values) stays within ``_BLOCK_BYTES``, a size that fits in
+a core's L2 cache, unless one row alone is wider; so every array of a block
+has a hard bound, however skewed the neighbour counts are.
 
 A denoising iteration asks it twice at one bandwidth: local PCA in the
 h-ball, then slab counts in the ball that holds each slab.  One search at the
 wider radius serves both (:class:`SharedNeighbours`): local PCA reads its
-chunks as they come, the slab counts read the pairs it kept, and each gets
-the pairs, differences and membership that a search of its own would give.
+blocks as they come, the slab counts read the pairs it kept, and each gets
+the neighbours, differences and membership that a search of its own would
+give.
 """
 from __future__ import annotations
 
@@ -21,9 +29,10 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-# about this many candidate pairs per chunk (a query point with more
-# neighbours gets a chunk of its own)
-_CHUNK_PAIRS = 1 << 18
+# bytes of a block of differences: a quarter of a 2 MiB L2 cache, so the
+# block, its gather and its squared lengths stay in cache together (a row
+# wider than this gets a block of its own)
+_BLOCK_BYTES = 1 << 19
 # relative slack on the tree's search radius: the tree rounds distances its
 # own way, so it searches a little wider and the exact test is redone here
 _RADIUS_SLACK = 1e-12
@@ -33,6 +42,15 @@ def check_finite(x: np.ndarray, name: str) -> None:
     """Raise ValueError when ``x`` holds NaN or inf."""
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains NaN or inf")
+
+
+def check_indices(indices, n: int) -> np.ndarray:
+    """``indices`` as an index array; ValueError names one outside [0, n)."""
+    indices = np.asarray(indices, dtype=np.intp)
+    bad = indices[(indices < 0) | (indices >= n)]
+    if bad.size:
+        raise ValueError(f"index {bad[0]} is outside [0, {n})")
+    return indices
 
 
 def _candidates(points: np.ndarray, r2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -60,69 +78,64 @@ def _candidates(points: np.ndarray, r2: float) -> tuple[np.ndarray, np.ndarray]:
     return indptr, keys
 
 
-def _chunks(sizes: np.ndarray):
-    """Slices of consecutive entries whose ``sizes`` sum to about ``_CHUNK_PAIRS``.
+def _chunks(widths: np.ndarray, big_d: int):
+    """Slices of consecutive rows whose padded block fits in ``_BLOCK_BYTES``.
 
-    No slice sums to more, except one that holds a single larger entry.
+    A block holds rows x (widest row, at least 1) x ``big_d`` float64
+    values; no slice needs more, except one that holds a single wider row.
     """
-    ends = np.cumsum(sizes)
+    slots = max(1, _BLOCK_BYTES // (8 * big_d))
     lo = 0
-    while lo < len(ends):
-        start = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, start + _CHUNK_PAIRS, side="right")))
+    while lo < len(widths):
+        # the first row caps how many rows can fit; within them, the running
+        # widest row decides
+        window = widths[lo : lo + slots // max(1, int(widths[lo]))]
+        need = np.arange(1, len(window) + 1) * np.maximum.accumulate(window)
+        hi = lo + max(1, int(np.searchsorted(need, slots, side="right")))
         yield slice(lo, hi)
         lo = hi
 
 
-def _pairs(points: np.ndarray, indptr: np.ndarray, cols: np.ndarray, targets: np.ndarray):
-    """Every listed pair of ``points[targets]``, plus each target's self pair.
+def _blocks(points: np.ndarray, indptr: np.ndarray, cols: np.ndarray, targets: np.ndarray):
+    """Padded neighbour blocks of ``points[targets]``, before the exact test.
 
-    Yields ``(chunk, at, rows, cols, diff, d2)`` per chunk of targets, as
-    :func:`ball_pairs` does but before the exact test; ``at`` gives the
-    positions in ``cols`` of the chunk's listed pairs, in the order they
-    appear among the yielded pairs that are not self pairs.
+    Yields ``(chunk, at, listed, nbr, diff, d2)`` per chunk of targets:
+    ``nbr[r]`` holds the listed neighbours of target ``targets[chunk][r]``
+    in increasing index order, padded with the target itself; ``listed``
+    marks the slots that are not padding and ``at`` gives their positions
+    in ``cols``.
     """
-    n = len(points)
     starts = indptr[targets]
-    counts = indptr[targets + 1] - starts
-    for chunk in _chunks(counts + 1):
-        own, c = targets[chunk], counts[chunk]
-        local = np.repeat(np.arange(len(c)), c)
-        at = np.arange(len(local)) + np.repeat(starts[chunk] - (np.cumsum(c) - c), c)
-        # sort keys within the chunk; each self pair goes in at its column
-        key = local * n + cols[at]
-        own_key = np.arange(len(c)) * n + own
-        key = np.insert(key, np.searchsorted(key, own_key), own_key)
-        rows, found = np.divmod(key, n)
-        # each target's point repeated over its pairs: faster than a gather
-        diff = points[found] - np.repeat(points[own], c + 1, axis=0)
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        yield chunk, at, chunk.start + rows, found, diff, d2
+    widths = indptr[targets + 1] - starts
+    for chunk in _chunks(widths, points.shape[1]):
+        own, c = targets[chunk], widths[chunk]
+        slot = np.arange(int(c.max()))
+        at = starts[chunk, None] + slot
+        listed = slot < c[:, None]
+        nbr = np.where(listed, np.take(cols, at, mode="clip"), own[:, None])
+        # padding is the target itself: its differences are exactly zero
+        diff = points[nbr] - points[own][:, None]
+        d2 = np.einsum("rwi,rwi->rw", diff, diff)
+        yield chunk, at, listed, nbr, diff, d2
 
 
-def _exact(rows, cols, diff, d2, r2: float):
-    """The pairs that pass the exact test ``d2 <= r2``, uncopied when all do."""
-    inside = d2 <= r2
-    if inside.all():
-        return rows, cols, diff, d2
-    return rows[inside], cols[inside], diff[inside], d2[inside]
+def _within(blocks, r2: float):
+    """The blocks of :func:`_blocks` with the exact test ``d2 <= r2`` on listed slots."""
+    for chunk, _, listed, nbr, diff, d2 in blocks:
+        yield chunk, nbr, diff, d2, listed & (d2 <= r2)
 
 
-def _within(parts, r2: float):
-    """The pairs of :func:`_pairs` chunks that pass the exact test ``d2 <= r2``."""
-    for chunk, _, rows, cols, diff, d2 in parts:
-        yield chunk, *_exact(rows, cols, diff, d2, r2)
+def ball_blocks(points: np.ndarray, targets: np.ndarray, r2: float):
+    """Closed-ball neighbours of ``points[targets]`` among the points of the cloud.
 
-
-def ball_pairs(points: np.ndarray, targets: np.ndarray, r2: float):
-    """Closed-ball pairs between ``points[targets]`` and the points of the cloud.
-
-    Yields ``(chunk, rows, cols, diff, d2)`` per chunk of consecutive
-    targets; ``chunk`` is the slice of ``targets`` it covers.  Pair p says
-    that ``points[cols[p]]`` lies in the closed ball of squared radius ``r2``
-    around ``points[targets[rows[p]]]``, with ``diff[p]`` the difference of
-    the two and ``d2[p]`` its squared length.  Pairs are sorted by row, then
-    by column; each target is its own neighbour at distance zero.
+    Yields ``(chunk, nbr, diff, d2, inside)`` per block of consecutive
+    targets; ``chunk`` is the slice of ``targets`` it covers.  Row r of the
+    block is target ``targets[chunk][r]``: ``nbr[r]`` are point indices in
+    increasing order, padded with the target itself, ``diff[r]`` their
+    differences from the target and ``d2[r]`` the squared lengths.
+    ``inside[r, s]`` says that ``points[nbr[r, s]]`` lies in the closed ball
+    of squared radius ``r2`` around the target and is not the target itself
+    (a duplicate point at another index is inside); padding is never inside.
 
     The search is one self-join of the whole cloud, whatever the targets.
     Membership is the test ``d2 <= r2`` on these differences, so points on
@@ -130,21 +143,22 @@ def ball_pairs(points: np.ndarray, targets: np.ndarray, r2: float):
     predicate; the tree only proposes candidates.
     """
     points = np.asarray(points, dtype=float)
-    targets = np.asarray(targets, dtype=np.intp)
+    targets = check_indices(targets, len(points))
     indptr, cols = _candidates(points, r2)
-    yield from _within(_pairs(points, indptr, cols, targets), r2)
+    yield from _within(_blocks(points, indptr, cols, targets), r2)
 
 
 class SharedNeighbours:
     """One ball search of a cloud, read twice: once as it runs, then from lists.
 
     The search covers the closed balls of squared radius ``r2`` around every
-    point of ``points``.  The first :meth:`pairs` call runs it and gets its
-    chunks as they come; meanwhile the pairs within squared radius
+    point of ``points``.  The first :meth:`blocks` call runs it and gets its
+    blocks as they come; meanwhile the pairs within squared radius
     ``keep_r2`` are kept as index lists, and later calls are served from
-    them.  Either way a call yields what :func:`ball_pairs` yields for its
-    targets and radius: the same pairs in the same order, with the same
-    differences and squared distances, though chunked in its own way.
+    them.  Either way a call yields what :func:`ball_blocks` yields for its
+    targets and radius: the same neighbours inside the ball in the same
+    order, with the same differences and squared distances, though padded
+    and chunked in its own way.
     """
 
     def __init__(self, points: np.ndarray, r2: float, keep_r2: float):
@@ -156,8 +170,8 @@ class SharedNeighbours:
         self.indptr = self.cols = None
         self._searched = False
 
-    def pairs(self, points: np.ndarray, targets: np.ndarray, r2: float):
-        """:func:`ball_pairs` of ``points[targets]`` against the cloud.
+    def blocks(self, points: np.ndarray, targets: np.ndarray, r2: float):
+        """:func:`ball_blocks` of ``points[targets]`` against the cloud.
 
         ``points`` must be the cloud of the search.  The first call must ask
         for every point in index order and ``r2`` up to the search's squared
@@ -166,7 +180,7 @@ class SharedNeighbours:
         """
         if points is not self.points and not np.array_equal(points, self.points):
             raise ValueError("the neighbour search ran on another cloud")
-        targets = np.asarray(targets, dtype=np.intp)
+        targets = check_indices(targets, len(self.points))
         if not self._searched:
             if not np.array_equal(targets, np.arange(len(self.points))) or r2 > self.r2:
                 raise ValueError(
@@ -179,25 +193,19 @@ class SharedNeighbours:
             raise ValueError("the first reader stopped before the search ended")
         if r2 > self.keep_r2:
             raise ValueError(f"squared radius {r2} exceeds the kept {self.keep_r2}")
-        return _within(_pairs(self.points, self.indptr, self.cols, targets), r2)
+        return _within(_blocks(self.points, self.indptr, self.cols, targets), r2)
 
     def _search(self, every: np.ndarray, r2: float):
         indptr, cols = _candidates(self.points, self.r2)
-        # the listed pairs within keep_r2, marked as their chunks pass, and
+        # the listed pairs within keep_r2, marked as their blocks pass, and
         # how many each point has
         kept = np.zeros(len(cols), dtype=bool)
         lengths = np.zeros(len(every), dtype=np.intp)
-        for chunk, at, rows, found, diff, d2 in _pairs(self.points, indptr, cols, every):
-            # every point is read in order, so a row is its point's index
-            listed = found != rows
-            keep = d2[listed] <= self.keep_r2
-            kept[at] = keep
-            lengths[chunk] = np.bincount(
-                rows[listed][keep] - chunk.start, minlength=chunk.stop - chunk.start
-            )
-            yield chunk, *_exact(rows, found, diff, d2, r2)
-            # the reader has this chunk: hold none of it while the next is made
-            del at, rows, found, diff, d2
+        for chunk, at, listed, nbr, diff, d2 in _blocks(self.points, indptr, cols, every):
+            keep = listed & (d2 <= self.keep_r2)
+            kept[at[keep]] = True
+            lengths[chunk] = keep.sum(axis=1)
+            yield chunk, nbr, diff, d2, listed & (d2 <= r2)
         self.indptr = np.concatenate([[0], np.cumsum(lengths)])
         # the narrowest unsigned type for the kept indices: at n=100k in
         # D=10 they number tens of millions

@@ -70,11 +70,11 @@ def _slab_mask(
     """Closed slab membership of offsets from slab centres, one per row of ``diff``.
 
     ``basis`` is the D x d tangent basis shared by every row, or a stack of
-    one basis per row.
+    bases that broadcasts against the rows of ``diff``.
     """
     tang = np.einsum("...i,...ij->...j", diff, basis)
-    tang2 = np.einsum("ij,ij->i", tang, tang)
-    norm2 = np.einsum("ij,ij->i", diff, diff) - tang2
+    tang2 = np.einsum("...j,...j->...", tang, tang)
+    norm2 = np.einsum("...i,...i->...", diff, diff) - tang2
     return (tang2 <= (spec.k1 * h) ** 2) & (np.maximum(norm2, 0.0) <= (spec.k2 * h * h) ** 2)
 
 
@@ -117,13 +117,14 @@ def slab_counts(
     bases = np.stack([sub.basis for sub in field_.subspaces])
     r2 = _slab_ball_r2(h, spec)
     if neighbours is None:
-        pairs = _neighbours.ball_pairs(points, centres, r2)
+        blocks = _neighbours.ball_blocks(points, centres, r2)
     else:
-        pairs = neighbours.pairs(points, centres, r2)
-    found = np.zeros(len(centres), dtype=int)
-    for _, rows, _, diff, _ in pairs:
-        rows = rows[_slab_mask(diff, bases[rows], h, spec)]
-        found += np.bincount(rows, minlength=len(centres))
+        blocks = neighbours.blocks(points, centres, r2)
+    # every centre lies in its own slab
+    found = np.ones(len(centres), dtype=int)
+    for chunk, _, diff, _, inside in blocks:
+        hit = inside & _slab_mask(diff, bases[chunk, None], h, spec)
+        found[chunk] += hit.sum(axis=1)
     counts[centres] = found
     return counts
 
@@ -158,7 +159,7 @@ def sd_step(
 
 @dataclass
 class Schedule:
-    """Exponents and bandwidths h_k = base ** gamma_k with
+    """Exponents gamma_k and bandwidths h_k = base ** gamma_k with
     base = kappa * log(n) / (beta * (n - 1))."""
 
     n: int
@@ -166,11 +167,15 @@ class Schedule:
     beta: float
     kappa: float
     gammas: list[float]
-    hs: list[float]
 
     @property
     def base(self) -> float:
         return self.kappa * math.log(self.n) / (self.beta * (self.n - 1))
+
+    @property
+    def hs(self) -> list[float]:
+        base = self.base
+        return [base**g for g in self.gammas]
 
     @property
     def h_infinity(self) -> float:
@@ -183,8 +188,6 @@ class Schedule:
         return g
 
     def h_at(self, k: int) -> float:
-        if k < len(self.hs):
-            return self.hs[k]
         return self.base ** self.gamma_at(k)
 
 
@@ -196,9 +199,7 @@ def schedule(n: int, d: int, beta: float, kappa: float, k_max: int) -> Schedule:
     gammas = [1.0 / (d + 1)]
     for _ in range(k_max):
         gammas.append((2.0 * gammas[-1] + 1.0) / (d + 2.0))
-    base = kappa * math.log(n) / (beta * (n - 1))
-    hs = [base**g for g in gammas]
-    return Schedule(n=n, d=d, beta=beta, kappa=kappa, gammas=gammas, hs=hs)
+    return Schedule(n=n, d=d, beta=beta, kappa=kappa, gammas=gammas)
 
 
 def k_delta(d: int, delta: float) -> int:
@@ -314,7 +315,7 @@ def iterative_denoise(
     for k in range(k_iters + 1):
         if alive.size == 0:
             break
-        h = sched.hs[k]
+        h = sched.h_at(k)
         pts = cloud.points[alive]
         params = tse_params_factory(h)
         slab_r2 = _slab_ball_r2(h, spec)

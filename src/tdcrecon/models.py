@@ -486,23 +486,23 @@ def save_cloud_csv(path, points: np.ndarray, labels: np.ndarray | None = None) -
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = points.shape[1]
     header = ",".join(f"x{i}" for i in range(d))
+    fmt = ["%.17g"] * d
     if labels is not None:
+        labels = np.asarray(labels)
+        if labels.shape != (points.shape[0],):
+            raise ValueError(
+                f"need one label per point, got {labels.size} labels for {points.shape[0]} points"
+            )
         header += ",label"
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for i in range(points.shape[0]):
-            row = ",".join(f"{c:.17g}" for c in points[i])
-            if labels is not None:
-                row += f",{int(labels[i])}"
-            f.write(row + "\n")
+        fmt.append("%d")
+        points = np.column_stack([points, labels])
+    np.savetxt(path, points, fmt=fmt, delimiter=",", header=header, comments="")
 
 
 def load_cloud_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     with open(path) as f:
-        header = f.readline().strip().split(",")
-        has_labels = header[-1] == "label"
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    data = np.array([[float(c) for c in row] for row in rows])
+        has_labels = f.readline().strip().split(",")[-1] == "label"
+        data = np.loadtxt(f, delimiter=",", ndmin=2)
     if data.size == 0:
         raise ValueError(f"no points in {path}")
     if not np.all(np.isfinite(data)):

@@ -7,7 +7,8 @@ fewer than ``min_neighbors`` neighbors are flagged and excluded from the
 field; downstream users can fill them in by nearest-neighbor inheritance.
 Neighbors come from one KD-tree self-join of the cloud (:mod:`._neighbours`),
 which finds each neighbor pair once, so the work grows with the number of
-neighbor pairs, not with n^2.  Inside a denoising iteration that self-join is
+neighbor pairs, not with n^2; they are read in padded blocks of a bounded
+size, and the covariances of a block are formed together.  Inside a denoising iteration that self-join is
 the one search whose neighbor lists the slab counts share; a standalone call
 runs its own.
 """
@@ -129,31 +130,6 @@ class TangentField:
         )
 
 
-def local_covariance(points: np.ndarray, j: int, h: float) -> np.ndarray:
-    """Covariance of the neighbors of point j inside the closed ball B(X_j, h).
-
-    The point itself is excluded from both the barycenter and the scatter sum;
-    the matrix is scaled by 1/(n-1) with n the cloud size.  No neighbors means
-    the zero matrix.
-    """
-    points = np.asarray(points, dtype=float)
-    n, big_d = points.shape
-    if n < 2:
-        raise ValueError("need at least 2 points")
-    if h <= 0:
-        raise ValueError("need h > 0")
-    diff = points - points[j]
-    # squared comparison, matching the vectorized path bit for bit at the
-    # closed-ball boundary
-    mask = np.einsum("nd,nd->n", diff, diff) <= h * h
-    mask[j] = False
-    if not np.any(mask):
-        return np.zeros((big_d, big_d))
-    nb = diff[mask]
-    centered = nb - nb.mean(axis=0)
-    return centered.T @ centered / (n - 1)
-
-
 def estimate_tangents(
     points: np.ndarray,
     params: TseParams,
@@ -179,25 +155,21 @@ def estimate_tangents(
     skipped: list[int] = []
     h2 = params.h * params.h
     if neighbours is None:
-        pairs = _neighbours.ball_pairs(points, targets, h2)
+        blocks = _neighbours.ball_blocks(points, targets, h2)
     else:
-        pairs = neighbours.pairs(points, targets, h2)
-    for chunk, rows, cols, diff, _ in pairs:
+        blocks = neighbours.blocks(points, targets, h2)
+    for chunk, _, diff, _, inside in blocks:
         idx = targets[chunk]
-        rows = rows - chunk.start
-        others = cols != idx[rows]
-        counts = np.bincount(rows[others], minlength=len(idx))
+        counts = inside.sum(axis=1)
         ok = counts >= params.min_neighbors
         skipped.extend(int(j) for j in idx[~ok])
         if not np.any(ok):
             continue
         # each estimable target's neighbor offsets in increasing index order,
-        # padded with zero rows to a common length
-        use = others & ok[rows]
-        rows, counts = (np.cumsum(ok) - 1)[rows[use]], counts[ok]
-        slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-        w = np.zeros((len(counts), int(counts.max()), big_d))
-        w[rows, slot] = diff[use]
+        # zero wherever a slot holds no neighbor
+        w = np.where(inside[:, :, None], diff, 0.0)
+        if not ok.all():
+            w, counts = w[ok], counts[ok]
         means = w.sum(axis=1) / counts[:, None]
         # sum of outer products minus the rank-one mean correction
         scatter = np.matmul(w.transpose(0, 2, 1), w)

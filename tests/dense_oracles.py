@@ -2,8 +2,9 @@
 
 Each function scans every point for every query, as the library did before
 its KD-tree neighbour layer; the tests require the library to return what
-these return.  ``iterative_denoise`` runs the denoising loop on these dense
-stages, each with a scan of its own.
+these return.  ``local_covariance`` is the covariance of one point's ball,
+whose top eigenvectors ``estimate_tangents`` must span.  ``iterative_denoise``
+runs the denoising loop on these dense stages, each with a scan of its own.
 """
 import math
 
@@ -30,6 +31,31 @@ def ball_pairs(points, targets, r2):
         cols = np.flatnonzero(d2 <= r2)
         parts.append((np.full(len(cols), row), cols, diff[cols], d2[cols]))
     return tuple(np.concatenate([p[k] for p in parts]) for k in range(4))
+
+
+def local_covariance(points: np.ndarray, j: int, h: float) -> np.ndarray:
+    """Covariance of the neighbors of point j inside the closed ball B(X_j, h).
+
+    The point itself is excluded from both the barycenter and the scatter sum;
+    the matrix is scaled by 1/(n-1) with n the cloud size.  No neighbors means
+    the zero matrix.
+    """
+    points = np.asarray(points, dtype=float)
+    n, big_d = points.shape
+    if n < 2:
+        raise ValueError("need at least 2 points")
+    if h <= 0:
+        raise ValueError("need h > 0")
+    diff = points - points[j]
+    # squared comparison, matching the vectorized path bit for bit at the
+    # closed-ball boundary
+    mask = np.einsum("nd,nd->n", diff, diff) <= h * h
+    mask[j] = False
+    if not np.any(mask):
+        return np.zeros((big_d, big_d))
+    nb = diff[mask]
+    centered = nb - nb.mean(axis=0)
+    return centered.T @ centered / (n - 1)
 
 
 def estimate_tangents(points, params, subset=None):

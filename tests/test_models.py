@@ -222,6 +222,22 @@ class TestCsv:
         save_cloud_csv(path, np.zeros((1, 3)), np.zeros(1, dtype=np.int8))
         assert path.read_text().splitlines()[0] == "x0,x1,x2,label"
 
+    def test_one_row_round_trip(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        pts = np.array([[0.1, -2.5, 1e-300]])
+        save_cloud_csv(path, pts, np.ones(1, dtype=np.int8))
+        got_pts, got_labels = load_cloud_csv(path)
+        assert np.array_equal(got_pts, pts)
+        assert np.array_equal(got_labels, [1])
+
+    @pytest.mark.parametrize("n_labels", [2, 5])
+    def test_label_count_mismatch(self, tmp_path, n_labels):
+        # 5 labels for 3 points used to write 3 rows and drop 2 labels
+        path = tmp_path / "cloud.csv"
+        with pytest.raises(ValueError, match=f"got {n_labels} labels for 3 points"):
+            save_cloud_csv(path, np.zeros((3, 2)), np.zeros(n_labels, dtype=np.int8))
+        assert not path.exists()
+
 
 class TestGeodesicBounds:
     def test_circle(self):

@@ -8,6 +8,7 @@ counts share one search per iteration, must return what the loop over the
 dense stages returns.
 """
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,15 +74,38 @@ def constant_field(n, basis):
     return TangentField(indices=list(range(n)), subspaces=[Subspace(basis)] * n)
 
 
-def concat_pairs(parts):
-    """(rows, cols, diff, d2) of chunked ball pairs, joined."""
-    parts = list(parts)
-    return tuple(np.concatenate([p[k] for p in parts]) for k in range(1, 5))
+def flatten(blocks, targets):
+    """(rows, cols, diff, d2) of the pairs inside ball blocks, self pairs added.
+
+    Pairs are sorted by row, then by column, as ``dense.ball_pairs`` gives
+    them.  Checks the layout of each block on the way: listed neighbours
+    first, in increasing index order, then padding with the target itself,
+    with zero differences and never inside.
+    """
+    targets = np.asarray(targets)
+    parts = []
+    for chunk, nbr, diff, d2, inside in blocks:
+        own = targets[chunk]
+        rows = np.arange(chunk.start, chunk.stop)
+        pad = nbr == own[:, None]
+        assert not np.any(inside & pad)
+        assert np.all(diff[pad] == 0.0) and np.all(d2[pad] == 0.0)
+        for r in range(len(own)):
+            listed = np.count_nonzero(~pad[r])
+            assert np.all(pad[r, listed:])
+            assert np.all(np.diff(nbr[r, :listed]) > 0)
+        r, slot = np.nonzero(inside)
+        parts.append((rows[r], nbr[r, slot], diff[r, slot], d2[r, slot]))
+        # each target is its own neighbour at distance zero
+        parts.append((rows, own, np.zeros((len(own), diff.shape[2])), np.zeros(len(own))))
+    rows, cols, diff, d2 = (np.concatenate([p[k] for p in parts]) for k in range(4))
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], diff[order], d2[order]
 
 
-def assert_same_pairs(got, want):
-    """Chunked ball pairs ``got`` equal the joined pairs ``want``, bit for bit."""
-    for g, w in zip(concat_pairs(got), want, strict=True):
+def assert_same_pairs(blocks, targets, want):
+    """Ball blocks of ``targets`` hold the joined pairs ``want``, bit for bit."""
+    for g, w in zip(flatten(blocks, targets), want, strict=True):
         assert np.array_equal(g, w)
 
 
@@ -114,7 +138,7 @@ class TestBallPairs:
         # unit lattice, radius 1: the four axis neighbours sit on the sphere
         pts = lattice(range(5), range(5))
         targets = [0, 12, 24, 7]
-        rows, cols, diff, d2 = concat_pairs(_neighbours.ball_pairs(pts, targets, 1.0))
+        rows, cols, diff, d2 = flatten(_neighbours.ball_blocks(pts, targets, 1.0), targets)
         want = [
             (r, c)
             for r, t in enumerate(targets)
@@ -126,37 +150,92 @@ class TestBallPairs:
         assert np.array_equal(d2, np.einsum("ij,ij->i", diff, diff))
 
     def test_chunks_cover_every_query(self, monkeypatch):
-        monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 7)
+        # 20 slots of two coordinates: rows hold 3 to 8 neighbours
+        monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", 20 * 2 * 8)
         pts = lattice(range(6), range(6))
-        chunks = list(_neighbours.ball_pairs(pts, np.arange(len(pts)), 2.0))
+        chunks = list(_neighbours.ball_blocks(pts, np.arange(len(pts)), 2.0))
         covered = [i for c in chunks for i in range(c[0].start, c[0].stop)]
         assert covered == list(range(len(pts)))
-        assert len(chunks) > 1
-        # a hard bound: more pairs than that only in a chunk of one row
-        for chunk, rows, *_ in chunks:
-            assert len(rows) <= 7 or chunk.stop - chunk.start == 1
+        assert any(c[0].stop - c[0].start > 1 for c in chunks)
+        # a hard bound on the padded block, not just on the pairs: rows x
+        # widest row slots, more only in a block of one row
+        for chunk, nbr, diff, d2, inside in chunks:
+            rows, widest = nbr.shape
+            assert rows == chunk.stop - chunk.start
+            assert diff.shape == (rows, widest, 2) and d2.shape == inside.shape == nbr.shape
+            assert rows * max(widest, 1) <= 20 or rows == 1
 
     @pytest.mark.parametrize("name", sorted(PAIR_CASES))
     def test_matches_dense(self, name):
         pts, targets, r2 = PAIR_CASES[name]
         assert_same_pairs(
-            _neighbours.ball_pairs(pts, targets, r2), dense.ball_pairs(pts, targets, r2)
+            _neighbours.ball_blocks(pts, targets, r2),
+            targets,
+            dense.ball_pairs(pts, targets, r2),
         )
 
     @pytest.mark.parametrize("name", ["lattice-r2", "duplicates", "subset"])
     def test_chunks_below_one_row(self, monkeypatch, name):
-        # every row holds more candidates than a chunk: one row per chunk
-        monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 1)
+        # every row is wider than a block: one row per block
+        monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", 1)
         pts, targets, r2 = PAIR_CASES[name]
-        chunks = list(_neighbours.ball_pairs(pts, targets, r2))
+        chunks = list(_neighbours.ball_blocks(pts, targets, r2))
         assert [c[0] for c in chunks] == [slice(i, i + 1) for i in range(len(targets))]
-        assert_same_pairs(chunks, dense.ball_pairs(pts, targets, r2))
+        assert_same_pairs(chunks, targets, dense.ball_pairs(pts, targets, r2))
 
     def test_one_self_join(self, monkeypatch):
         calls = count_searches(monkeypatch)
         pts, targets, r2 = PAIR_CASES["subset"]
-        list(_neighbours.ball_pairs(pts, targets, r2))
+        list(_neighbours.ball_blocks(pts, targets, r2))
         assert calls == ["query_pairs"]
+
+
+def skewed_cloud():
+    """9000 points in R^3: 2000 quadruples 1 apart and one tight cluster of 1000.
+
+    Within h = 0.1 a quadruple point has 3 neighbours and a cluster point
+    999; the points are shuffled, so most blocks mix both kinds of rows.
+    """
+    rng = np.random.default_rng(55)
+    centres = np.column_stack([lattice(range(50), range(40)), np.zeros(2000)])
+    quads = centres[:, None, :] + rng.uniform(-0.02, 0.02, size=(2000, 4, 3))
+    cluster = np.array([25.0, 20.0, 5.0]) + rng.uniform(-0.02, 0.02, size=(1000, 3))
+    pts = np.vstack([quads.reshape(-1, 3), cluster])
+    return pts[rng.permutation(len(pts))]
+
+
+class TestBlockMemory:
+    def test_skewed_cloud_peak(self):
+        # a bound on the pairs of a chunk alone lets a sparse row's padding
+        # grow with the cluster: 134 MiB traced here under such a bound
+        pts = skewed_cloud()
+        pairs = 2 * len(cKDTree(pts).query_pairs(0.1))
+        assert pairs > 10**6
+        tracemalloc.start()
+        try:
+            field = estimate_tangents(pts, TseParams(h=0.1, d=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(field) == len(pts)
+        # the self-join's index lists (8 B per ordered pair), a few arrays
+        # of a block each and the field itself
+        assert peak <= 8 * pairs + 16 * _neighbours._BLOCK_BYTES
+
+
+class TestOutOfRangeIndices:
+    pts = CLOUDS["D3-sphere"][0][:50]
+
+    @pytest.mark.parametrize("bad", [-1, -50, 50, 51])
+    def test_estimate_tangents(self, bad):
+        with pytest.raises(ValueError, match=f"index {bad} is outside \\[0, 50\\)"):
+            estimate_tangents(self.pts, TseParams(h=0.3, d=2), subset=[3, bad])
+
+    @pytest.mark.parametrize("bad", [-1, -50, 50, 51])
+    def test_slab_counts(self, bad):
+        field = TangentField(indices=[3, bad], subspaces=[Subspace(np.eye(3)[:, :2])] * 2)
+        with pytest.raises(ValueError, match=f"index {bad} is outside \\[0, 50\\)"):
+            slab_counts(self.pts, field, 0.3, SlabSpec(0.5, 0.5, 1.0))
 
 
 class TestSharedNeighbours:
@@ -166,15 +245,18 @@ class TestSharedNeighbours:
         every = np.arange(len(self.pts))
         shared = _neighbours.SharedNeighbours(self.pts, 0.09, keep_r2=0.04)
         assert_same_pairs(
-            shared.pairs(self.pts, every, 0.0625), dense.ball_pairs(self.pts, every, 0.0625)
+            shared.blocks(self.pts, every, 0.0625),
+            every,
+            dense.ball_pairs(self.pts, every, 0.0625),
         )
         subset = np.array([7, 3, 3, 400])
         assert_same_pairs(
-            shared.pairs(self.pts, subset, 0.04), dense.ball_pairs(self.pts, subset, 0.04)
+            shared.blocks(self.pts, subset, 0.04), subset, dense.ball_pairs(self.pts, subset, 0.04)
         )
         assert_same_pairs(
-            shared.pairs(self.pts, every, 0.01),
-            concat_pairs(_neighbours.ball_pairs(self.pts, every, 0.01)),
+            shared.blocks(self.pts, every, 0.01),
+            every,
+            flatten(_neighbours.ball_blocks(self.pts, every, 0.01), every),
         )
 
     def test_lattice_radii_hit_exactly(self):
@@ -183,25 +265,27 @@ class TestSharedNeighbours:
         pts = lattice(range(5), range(4), range(3))
         every = np.arange(len(pts))
         shared = _neighbours.SharedNeighbours(pts, 2.0, keep_r2=1.0)
-        assert_same_pairs(shared.pairs(pts, every, 2.0), dense.ball_pairs(pts, every, 2.0))
-        assert_same_pairs(shared.pairs(pts, every, 1.0), dense.ball_pairs(pts, every, 1.0))
+        assert_same_pairs(shared.blocks(pts, every, 2.0), every, dense.ball_pairs(pts, every, 2.0))
+        assert_same_pairs(shared.blocks(pts, every, 1.0), every, dense.ball_pairs(pts, every, 1.0))
 
     def test_kept_radius_equal_to_search(self):
         pts, every, r2 = PAIR_CASES["lattice-r2"]
         shared = _neighbours.SharedNeighbours(pts, r2, keep_r2=r2)
-        assert_same_pairs(shared.pairs(pts, every, r2), dense.ball_pairs(pts, every, r2))
+        assert_same_pairs(shared.blocks(pts, every, r2), every, dense.ball_pairs(pts, every, r2))
         subset = np.array([59, 0, 17, 17, 30])
-        assert_same_pairs(shared.pairs(pts, subset, r2), dense.ball_pairs(pts, subset, r2))
-        assert_same_pairs(shared.pairs(pts, every, 1.0), dense.ball_pairs(pts, every, 1.0))
+        assert_same_pairs(
+            shared.blocks(pts, subset, r2), subset, dense.ball_pairs(pts, subset, r2)
+        )
+        assert_same_pairs(shared.blocks(pts, every, 1.0), every, dense.ball_pairs(pts, every, 1.0))
 
     def test_kept_pairs_in_small_chunks(self, monkeypatch):
-        monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 4)
+        monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", 256)
         shared = _neighbours.SharedNeighbours(self.pts, 0.09, keep_r2=0.09)
         every = np.arange(len(self.pts))
-        for _ in shared.pairs(self.pts, every, 0.09):
+        for _ in shared.blocks(self.pts, every, 0.09):
             pass
         assert_same_pairs(
-            shared.pairs(self.pts, every, 0.09), dense.ball_pairs(self.pts, every, 0.09)
+            shared.blocks(self.pts, every, 0.09), every, dense.ball_pairs(self.pts, every, 0.09)
         )
 
     def test_misuse_raises(self):
@@ -210,24 +294,26 @@ class TestSharedNeighbours:
             _neighbours.SharedNeighbours(self.pts, 0.04, keep_r2=0.09)
         shared = _neighbours.SharedNeighbours(self.pts, 0.09, keep_r2=0.04)
         with pytest.raises(ValueError, match="another cloud"):
-            shared.pairs(self.pts + 1.0, every, 0.09)
+            shared.blocks(self.pts + 1.0, every, 0.09)
         with pytest.raises(ValueError, match="first reader"):
-            shared.pairs(self.pts, every[:10], 0.09)
+            shared.blocks(self.pts, every[:10], 0.09)
         with pytest.raises(ValueError, match="first reader"):
-            shared.pairs(self.pts, every, 0.1)
-        search = shared.pairs(self.pts, every, 0.09)
+            shared.blocks(self.pts, every, 0.1)
+        search = shared.blocks(self.pts, every, 0.09)
         next(search)
         search.close()
         with pytest.raises(ValueError, match="stopped before the search ended"):
-            shared.pairs(self.pts, every, 0.04)
+            shared.blocks(self.pts, every, 0.04)
 
     def test_kept_radius_bound(self):
         every = np.arange(len(self.pts))
         shared = _neighbours.SharedNeighbours(self.pts, 0.09, keep_r2=0.04)
-        for _ in shared.pairs(self.pts, every, 0.09):
+        for _ in shared.blocks(self.pts, every, 0.09):
             pass
         with pytest.raises(ValueError, match="exceeds the kept"):
-            shared.pairs(self.pts, every, 0.0625)
+            shared.blocks(self.pts, every, 0.0625)
+        with pytest.raises(ValueError, match=f"index -1 is outside \\[0, {len(self.pts)}\\)"):
+            shared.blocks(self.pts, [0, -1], 0.04)
 
 
 class TestEstimateTangentsOracle:
@@ -247,8 +333,8 @@ class TestEstimateTangentsOracle:
         )
 
     def test_small_chunks(self, monkeypatch):
-        # chunks smaller than one ball: every target gets a chunk of its own
-        monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 5)
+        # blocks of a few slots: many hold a single target
+        monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", 256)
         pts, h, d = CLOUDS["D3-sphere"]
         params = TseParams(h=h, d=d)
         assert_same_field(estimate_tangents(pts, params), dense.estimate_tangents(pts, params))
@@ -315,7 +401,7 @@ class TestSlabCountsOracle:
         assert got[centre] == 15
 
     def test_small_chunks(self, monkeypatch):
-        monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 3)
+        monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", 256)
         pts, h, d = CLOUDS["D3-sphere"]
         field = random_field(np.random.default_rng(9), len(pts), 3, d)
         spec = SlabSpec(k1=0.6, k2=1.5, t=1.0)
@@ -463,7 +549,7 @@ class TestIterativeDenoiseOracle:
         self.assert_matches_dense("wide-slab")
 
     def test_small_chunks(self, monkeypatch):
-        monkeypatch.setattr(_neighbours, "_CHUNK_PAIRS", 5)
+        monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", 256)
         self.assert_matches_dense("circle-D10")
 
     def test_one_search_per_iteration(self, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_oracles import local_covariance
 from tdcrecon.geometry import Subspace, principal_angle
 from tdcrecon.models import Circle, SampleSpec, sample
 from tdcrecon.tangent import (
@@ -10,7 +11,6 @@ from tdcrecon.tangent import (
     TseParams,
     default_bandwidth,
     estimate_tangents,
-    local_covariance,
 )
 
 
@@ -114,6 +114,17 @@ class TestEstimateTangents:
         field = estimate_tangents(pts, TseParams(h=0.3, d=1, min_neighbors=2))
         assert field.skipped == [3]
         assert sorted(field.indices) == [0, 1, 2]
+
+    def test_matches_local_covariance_oracle(self):
+        # each estimate spans the top d eigenvectors of the scalar oracle's
+        # covariance of that point's closed h-ball
+        cloud = sample(Circle(1.0, ambient_dim=4), SampleSpec(n=300, beta=0.9, seed=6))
+        field = estimate_tangents(cloud.points, TseParams(h=0.3, d=1))
+        assert len(field) > 250
+        for j, sub in zip(field.indices, field.subspaces):
+            eigvecs = np.linalg.eigh(local_covariance(cloud.points, j, 0.3))[1]
+            want = Subspace(eigvecs[:, -1:])
+            assert np.max(np.abs(sub.projector() - want.projector())) <= 1e-9
 
     def test_dimension_above_ambient_raises(self):
         # d > D used to return D-dimensional "tangents" without complaint
