@@ -1,9 +1,9 @@
-"""Manifold reconstruction from random samples.
+"""Manifold reconstruction from random samples, up to the denoised net.
 
-Local-PCA tangent estimation, iterative slab denoising, farthest-point
-sparsification, and tangential Delaunay complexes, plus an experiment harness
-that measures Hausdorff convergence rates and topology recovery on analytic
-ground-truth manifolds (circle, sphere, torus).
+Ground-truth models (circle, sphere, torus) and their samplers with ambient
+outliers, local-PCA tangents, iterative slab denoising, farthest-point nets,
+Hausdorff distances and Monte-Carlo checks of the paper's lemmas.  The
+tangential Delaunay complex and a pipeline entry point do not exist yet.
 """
 
 __version__ = "0.1.0"

@@ -8,12 +8,13 @@ answer as padded neighbour blocks, with ball membership decided exactly as a
 dense scan decides it.  A call about a subset of the points reads its rows
 from the search of the whole cloud.
 
-A block covers consecutive targets, one row each, as wide as the widest of
-their neighbour lists; a row shorter than that is padded with the target's
-own index.  Blocks are cut so that the block of differences (rows x widest
-row x D float64 values) stays within ``_BLOCK_BYTES``, a size that fits in
-a core's L2 cache, unless one row alone is wider; so every array of a block
-has a hard bound, however skewed the neighbour counts are.
+A block covers targets in stable order of width, the number of candidates
+the self-join lists for each, one row each; it is as wide as its last row,
+and a shorter row is padded with the target's own index.  Blocks are cut so
+that the block of differences (rows x widest row x D float64 values) stays
+within ``_BLOCK_BYTES``, a size that fits in a core's L2 cache, unless one
+row alone is wider; so every array of a block has a hard bound, however
+skewed the neighbour counts are.
 
 A denoising iteration asks it twice at one bandwidth: local PCA in the
 h-ball, then slab counts in the ball that holds each slab.  One search at the
@@ -79,18 +80,18 @@ def _candidates(points: np.ndarray, r2: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chunks(widths: np.ndarray, big_d: int):
-    """Slices of consecutive rows whose padded block fits in ``_BLOCK_BYTES``.
+    """Slices of rows, in increasing ``widths``, whose block fits in ``_BLOCK_BYTES``.
 
-    A block holds rows x (widest row, at least 1) x ``big_d`` float64
-    values; no slice needs more, except one that holds a single wider row.
+    A block holds rows x (its last row's width) x ``big_d`` float64 values;
+    no slice needs more, except one that holds a single wider row.
     """
     slots = max(1, _BLOCK_BYTES // (8 * big_d))
     lo = 0
     while lo < len(widths):
-        # the first row caps how many rows can fit; within them, the running
-        # widest row decides
+        # the first row caps how many rows can fit; within them, the last
+        # row decides
         window = widths[lo : lo + slots // max(1, int(widths[lo]))]
-        need = np.arange(1, len(window) + 1) * np.maximum.accumulate(window)
+        need = np.arange(1, len(window) + 1) * window
         hi = lo + max(1, int(np.searchsorted(need, slots, side="right")))
         yield slice(lo, hi)
         lo = hi
@@ -99,17 +100,17 @@ def _chunks(widths: np.ndarray, big_d: int):
 def _blocks(points: np.ndarray, indptr: np.ndarray, cols: np.ndarray, targets: np.ndarray):
     """Padded neighbour blocks of ``points[targets]``, before the exact test.
 
-    Yields ``(chunk, at, listed, nbr, diff, d2)`` per chunk of targets:
-    ``nbr[r]`` holds the listed neighbours of target ``targets[chunk][r]``
-    in increasing index order, padded with the target itself; ``listed``
-    marks the slots that are not padding and ``at`` gives their positions
-    in ``cols``.
+    Yields ``(chunk, at, listed, nbr, diff, d2)`` per block, as
+    :func:`ball_blocks` does; ``listed`` marks the slots that are not
+    padding and ``at`` gives their positions in ``cols``.
     """
     starts = indptr[targets]
     widths = indptr[targets + 1] - starts
-    for chunk in _chunks(widths, points.shape[1]):
+    order = np.argsort(widths, kind="stable")
+    for rows in _chunks(widths[order], points.shape[1]):
+        chunk = order[rows]
         own, c = targets[chunk], widths[chunk]
-        slot = np.arange(int(c.max()))
+        slot = np.arange(int(c[-1]))
         at = starts[chunk, None] + slot
         listed = slot < c[:, None]
         nbr = np.where(listed, np.take(cols, at, mode="clip"), own[:, None])
@@ -128,9 +129,10 @@ def _within(blocks, r2: float):
 def ball_blocks(points: np.ndarray, targets: np.ndarray, r2: float):
     """Closed-ball neighbours of ``points[targets]`` among the points of the cloud.
 
-    Yields ``(chunk, nbr, diff, d2, inside)`` per block of consecutive
-    targets; ``chunk`` is the slice of ``targets`` it covers.  Row r of the
-    block is target ``targets[chunk][r]``: ``nbr[r]`` are point indices in
+    Yields ``(chunk, nbr, diff, d2, inside)`` per block; ``chunk`` is the
+    index array of the ``targets`` it covers, and the blocks cover them all
+    once, in stable order of width.  Row r of the block is target
+    ``targets[chunk[r]]``: ``nbr[r]`` are point indices in
     increasing order, padded with the target itself, ``diff[r]`` their
     differences from the target and ``d2[r]`` the squared lengths.
     ``inside[r, s]`` says that ``points[nbr[r, s]]`` lies in the closed ball

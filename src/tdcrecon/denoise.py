@@ -111,10 +111,9 @@ def slab_counts(
     points = np.asarray(points, dtype=float)
     check_finite(points, "points")
     counts = np.zeros(points.shape[0], dtype=int)
-    if not field_.indices:
+    if not len(field_):
         return counts
-    centres = np.asarray(field_.indices)
-    bases = np.stack([sub.basis for sub in field_.subspaces])
+    centres, bases = field_.indices, field_.bases
     r2 = _slab_ball_r2(h, spec)
     if neighbours is None:
         blocks = _neighbours.ball_blocks(points, centres, r2)
@@ -146,7 +145,7 @@ def sd_step(
     """
     if n_total < 3:
         raise ValueError("need n >= 3")
-    if sorted(field_.indices) != list(range(len(points))):
+    if not np.array_equal(np.sort(field_.indices), np.arange(len(points))):
         raise ValueError("tangent field must cover every point of the cloud")
     threshold = spec.t * math.log(n_total - 1)
     counts = slab_counts(points, field_, h, spec, neighbours=neighbours)
@@ -255,8 +254,10 @@ def calibrate_threshold(pilot_counts: np.ndarray, n: int) -> float:
 # iterative procedure
 
 
-# stop reason: no point has params.min_neighbors neighbours within params.h
+# stop reasons: no point has params.min_neighbors neighbours within params.h,
+# or the slab counts removed every point
 NO_TANGENT = "no tangent estimable"
+NO_SURVIVORS = "no survivors"
 
 
 @dataclass
@@ -301,8 +302,8 @@ def iterative_denoise(
     Returns surviving indices into the original cloud plus per-iteration
     diagnostics (confusion counts when labels are available).  Each iteration
     searches the surviving cloud once, and the tangents and slab counts share
-    the neighbour lists.  When no tangent can be estimated the loop stops;
-    that iteration's diagnostics keep the survivors and give the reason.
+    the neighbour lists.  When no tangent can be estimated, or no point
+    survives, the loop stops; that iteration's diagnostics give the reason.
     """
     if k_iters < 0:
         raise ValueError("need k_iters >= 0")
@@ -313,8 +314,6 @@ def iterative_denoise(
     alive = np.arange(n_total)
     diags: list[IterationDiagnostics] = []
     for k in range(k_iters + 1):
-        if alive.size == 0:
-            break
         h = sched.h_at(k)
         pts = cloud.points[alive]
         params = tse_params_factory(h)
@@ -324,9 +323,11 @@ def iterative_denoise(
         )
         field_ = estimate_tangents(pts, params, neighbours=neighbours)
         inherited, stop_reason = len(field_.skipped), None
-        if field_.indices:
+        if len(field_):
             field_ = field_.complete(pts)
             alive = alive[sd_step(pts, field_, h, spec, n_total, neighbours=neighbours)]
+            if alive.size == 0:
+                stop_reason = NO_SURVIVORS
         else:
             inherited, stop_reason = 0, NO_TANGENT
         tp = fp = None

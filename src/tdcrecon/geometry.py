@@ -40,25 +40,6 @@ class Subspace:
         basis.setflags(write=False)
         self.basis = basis
 
-    @classmethod
-    def stack(cls, bases: np.ndarray) -> list["Subspace"]:
-        """One subspace per D x d basis of an (m, D, d) stack, checked together.
-
-        Each basis passes the same checks as in ``Subspace(basis)`` and is a
-        read-only view of one copy of the stack.
-        """
-        bases = np.array(bases, dtype=float)
-        if bases.ndim != 3:
-            raise ValueError(f"expected an (m, D, d) stack of bases, got shape {bases.shape}")
-        _check_bases(bases)
-        bases.setflags(write=False)
-        subspaces = []
-        for basis in bases:
-            sub = object.__new__(cls)
-            sub.basis = basis
-            subspaces.append(sub)
-        return subspaces
-
     @property
     def ambient_dim(self) -> int:
         return self.basis.shape[0]

@@ -7,16 +7,18 @@ fewer than ``min_neighbors`` neighbors are flagged and excluded from the
 field; downstream users can fill them in by nearest-neighbor inheritance.
 Neighbors come from one KD-tree self-join of the cloud (:mod:`._neighbours`),
 which finds each neighbor pair once, so the work grows with the number of
-neighbor pairs, not with n^2; they are read in padded blocks of a bounded
-size, and the covariances of a block are formed together.  Inside a denoising iteration that self-join is
-the one search whose neighbor lists the slab counts share; a standalone call
-runs its own.
+neighbor pairs, not with n^2.  They are read in padded blocks of a bounded
+size, targets of similar neighbor counts together, and the covariances of a
+block are formed together; each block's eigenvectors go straight into the
+field's (m, D, d) array of bases.  Inside a denoising iteration that
+self-join is the one search whose neighbor lists the slab counts share; a
+standalone call runs its own.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -24,7 +26,7 @@ from scipy.spatial import cKDTree
 
 from . import _neighbours
 from ._neighbours import check_finite
-from .geometry import Subspace
+from .geometry import Subspace, _check_bases
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,9 @@ class TseParams:
             raise ValueError("need bandwidth h > 0")
         if self.d < 1:
             raise ValueError("need intrinsic dimension d >= 1")
+        if self.min_neighbors < 1:
+            # an estimate from no neighbour at all would be 0 / 0
+            raise ValueError("need min_neighbors >= 1")
 
 
 def default_bandwidth(n: int, d: int, c: float = 1.0) -> float:
@@ -49,36 +54,52 @@ def default_bandwidth(n: int, d: int, c: float = 1.0) -> float:
     return (c * math.log(n) / (n - 1)) ** (1.0 / d)
 
 
-@dataclass
 class TangentField:
-    """Tangent estimates at a subset of cloud indices (parallel lists)."""
+    """Tangent estimates at a subset of cloud indices, held as arrays.
 
-    indices: list[int]
-    subspaces: list[Subspace]
-    skipped: list[int] = field(default_factory=list)
+    Row k of ``bases``, an (m, D, d) stack of orthonormal bases, is the
+    estimate at cloud index ``indices[k]``; ``skipped`` lists the indices
+    where no estimate could be made.  The arrays are copies; the bases are
+    checked once, on construction, and are read-only.
+    """
 
-    def __post_init__(self):
-        if len(self.indices) != len(self.subspaces):
-            raise ValueError("indices and subspaces must be parallel")
-        self._by_index = {i: s for i, s in zip(self.indices, self.subspaces)}
+    def __init__(self, indices, bases, skipped=()):
+        self.indices = np.array(indices, dtype=np.intp)
+        self.skipped = np.array(skipped, dtype=np.intp)
+        bases = np.array(bases, dtype=float)
+        if bases.ndim != 3:
+            raise ValueError(f"expected an (m, D, d) stack of bases, got shape {bases.shape}")
+        if len(bases) != len(self.indices):
+            raise ValueError("indices and bases must be parallel")
+        _check_bases(bases)
+        bases.setflags(write=False)
+        self.bases = bases
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __contains__(self, index: int) -> bool:
-        return index in self._by_index
+    def _rows(self, wanted) -> np.ndarray:
+        """Rows holding the cloud indices ``wanted`` (the first of repeats); KeyError if absent."""
+        wanted = np.asarray(wanted, dtype=np.intp)
+        order = np.argsort(self.indices, kind="stable")
+        at = np.searchsorted(self.indices, wanted, sorter=order)
+        found = at < len(order)
+        found[found] = self.indices[order[at[found]]] == wanted[found]
+        if not found.all():
+            raise KeyError(int(wanted[~found][0]))
+        return order[at]
 
     def subspace_at(self, index: int) -> Subspace:
-        return self._by_index[index]
+        return Subspace(self.bases[self._rows([index])[0]])
 
     def complete(self, points: np.ndarray) -> "TangentField":
         """Fill skipped indices with the nearest estimated neighbor's subspace.
 
         Ties in distance go to the estimate listed first in ``indices``.
         """
-        if not self.skipped:
+        if not len(self.skipped):
             return self
-        if not self.indices:
+        if not len(self.indices):
             raise ValueError("cannot complete an empty tangent field")
         points = np.asarray(points, dtype=float)
         tree = cKDTree(points[self.indices])
@@ -97,37 +118,25 @@ class TangentField:
         rows, cols = rows[order], cols[order]
         first = np.flatnonzero(np.diff(rows, prepend=-1))
         source = cols[first]
-        indices = list(self.indices) + list(self.skipped)
-        subspaces = list(self.subspaces) + [self.subspaces[k] for k in source]
+        indices = np.concatenate([self.indices, self.skipped])
         order = np.argsort(indices)
-        return TangentField(
-            indices=[indices[k] for k in order],
-            subspaces=[subspaces[k] for k in order],
-            skipped=[],
-        )
+        bases = np.concatenate([self.bases, self.bases[source]])
+        return TangentField(indices=indices[order], bases=bases[order])
 
     def restrict(self, subset: list[int]) -> "TangentField":
         """Field re-indexed to a sub-cloud: local index k maps to subset[k]."""
-        return TangentField(
-            indices=list(range(len(subset))),
-            subspaces=[self.subspace_at(j) for j in subset],
-            skipped=[],
-        )
+        return TangentField(indices=np.arange(len(subset)), bases=self.bases[self._rows(subset)])
 
     def to_json(self) -> str:
-        entries = [
-            {"index": int(i), "basis": s.basis.T.tolist()}
-            for i, s in zip(self.indices, self.subspaces)
-        ]
-        return json.dumps(entries)
+        return json.dumps(
+            [{"index": int(i), "basis": b.T.tolist()} for i, b in zip(self.indices, self.bases)]
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "TangentField":
         entries = json.loads(text)
-        return cls(
-            indices=[int(e["index"]) for e in entries],
-            subspaces=[Subspace(np.array(e["basis"], dtype=float).T) for e in entries],
-        )
+        bases = [np.array(e["basis"], dtype=float).T for e in entries]
+        return cls([e["index"] for e in entries], bases if bases else np.zeros((0, 1, 1)))
 
 
 def estimate_tangents(
@@ -149,20 +158,18 @@ def estimate_tangents(
     n, big_d = points.shape
     if params.d > big_d:
         raise ValueError(f"need d <= ambient dimension, got d={params.d} in R^{big_d}")
-    targets = np.arange(n) if subset is None else np.asarray(subset, dtype=int)
-    indices: list[int] = []
-    subspaces: list[Subspace] = []
-    skipped: list[int] = []
+    targets = np.arange(n) if subset is None else np.asarray(subset, dtype=np.intp)
+    # row k of bases holds the estimate at targets[k] once estimated[k] is set
+    bases = np.empty((len(targets), big_d, params.d))
+    estimated = np.zeros(len(targets), dtype=bool)
     h2 = params.h * params.h
     if neighbours is None:
         blocks = _neighbours.ball_blocks(points, targets, h2)
     else:
         blocks = neighbours.blocks(points, targets, h2)
     for chunk, _, diff, _, inside in blocks:
-        idx = targets[chunk]
         counts = inside.sum(axis=1)
         ok = counts >= params.min_neighbors
-        skipped.extend(int(j) for j in idx[~ok])
         if not np.any(ok):
             continue
         # each estimable target's neighbor offsets in increasing index order,
@@ -177,6 +184,8 @@ def estimate_tangents(
         cov = scatter / (n - 1)
         cov = 0.5 * (cov + cov.transpose(0, 2, 1))
         eigvals, eigvecs = np.linalg.eigh(cov)
-        indices.extend(idx[ok].tolist())
-        subspaces.extend(Subspace.stack(eigvecs[:, :, ::-1][:, :, : params.d]))
-    return TangentField(indices=indices, subspaces=subspaces, skipped=skipped)
+        bases[chunk[ok]] = eigvecs[:, :, ::-1][:, :, : params.d]
+        estimated[chunk[ok]] = True
+    return TangentField(
+        indices=targets[estimated], bases=bases[estimated], skipped=targets[~estimated]
+    )

@@ -5,16 +5,29 @@ its KD-tree neighbour layer; the tests require the library to return what
 these return.  ``local_covariance`` is the covariance of one point's ball,
 whose top eigenvectors ``estimate_tangents`` must span.  ``iterative_denoise``
 runs the denoising loop on these dense stages, each with a scan of its own.
+``field_of`` and ``subspaces`` convert between a tangent field and the list
+of ``Subspace`` objects the tests write fields with.
 """
 import math
 
 import numpy as np
 
-from tdcrecon.denoise import NO_TANGENT, IterationDiagnostics, schedule
+from tdcrecon.denoise import NO_SURVIVORS, NO_TANGENT, IterationDiagnostics, schedule
 from tdcrecon.geometry import Subspace
 from tdcrecon.tangent import TangentField, TseParams
 
 _CHUNK = 256
+
+
+def field_of(indices, subs, skipped=()):
+    """A tangent field from parallel lists of indices and ``Subspace`` objects."""
+    bases = [sub.basis for sub in subs]
+    return TangentField(indices, np.array(bases) if bases else np.zeros((0, 1, 1)), skipped)
+
+
+def subspaces(field_):
+    """The field's estimates as ``Subspace`` objects, in the order of its indices."""
+    return [Subspace(basis) for basis in field_.bases]
 
 
 def ball_pairs(points, targets, r2):
@@ -62,7 +75,7 @@ def estimate_tangents(points, params, subset=None):
     points = np.asarray(points, dtype=float)
     n, big_d = points.shape
     targets = np.arange(n) if subset is None else np.asarray(subset, dtype=int)
-    indices, subspaces, skipped = [], [], []
+    indices, bases, skipped = [], [], []
     for lo in range(0, len(targets), _CHUNK):
         idx = targets[lo : lo + _CHUNK]
         diff = points[None, :, :] - points[idx][:, None, :]  # (c, n, D)
@@ -85,28 +98,23 @@ def estimate_tangents(points, params, subset=None):
         cov = 0.5 * (cov + cov.transpose(0, 2, 1))
         eigvals, eigvecs = np.linalg.eigh(cov)
         for row, j in enumerate(idx[ok]):
-            basis = eigvecs[row][:, ::-1][:, : params.d]
             indices.append(int(j))
-            subspaces.append(Subspace(basis))
-    return TangentField(indices=indices, subspaces=subspaces, skipped=skipped)
+            bases.append(eigvecs[row][:, ::-1][:, : params.d])
+    return TangentField(indices, np.array(bases).reshape(-1, big_d, params.d), skipped)
 
 
 def complete(field_, points):
     """Skipped indices inherit from the first nearest estimate (argmin)."""
     points = np.asarray(points, dtype=float)
-    est_pts = points[np.asarray(field_.indices)]
+    est_pts = points[field_.indices]
     indices = list(field_.indices)
-    subspaces = list(field_.subspaces)
+    bases = list(field_.bases)
     for j in field_.skipped:
         nearest = int(np.argmin(np.linalg.norm(est_pts - points[j], axis=1)))
         indices.append(j)
-        subspaces.append(field_.subspaces[nearest])
+        bases.append(field_.bases[nearest])
     order = np.argsort(indices)
-    return TangentField(
-        indices=[indices[k] for k in order],
-        subspaces=[subspaces[k] for k in order],
-        skipped=[],
-    )
+    return TangentField([indices[k] for k in order], np.array([bases[k] for k in order]))
 
 
 def slab_counts(points, field_, h, spec):
@@ -114,9 +122,9 @@ def slab_counts(points, field_, h, spec):
     counts = np.zeros(points.shape[0], dtype=int)
     t1 = (spec.k1 * h) ** 2
     t2 = (spec.k2 * h * h) ** 2
-    for j, sub in zip(field_.indices, field_.subspaces):
+    for j, basis in zip(field_.indices, field_.bases):
         diff = points - points[j]
-        tang = diff @ sub.basis
+        tang = diff @ basis
         tang2 = np.einsum("ij,ij->i", tang, tang)
         norm2 = np.einsum("ij,ij->i", diff, diff) - tang2
         counts[j] = int(np.sum((tang2 <= t1) & (np.maximum(norm2, 0.0) <= t2)))
@@ -157,14 +165,14 @@ def iterative_denoise(cloud, d, beta, kappa, spec, k_iters, tse_params_factory=N
     alive = np.arange(n_total)
     diags = []
     for k in range(k_iters + 1):
-        if alive.size == 0:
-            break
         pts = cloud.points[alive]
         field_ = estimate_tangents(pts, tse_params_factory(hs[k]))
         inherited, stop_reason = len(field_.skipped), None
-        if field_.indices:
+        if len(field_):
             counts = slab_counts(pts, complete(field_, pts), hs[k], spec)
             alive = alive[counts >= threshold]
+            if alive.size == 0:
+                stop_reason = NO_SURVIVORS
         else:
             inherited, stop_reason = 0, NO_TANGENT
         labels = cloud.labels[alive]

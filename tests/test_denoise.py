@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_oracles import field_of
 from tdcrecon import denoise
 from tdcrecon.denoise import (
     IterationDiagnostics,
@@ -24,7 +25,7 @@ from tdcrecon.denoise import (
 )
 from tdcrecon.geometry import Subspace
 from tdcrecon.models import Circle, SampleSpec, Torus, sample
-from tdcrecon.tangent import TangentField, TseParams
+from tdcrecon.tangent import TseParams
 
 
 def span(*vectors):
@@ -89,7 +90,7 @@ def brute_force_sd_step(points, field_, h, spec, n_total):
 
 
 def constant_field(n, sub):
-    return TangentField(indices=list(range(n)), subspaces=[sub] * n)
+    return field_of(range(n), [sub] * n)
 
 
 class TestSdStep:
@@ -120,10 +121,7 @@ class TestSdStep:
         for _ in range(10):
             n = int(rng.integers(5, 80))
             pts = rng.normal(size=(n, 3))
-            field_ = TangentField(
-                indices=list(range(n)),
-                subspaces=[span(rng.normal(size=3)) for _ in range(n)],
-            )
+            field_ = field_of(range(n), [span(rng.normal(size=3)) for _ in range(n)])
             spec = SlabSpec(
                 k1=rng.uniform(0.2, 1.0),
                 k2=rng.uniform(0.2, 1.0),
@@ -148,7 +146,7 @@ class TestSdStep:
 
     def test_requires_full_field(self):
         pts = np.zeros((3, 2))
-        partial = TangentField(indices=[0, 1], subspaces=[X_AXIS, X_AXIS])
+        partial = field_of([0, 1], [X_AXIS, X_AXIS])
         with pytest.raises(ValueError):
             sd_step(pts, partial, 0.1, SlabSpec(0.5, 0.5, 1.0), 3)
 

@@ -15,6 +15,7 @@ from tdcrecon.geometry import (
     symmetrize,
     top_eigenspace,
 )
+from tdcrecon.tangent import TangentField
 
 
 def span(*vectors):
@@ -43,6 +44,8 @@ class TestSubspace:
 
 
 class TestSubspaceStack:
+    """A tangent field's stack of bases is checked as each basis alone would be."""
+
     def valid(self):
         rng = np.random.default_rng(4)
         return np.stack([random_subspace(rng, 4, 2).basis for _ in range(5)])
@@ -64,30 +67,32 @@ class TestSubspaceStack:
     def test_one_bad_basis_raises_as_alone(self, bad):
         bases = self.valid()
         bases[3] = bad
-        assert self.error_of(lambda: Subspace.stack(bases)) == self.error_of(
+        assert self.error_of(lambda: TangentField(range(5), bases)) == self.error_of(
             lambda: Subspace(bad)
         )
 
     def test_bad_dims_raise_as_alone(self):
         bases = np.zeros((2, 3, 0))
-        assert self.error_of(lambda: Subspace.stack(bases)) == self.error_of(
+        assert self.error_of(lambda: TangentField(range(2), bases)) == self.error_of(
             lambda: Subspace(bases[0])
         )
 
     def test_valid_stack(self):
         bases = self.valid()
-        subs = Subspace.stack(bases)
-        assert len(subs) == len(bases)
-        for sub, basis in zip(subs, bases):
+        field = TangentField(range(5), bases)
+        assert len(field) == len(bases)
+        for k, basis in enumerate(bases):
+            sub = field.subspace_at(k)
             assert isinstance(sub, Subspace)
             assert np.array_equal(sub.basis, basis)
             assert not sub.basis.flags.writeable
+        assert not field.bases.flags.writeable
         # the stack is copied: changing the input changes no subspace
         bases[0, 0, 0] = 7.0
-        assert subs[0].basis[0, 0] != 7.0
+        assert field.subspace_at(0).basis[0, 0] != 7.0
 
     def test_empty_stack(self):
-        assert Subspace.stack(np.zeros((0, 3, 1))) == []
+        assert len(TangentField([], np.zeros((0, 3, 1)))) == 0
 
 
 class TestPrincipalAngle:

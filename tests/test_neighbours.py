@@ -17,6 +17,7 @@ from scipy.spatial import cKDTree
 import dense_oracles as dense
 from tdcrecon import _neighbours
 from tdcrecon.denoise import (
+    NO_SURVIVORS,
     NO_TANGENT,
     SlabSpec,
     _slab_ball_r2,
@@ -29,7 +30,7 @@ from tdcrecon.denoise import (
 from tdcrecon.geometry import Subspace, directed_hausdorff, hausdorff, random_subspace
 from tdcrecon.models import Circle, SampleSpec, Sphere, sample
 from tdcrecon.sparsify import farthest_point_sampling
-from tdcrecon.tangent import TangentField, TseParams, estimate_tangents
+from tdcrecon.tangent import TseParams, estimate_tangents
 
 PROJECTOR_TOL = 1e-12
 
@@ -58,20 +59,18 @@ CLOUDS = clouds()
 
 
 def assert_same_field(got, want):
-    assert got.indices == want.indices
-    assert got.skipped == want.skipped
-    for g, w in zip(got.subspaces, want.subspaces):
+    assert got.indices.tolist() == want.indices.tolist()
+    assert got.skipped.tolist() == want.skipped.tolist()
+    for g, w in zip(dense.subspaces(got), dense.subspaces(want), strict=True):
         assert np.max(np.abs(g.projector() - w.projector())) <= PROJECTOR_TOL
 
 
 def random_field(rng, n, big_d, d):
-    return TangentField(
-        indices=list(range(n)), subspaces=[random_subspace(rng, big_d, d) for _ in range(n)]
-    )
+    return dense.field_of(range(n), [random_subspace(rng, big_d, d) for _ in range(n)])
 
 
 def constant_field(n, basis):
-    return TangentField(indices=list(range(n)), subspaces=[Subspace(basis)] * n)
+    return dense.field_of(range(n), [Subspace(basis)] * n)
 
 
 def flatten(blocks, targets):
@@ -85,8 +84,7 @@ def flatten(blocks, targets):
     targets = np.asarray(targets)
     parts = []
     for chunk, nbr, diff, d2, inside in blocks:
-        own = targets[chunk]
-        rows = np.arange(chunk.start, chunk.stop)
+        rows, own = chunk, targets[chunk]
         pad = nbr == own[:, None]
         assert not np.any(inside & pad)
         assert np.all(diff[pad] == 0.0) and np.all(d2[pad] == 0.0)
@@ -154,14 +152,17 @@ class TestBallPairs:
         monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", 20 * 2 * 8)
         pts = lattice(range(6), range(6))
         chunks = list(_neighbours.ball_blocks(pts, np.arange(len(pts)), 2.0))
-        covered = [i for c in chunks for i in range(c[0].start, c[0].stop)]
-        assert covered == list(range(len(pts)))
-        assert any(c[0].stop - c[0].start > 1 for c in chunks)
+        covered = np.concatenate([c[0] for c in chunks])
+        assert sorted(covered.tolist()) == list(range(len(pts)))
+        assert any(len(c[0]) > 1 for c in chunks)
+        # targets come in order of width, so blocks widen as the stream goes
+        widths = [c[1].shape[1] for c in chunks]
+        assert widths == sorted(widths) and widths[0] < widths[-1]
         # a hard bound on the padded block, not just on the pairs: rows x
         # widest row slots, more only in a block of one row
         for chunk, nbr, diff, d2, inside in chunks:
             rows, widest = nbr.shape
-            assert rows == chunk.stop - chunk.start
+            assert rows == len(chunk)
             assert diff.shape == (rows, widest, 2) and d2.shape == inside.shape == nbr.shape
             assert rows * max(widest, 1) <= 20 or rows == 1
 
@@ -180,7 +181,9 @@ class TestBallPairs:
         monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", 1)
         pts, targets, r2 = PAIR_CASES[name]
         chunks = list(_neighbours.ball_blocks(pts, targets, r2))
-        assert [c[0] for c in chunks] == [slice(i, i + 1) for i in range(len(targets))]
+        assert [len(c[0]) for c in chunks] == [1] * len(targets)
+        covered = np.concatenate([c[0] for c in chunks])
+        assert sorted(covered.tolist()) == list(range(len(targets)))
         assert_same_pairs(chunks, targets, dense.ball_pairs(pts, targets, r2))
 
     def test_one_self_join(self, monkeypatch):
@@ -222,6 +225,36 @@ class TestBlockMemory:
         # of a block each and the field itself
         assert peak <= 8 * pairs + 16 * _neighbours._BLOCK_BYTES
 
+    def test_skewed_cloud_padding(self):
+        # a block of consecutive targets is as wide as its widest row: 8.1
+        # slots per listed candidate here; in order of width, 1.0
+        pts = skewed_cloud()
+        padded = listed = 0
+        for chunk, nbr, _, _, _ in _neighbours.ball_blocks(pts, np.arange(len(pts)), 0.01):
+            padded += nbr.size
+            listed += np.count_nonzero(nbr != chunk[:, None])
+        assert listed > 10**6
+        assert padded <= 1.05 * listed
+
+
+class TestBlockCuts:
+    """Where the stream cuts its blocks changes no bit of any output."""
+
+    @staticmethod
+    def outputs():
+        # signal and outliers interleaved: rows of many widths side by side
+        cloud = sample(Circle(1.0, ambient_dim=3), SampleSpec(n=600, beta=0.7, seed=305))
+        pts, h = cloud.points, 0.25
+        field = estimate_tangents(pts, TseParams(h=h, d=1))
+        counts = slab_counts(pts, field.complete(pts), h, SlabSpec(k1=0.6, k2=1.5, t=1.0))
+        return [a.tobytes() for a in (field.indices, field.bases, field.skipped, counts)]
+
+    @pytest.mark.parametrize("block_bytes", [1, 320])
+    def test_bit_identical(self, monkeypatch, block_bytes):
+        want = self.outputs()
+        monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", block_bytes)
+        assert self.outputs() == want
+
 
 class TestOutOfRangeIndices:
     pts = CLOUDS["D3-sphere"][0][:50]
@@ -233,7 +266,7 @@ class TestOutOfRangeIndices:
 
     @pytest.mark.parametrize("bad", [-1, -50, 50, 51])
     def test_slab_counts(self, bad):
-        field = TangentField(indices=[3, bad], subspaces=[Subspace(np.eye(3)[:, :2])] * 2)
+        field = dense.field_of([3, bad], [Subspace(np.eye(3)[:, :2])] * 2)
         with pytest.raises(ValueError, match=f"index {bad} is outside \\[0, 50\\)"):
             slab_counts(self.pts, field, 0.3, SlabSpec(0.5, 0.5, 1.0))
 
@@ -347,9 +380,9 @@ class TestEstimateTangentsOracle:
         field = estimate_tangents(pts, params)
         assert_same_field(field, dense.estimate_tangents(pts, params))
         interior = [j for j, p in enumerate(pts) if 0 < p[0] < 5 and 0 < p[1] < 4]
-        assert field.indices == interior
+        assert field.indices.tolist() == interior
         plane = np.diag([1.0, 1.0, 0.0])
-        for sub in field.subspaces:
+        for sub in dense.subspaces(field):
             assert np.max(np.abs(sub.projector() - plane)) <= PROJECTOR_TOL
 
 
@@ -375,9 +408,7 @@ class TestSlabCountsOracle:
     def test_partial_field(self):
         pts, h, d = CLOUDS["D3-sphere"]
         rng = np.random.default_rng(8)
-        field = TangentField(
-            indices=[3, 40, 7], subspaces=[random_subspace(rng, 3, 2) for _ in range(3)]
-        )
+        field = dense.field_of([3, 40, 7], [random_subspace(rng, 3, 2) for _ in range(3)])
         spec = SlabSpec(k1=0.5, k2=2.0, t=1.0)
         got = slab_counts(pts, field, h, spec)
         assert np.array_equal(got, dense.slab_counts(pts, field, h, spec))
@@ -410,11 +441,16 @@ class TestSlabCountsOracle:
         )
 
 
+def same_basis(a, b):
+    """Two subspaces with the very same basis: the estimate one was copied from."""
+    return np.array_equal(a.basis, b.basis)
+
+
 class TestCompleteOracle:
     def test_matches_dense(self):
         pts, h, d = CLOUDS["D10-circle"]
         field = estimate_tangents(pts, TseParams(h=h, d=d))
-        assert field.skipped
+        assert len(field.skipped)
         assert_same_field(field.complete(pts), dense.complete(field, pts))
 
     def test_exact_ties_go_to_lowest_index(self):
@@ -425,30 +461,30 @@ class TestCompleteOracle:
         centres = lattice(range(-3, 3), range(-3, 3)) + 0.5
         pts = np.vstack([grid, centres])
         rng = np.random.default_rng(10)
-        field = TangentField(
-            indices=list(range(len(grid))),
-            subspaces=[random_subspace(rng, 2, 1) for _ in grid],
-            skipped=list(range(len(grid), len(pts))),
+        field = dense.field_of(
+            range(len(grid)),
+            [random_subspace(rng, 2, 1) for _ in grid],
+            skipped=range(len(grid), len(pts)),
         )
         full = field.complete(pts)
         want = dense.complete(field, pts)
         for j, centre in enumerate(centres, start=len(grid)):
             dist = np.linalg.norm(grid - centre, axis=1)
             lowest = int(np.flatnonzero(dist == dist.min())[0])
-            assert full.subspace_at(j) is field.subspace_at(lowest)
-            assert want.subspace_at(j) is field.subspace_at(lowest)
+            assert same_basis(full.subspace_at(j), field.subspace_at(lowest))
+            assert same_basis(want.subspace_at(j), field.subspace_at(lowest))
 
     def test_duplicate_of_an_estimate(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        field = TangentField(
-            indices=[0, 3, 1],
-            subspaces=[Subspace(np.eye(2)[:, :1]), Subspace(np.eye(2)[:, 1:]),
-                       Subspace(np.ones((2, 1)) / np.sqrt(2.0))],
+        field = dense.field_of(
+            [0, 3, 1],
+            [Subspace(np.eye(2)[:, :1]), Subspace(np.eye(2)[:, 1:]),
+             Subspace(np.ones((2, 1)) / np.sqrt(2.0))],
             skipped=[2],
         )
         # points 3 and 1 both coincide with 2; 3 is listed first
-        assert field.complete(pts).subspace_at(2) is field.subspace_at(3)
-        assert dense.complete(field, pts).subspace_at(2) is field.subspace_at(3)
+        assert same_basis(field.complete(pts).subspace_at(2), field.subspace_at(3))
+        assert same_basis(dense.complete(field, pts).subspace_at(2), field.subspace_at(3))
 
 
 class TestFarthestPointOracle:
@@ -573,6 +609,18 @@ class TestIterativeDenoiseOracle:
         assert diags[0].stop_reason == NO_TANGENT
         assert (keep, diags) == dense.iterative_denoise(cloud, d, 0.8, kappa, spec, 2, factory)
         assert '"stop_reason": "no tangent estimable"' in diagnostics_to_json(diags)
+
+    def test_stop_when_nothing_survives(self):
+        cloud, d, kappa, spec = denoise_case("circle-D2")
+        # no slab holds a million points
+        spec = SlabSpec(k1=spec.k1, k2=spec.k2, t=1e6)
+        keep, diags = iterative_denoise(cloud, d, 0.8, kappa, spec, 2)
+        assert keep == []
+        assert len(diags) == 1
+        assert diags[0].survivors == 0 and diags[0].inherited > 0
+        assert diags[0].stop_reason == NO_SURVIVORS
+        assert (keep, diags) == dense.iterative_denoise(cloud, d, 0.8, kappa, spec, 2)
+        assert '"stop_reason": "no survivors"' in diagnostics_to_json(diags)
 
 
 BAD = [np.nan, np.inf, -np.inf]
