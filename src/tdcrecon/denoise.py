@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import _neighbours
 from ._neighbours import check_finite
-from .geometry import Subspace, random_subspace, tilt_subspace
-from .models import CheckReport, LabeledCloud, ManifoldModel, _unit_normal_at
+from .geometry import Subspace
+from .models import LabeledCloud
 from .tangent import TangentField, TseParams, estimate_tangents
 
 
@@ -254,7 +253,7 @@ def calibrate_threshold(pilot_counts: np.ndarray, n: int) -> float:
 # iterative procedure
 
 
-# stop reasons: no point has params.min_neighbors neighbours within params.h,
+# stop reasons: no point has TseParams.min_neighbors neighbours within h,
 # or the slab counts removed every point
 NO_TANGENT = "no tangent estimable"
 NO_SURVIVORS = "no survivors"
@@ -295,7 +294,6 @@ def iterative_denoise(
     kappa: float,
     spec: SlabSpec,
     k_iters: int,
-    tse_params_factory=None,
 ) -> tuple[list[int], list[IterationDiagnostics]]:
     """Alternate tangent estimation and slab filtering for k = 0 .. k_iters.
 
@@ -307,8 +305,6 @@ def iterative_denoise(
     """
     if k_iters < 0:
         raise ValueError("need k_iters >= 0")
-    if tse_params_factory is None:
-        tse_params_factory = lambda h: TseParams(h=h, d=d)
     n_total = cloud.n
     sched = schedule(n_total, d, beta, kappa, k_iters)
     alive = np.arange(n_total)
@@ -316,12 +312,9 @@ def iterative_denoise(
     for k in range(k_iters + 1):
         h = sched.h_at(k)
         pts = cloud.points[alive]
-        params = tse_params_factory(h)
         slab_r2 = _slab_ball_r2(h, spec)
-        neighbours = _neighbours.SharedNeighbours(
-            pts, max(params.h * params.h, slab_r2), keep_r2=slab_r2
-        )
-        field_ = estimate_tangents(pts, params, neighbours=neighbours)
+        neighbours = _neighbours.SharedNeighbours(pts, max(h * h, slab_r2), keep_r2=slab_r2)
+        field_ = estimate_tangents(pts, TseParams(h=h, d=d), neighbours=neighbours)
         inherited, stop_reason = len(field_.skipped), None
         if len(field_):
             field_ = field_.complete(pts)
@@ -348,82 +341,3 @@ def iterative_denoise(
         if stop_reason is not None:
             break
     return [int(j) for j in alive], diags
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo checks of the slab geometry statements
-
-
-def verify_slab_separation(
-    model: ManifoldModel,
-    trials: int,
-    seed: int,
-    angle_constant: float = 2.0,
-    grid_resolution: float | None = None,
-) -> CheckReport:
-    """Far points have manifold-free slabs: d(x, M) >= h/sqrt(2) with any
-    direction, or d(x, M) >= h^2/rho with a direction within K h / rho of the
-    true tangent."""
-    rng = np.random.default_rng(seed)
-    rho = model.reach
-    d = model.intrinsic_dim
-    big_d = model.ambient_dim
-    k1, k2, _ = lemma_slab_constants(d, big_d, rho, angle_constant)
-    spec = SlabSpec(k1=k1, k2=k2, t=0.0)
-    h_max = min(1.0, rho / math.sqrt(3.0 * d), rho / (12.0 * (1.0 + 0.25 / math.sqrt(2.0))))
-    res = grid_resolution if grid_resolution is not None else rho / 100.0
-    grid = model.grid(res)
-    tree = cKDTree(grid)
-    violations = 0
-    for trial in range(trials):
-        h = rng.uniform(0.2, 1.0) * h_max
-        p = model.sample_points(rng, 1)[0]
-        normal = _unit_normal_at(model, p, rng)
-        if trial % 2 == 0:
-            # unconditional branch: distance at least h / sqrt(2)
-            u = rng.uniform(h / math.sqrt(2.0), 0.9 * rho)
-            tangent = random_subspace(rng, big_d, d)
-        else:
-            # near branch: distance in [h^2/rho, h/sqrt(2)), angle <= K h / rho
-            u = rng.uniform(h * h / rho, h / math.sqrt(2.0))
-            alpha = math.asin(min(1.0, angle_constant * h / rho)) * rng.uniform(0, 1)
-            tangent = tilt_subspace(model.tangent(p), normal, alpha)
-        x = p + u * normal
-        # the slab sits inside the ball of radius k1 h + k2 h^2 around x
-        near = tree.query_ball_point(x, spec.k1 * h + spec.k2 * h * h + res)
-        if not near:
-            continue
-        violations += int(np.sum(_slab_mask(grid[near] - x, tangent.basis, h, spec)))
-    return CheckReport(trials=trials, violations=violations)
-
-
-def verify_slab_inclusion(
-    model: ManifoldModel,
-    trials: int,
-    seed: int,
-    angle_constant: float = 2.0,
-    grid_resolution: float | None = None,
-) -> CheckReport:
-    """Close manifold pairs fall inside each other's true-tangent slabs:
-    x, y in M with ||x - y|| <= k3 h implies y in S(x, T_x M, h)."""
-    rng = np.random.default_rng(seed)
-    rho = model.reach
-    d = model.intrinsic_dim
-    k1, k2, k3 = lemma_slab_constants(d, model.ambient_dim, rho, angle_constant)
-    spec = SlabSpec(k1=k1, k2=k2, t=0.0)
-    h_max = min(1.0, rho / math.sqrt(3.0 * d))
-    res = grid_resolution if grid_resolution is not None else rho / 100.0
-    grid = model.grid(res)
-    tree = cKDTree(grid)
-    violations = 0
-    for _ in range(trials):
-        h = rng.uniform(0.2, 1.0) * h_max
-        p = model.sample_points(rng, 1)[0]
-        idx = tree.query_ball_point(p, k3 * h)
-        if not idx:
-            continue
-        near = grid[idx]
-        near = near[np.linalg.norm(near - p, axis=1) <= k3 * h]
-        inside = _slab_mask(near - p, model.tangent(p).basis, h, spec)
-        violations += int(np.sum(~inside))
-    return CheckReport(trials=trials, violations=violations)

@@ -11,14 +11,11 @@ Labels: 1 = signal (drawn on the manifold), 0 = outlier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Subspace, sampled_reach
-
-# geodesic/Euclidean comparison constant used by the bound verifiers
-ALPHA = 1.0 + 1.0 / (4.0 * math.sqrt(2.0))
+from .geometry import Subspace
 
 MEDIAL_TOL = 1e-9
 ON_MANIFOLD_TOL = 1e-9
@@ -83,17 +80,6 @@ class ManifoldModel:
         """Deterministic point grid on the manifold with spacing <= resolution."""
         raise NotImplementedError
 
-    def geodesic_pairs(
-        self, rng: np.random.Generator, k: int, max_chord: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """k random pairs (x, y) with ||x-y|| <= max_chord and their exact
-        geodesic distances.  Models without a global closed form restrict the
-        pairs to curves where the geodesic is known."""
-        raise NotImplementedError
-
-    def kind(self) -> str:
-        return type(self).__name__.lower()
-
 
 @dataclass(frozen=True)
 class Circle(ManifoldModel):
@@ -143,35 +129,9 @@ class Circle(ManifoldModel):
         v[0], v[1] = -p[1], p[0]
         return Subspace((v / np.linalg.norm(v))[:, None])
 
-    def angle_of(self, p: np.ndarray) -> float:
-        return float(np.arctan2(p[1], p[0]))
-
     def grid(self, resolution):
         k = max(3, int(np.ceil(2.0 * np.pi * self.radius / resolution)))
         return self.point(np.linspace(0.0, 2.0 * np.pi, k, endpoint=False))
-
-    def geodesic_distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        dt = abs(self.angle_of(x) - self.angle_of(y))
-        dt = min(dt, 2.0 * np.pi - dt)
-        return self.radius * dt
-
-    def geodesic_pairs(self, rng, k, max_chord):
-        xs, ys, ds = [], [], []
-        while len(xs) < k:
-            t = rng.uniform(0.0, 2.0 * np.pi, size=2 * (k - len(xs)) + 8).reshape(-1, 2)
-            p = self.point(t[:, 0])
-            q = self.point(t[:, 1])
-            chord = np.linalg.norm(p - q, axis=1)
-            keep = chord <= max_chord
-            dt = np.abs(t[keep, 0] - t[keep, 1])
-            dt = np.minimum(dt, 2.0 * np.pi - dt)
-            xs.append(p[keep])
-            ys.append(q[keep])
-            ds.append(self.radius * dt)
-        x = np.concatenate(xs)[:k]
-        y = np.concatenate(ys)[:k]
-        d = np.concatenate(ds)[:k]
-        return x, y, d
 
 
 @dataclass(frozen=True)
@@ -236,28 +196,6 @@ class Sphere(ManifoldModel):
             [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
         )
         return _pad(pts, self.ambient_dim)
-
-    def geodesic_pairs(self, rng, k, max_chord):
-        xs, ys, ds = [], [], []
-        need = k
-        while need > 0:
-            p = self.sample_points(rng, 2 * need + 8)
-            q = self.sample_points(rng, 2 * need + 8)
-            chord = np.linalg.norm(p - q, axis=1)
-            keep = chord <= max_chord
-            cosang = np.clip(
-                np.einsum("ij,ij->i", p[keep, :3], q[keep, :3]) / self.radius**2,
-                -1.0,
-                1.0,
-            )
-            xs.append(p[keep])
-            ys.append(q[keep])
-            ds.append(self.radius * np.arccos(cosang))
-            need = k - sum(len(a) for a in xs)
-        x = np.concatenate(xs)[:k]
-        y = np.concatenate(ys)[:k]
-        d = np.concatenate(ds)[:k]
-        return x, y, d
 
 
 @dataclass(frozen=True)
@@ -352,43 +290,6 @@ class Torus(ManifoldModel):
         uu, vv = np.meshgrid(u, v, indexing="ij")
         return self.point(uu.ravel(), vv.ravel())
 
-    def geodesic_pairs(self, rng, k, max_chord):
-        # restricted to curves with closed-form arc length: meridians (always
-        # geodesics) and the outer equator
-        xs, ys, ds = [], [], []
-        need = k
-        r, big_r = self.minor_radius, self.major_radius
-        while need > 0:
-            m = 2 * need + 8
-            use_meridian = rng.random(m) < 0.5
-            u = rng.uniform(0.0, 2 * np.pi, size=m)
-            a = rng.uniform(0.0, 2 * np.pi, size=m)
-            b = rng.uniform(0.0, 2 * np.pi, size=m)
-            dab = np.abs(a - b)
-            dab = np.minimum(dab, 2 * np.pi - dab)
-            p = np.where(
-                use_meridian[:, None],
-                self.point(u, a)[:, :3],
-                self.point(a, np.zeros(m))[:, :3],
-            )
-            q = np.where(
-                use_meridian[:, None],
-                self.point(u, b)[:, :3],
-                self.point(b, np.zeros(m))[:, :3],
-            )
-            geo = np.where(use_meridian, r * dab, (big_r + r) * dab)
-            chord = np.linalg.norm(p - q, axis=1)
-            keep = chord <= max_chord
-            xs.append(_pad(p[keep], self.ambient_dim))
-            ys.append(_pad(q[keep], self.ambient_dim))
-            ds.append(geo[keep])
-            need = k - sum(len(z) for z in xs)
-        return (
-            np.concatenate(xs)[:k],
-            np.concatenate(ys)[:k],
-            np.concatenate(ds)[:k],
-        )
-
 
 def make_model(kind: str, **params) -> ManifoldModel:
     kinds = {"circle": Circle, "torus": Torus, "sphere": Sphere}
@@ -441,9 +342,6 @@ class LabeledCloud:
 
     def signal_indices(self) -> np.ndarray:
         return np.nonzero(self.labels == 1)[0]
-
-    def outlier_indices(self) -> np.ndarray:
-        return np.nonzero(self.labels == 0)[0]
 
 
 def default_k0(model: ManifoldModel) -> float:
@@ -510,195 +408,3 @@ def load_cloud_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     if has_labels:
         return data[:, :-1], data[:, -1].astype(np.int8)
     return data, None
-
-
-# ---------------------------------------------------------------------------
-# numerical verifiers for the geometric propositions
-
-
-@dataclass
-class GeodesicBoundsReport:
-    trials: int
-    violations: int
-    max_ratio_lower: float  # max of ||x-y|| / d_M  (should be <= 1)
-    max_ratio_upper: float  # max of d_M / (alpha ||x-y||)  (should be <= 1)
-    max_ratio_second_order: float  # max of d_M / (||x-y|| + a^2 ||x-y||^2 / 2 rho)
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def verify_geodesic_bounds(
-    model: ManifoldModel, trials: int, seed: int
-) -> GeodesicBoundsReport:
-    """Chord/arc comparison on random close pairs:
-    ||x-y|| <= d_M(x,y) <= alpha ||x-y|| and the second-order refinement
-    d_M <= ||x-y|| + alpha^2 ||x-y||^2 / (2 rho), for ||x-y|| <= rho/4."""
-    rng = np.random.default_rng(seed)
-    rho = model.reach
-    x, y, geo = model.geodesic_pairs(rng, trials, rho / 4.0)
-    chord = np.linalg.norm(x - y, axis=1)
-    tol = 1e-12
-    nz = chord > 0
-    lower = chord[nz] / geo[nz]
-    upper = geo[nz] / (ALPHA * chord[nz])
-    second = geo[nz] / (chord[nz] + ALPHA**2 * chord[nz] ** 2 / (2.0 * rho))
-    bad = int(np.sum(lower > 1 + tol) + np.sum(upper > 1 + tol) + np.sum(second > 1 + tol))
-    # degenerate x == y pairs: all three quantities are zero, never violations
-    return GeodesicBoundsReport(
-        trials=trials,
-        violations=bad,
-        max_ratio_lower=float(lower.max(initial=0.0)),
-        max_ratio_upper=float(upper.max(initial=0.0)),
-        max_ratio_second_order=float(second.max(initial=0.0)),
-    )
-
-
-@dataclass
-class StandardnessReport:
-    r_grid: list[float]
-    estimates: list[float]  # mean over centers of the empirical Q(B(p, r))
-    ratio_min: float  # min over grid of estimate / r^d  (fitted lower constant)
-    ratio_max: float  # max over grid of estimate / r^d
-    slope: float  # log-log slope of estimate vs r (should be ~ d)
-
-    @property
-    def passed(self) -> bool:
-        return self.ratio_min > 0.0 and np.isfinite(self.ratio_max)
-
-
-def verify_standardness(
-    model: ManifoldModel,
-    r_grid,
-    trials: int,
-    seed: int,
-    n_centers: int = 20,
-) -> StandardnessReport:
-    """Monte-Carlo check that Q(B(p, r)) scales like r^d from above and below."""
-    rng = np.random.default_rng(seed)
-    cloud = model.sample_points(rng, trials)
-    centers = model.sample_points(rng, n_centers)
-    r_grid = [float(r) for r in r_grid]
-    estimates = []
-    for r in r_grid:
-        counts = [
-            float(np.mean(np.linalg.norm(cloud - c, axis=1) <= r)) for c in centers
-        ]
-        estimates.append(float(np.mean(counts)))
-    d = model.intrinsic_dim
-    ratios = [est / r**d for est, r in zip(estimates, r_grid)]
-    if len(r_grid) >= 2:
-        logs = np.polyfit(np.log(r_grid), np.log(np.maximum(estimates, 1e-300)), 1)
-        slope = float(logs[0])
-    else:
-        slope = float(d)
-    return StandardnessReport(
-        r_grid=r_grid,
-        estimates=estimates,
-        ratio_min=float(min(ratios)),
-        ratio_max=float(max(ratios)),
-        slope=slope,
-    )
-
-
-@dataclass
-class CheckReport:
-    """Outcome of a Monte-Carlo check of a geometric statement."""
-
-    trials: int
-    violations: int
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def _unit_normal_at(model: ManifoldModel, p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    basis = model.tangent(p).basis
-    g = rng.standard_normal(model.ambient_dim)
-    g -= basis @ (basis.T @ g)
-    norm = np.linalg.norm(g)
-    while norm < 1e-12:
-        g = rng.standard_normal(model.ambient_dim)
-        g -= basis @ (basis.T @ g)
-        norm = np.linalg.norm(g)
-    return g / norm
-
-
-def verify_ball_projection(
-    model: ManifoldModel, trials: int, seed: int, grid_resolution: float | None = None
-) -> CheckReport:
-    """Projection sandwich for balls centered off the manifold:
-    B(pi(x), r_h^-) cap M  inside  B(x, h) cap M  inside  B(pi(x), r_h^+) cap M
-    with r_h^2 = h^2 - Delta^2 and r_h^pm = (1 +- alpha^2 Delta / rho) r_h."""
-    from scipy.spatial import cKDTree
-
-    rng = np.random.default_rng(seed)
-    rho = model.reach
-    res = grid_resolution if grid_resolution is not None else rho / 100.0
-    grid = model.grid(res)
-    tree = cKDTree(grid)
-    slack = 1e-9 * rho
-    violations = 0
-    for _ in range(trials):
-        p = model.sample_points(rng, 1)[0]
-        h = rng.uniform(0.25, 1.0) * rho / 8.0
-        delta = rng.uniform(0.0, h)
-        x = p + delta * _unit_normal_at(model, p, rng)
-        r_h = math.sqrt(max(h**2 - delta**2, 0.0))
-        r_plus = (1.0 + ALPHA**2 * delta / rho) * r_h
-        r_minus = (1.0 - ALPHA**2 * delta / rho) * r_h
-        near = grid[tree.query_ball_point(p, r_plus + h + slack)]
-        if near.shape[0] == 0:
-            continue
-        d_x = np.linalg.norm(near - x, axis=1)
-        d_p = np.linalg.norm(near - p, axis=1)
-        violations += int(np.sum((d_x <= h) & (d_p > r_plus + slack)))
-        violations += int(np.sum((d_p <= r_minus) & (d_x > h + slack)))
-    return CheckReport(trials=trials, violations=violations)
-
-
-def verify_normal_offset(
-    model: ManifoldModel, trials: int, seed: int, grid_resolution: float | None = None
-) -> CheckReport:
-    """Normal-coordinate bound: points z near x (both near M) have normal
-    component over pi(x) at most 10 h_k^2 / rho."""
-    from scipy.spatial import cKDTree
-
-    rng = np.random.default_rng(seed)
-    rho = model.reach
-    res = grid_resolution if grid_resolution is not None else rho / 100.0
-    grid = model.grid(res)
-    tree = cKDTree(grid)
-    violations = 0
-    done = 0
-    while done < trials:
-        p = model.sample_points(rng, 1)[0]
-        h_k = rng.uniform(0.3, 1.0) * rho / (12.0 * ALPHA)
-        h = rng.uniform(h_k**2 / rho, h_k)
-        x = p + rng.uniform(0.0, h / math.sqrt(2.0)) * _unit_normal_at(model, p, rng)
-        cand = tree.query_ball_point(x, 0.95 * h)
-        if not cand:
-            continue
-        q = grid[cand[int(rng.integers(0, len(cand)))]]
-        w = rng.uniform(0.0, h_k**2 / rho)
-        z = q + w * _unit_normal_at(model, q, rng)
-        if np.linalg.norm(z - x) > h:
-            continue
-        basis = model.tangent(p).basis
-        offset = z - p
-        normal_part = offset - basis @ (basis.T @ offset)
-        if np.linalg.norm(normal_part) > 10.0 * h_k**2 / rho + 1e-9 * rho:
-            violations += 1
-        done += 1
-    return CheckReport(trials=trials, violations=violations)
-
-
-def monte_carlo_reach(model: ManifoldModel, n_points: int, seed: int) -> float:
-    """Sampled reach quotient using exact tangents (lower-bounds the reach up
-    to sampling density)."""
-    rng = np.random.default_rng(seed)
-    pts = model.sample_points(rng, n_points)
-    tangents = [model.tangent(p) for p in pts]
-    return sampled_reach(pts, tangents)

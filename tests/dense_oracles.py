@@ -155,10 +155,8 @@ def directed_hausdorff(a, b):
     return float(np.sqrt(best))
 
 
-def iterative_denoise(cloud, d, beta, kappa, spec, k_iters, tse_params_factory=None):
+def iterative_denoise(cloud, d, beta, kappa, spec, k_iters):
     """The denoising loop on the dense tangents, completion and slab counts."""
-    if tse_params_factory is None:
-        tse_params_factory = lambda h: TseParams(h=h, d=d)
     n_total = cloud.n
     hs = schedule(n_total, d, beta, kappa, k_iters).hs
     threshold = spec.t * math.log(n_total - 1)
@@ -166,7 +164,7 @@ def iterative_denoise(cloud, d, beta, kappa, spec, k_iters, tse_params_factory=N
     diags = []
     for k in range(k_iters + 1):
         pts = cloud.points[alive]
-        field_ = estimate_tangents(pts, tse_params_factory(hs[k]))
+        field_ = estimate_tangents(pts, TseParams(h=hs[k], d=d))
         inherited, stop_reason = len(field_.skipped), None
         if len(field_):
             counts = slab_counts(pts, complete(field_, pts), hs[k], spec)

@@ -1,0 +1,83 @@
+"""The lemma-check module: its close-pair sampler and its boundary with the estimator.
+
+The checks themselves are tested next to the code they are about
+(test_models, test_geometry, test_denoise).
+"""
+import ast
+import importlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import tdcrecon
+from tdcrecon.checks import circle_geodesic_distance, geodesic_pairs
+from tdcrecon.models import Circle
+
+ESTIMATOR_MODULES = ["_neighbours", "geometry", "models", "tangent", "denoise", "sparsify"]
+CHECK_NAMES = {"monte_carlo_reach", "geodesic_pairs", "CheckReport"}
+
+
+def test_estimator_modules_hold_no_checks():
+    for name in ESTIMATOR_MODULES:
+        module = importlib.import_module(f"tdcrecon.{name}")
+        names = set(vars(module))
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                names |= set(vars(obj))  # methods, such as a model's geodesic_pairs
+        leaked = {n for n in names if n.startswith("verify_") or n in CHECK_NAMES}
+        assert not leaked, f"tdcrecon.{name} defines {sorted(leaked)}"
+    # importing the estimator does not load the checks
+    src = str(Path(tdcrecon.__file__).resolve().parent.parent)
+    code = (
+        "import sys, tdcrecon.denoise, tdcrecon.sparsify; "
+        "print(sorted(m for m in sys.modules if m.startswith('tdcrecon')))"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    loaded = ast.literal_eval(out)
+    assert "tdcrecon.denoise" in loaded and "tdcrecon.sparsify" in loaded
+    assert "tdcrecon.checks" not in loaded
+
+
+class TestCircleGeodesicPairs:
+    def test_draws_scale_with_pairs_kept(self, monkeypatch):
+        # the loop once counted batches instead of pairs and drew about 2M
+        # candidate pairs for k = 2000
+        drawn = []
+        point = Circle.point
+
+        def counted(self, t):
+            drawn.append(np.size(t))
+            return point(self, t)
+
+        monkeypatch.setattr(Circle, "point", counted)
+        k, max_chord = 2000, 0.25
+        x, _, _ = geodesic_pairs(Circle(1.0), np.random.default_rng(13), k, max_chord)
+        assert len(x) == k
+        # a candidate pair is close with probability 2 arcsin(c / 2) / pi
+        accept = 2.0 * math.asin(max_chord / 2.0) / math.pi
+        pairs_drawn = sum(drawn) / 2
+        assert pairs_drawn <= 4.0 * k / accept
+
+    def test_first_close_pairs_of_the_stream(self):
+        # the batches are consecutive angle pairs of one stream, whatever
+        # their sizes: the result is the first k close pairs of that stream
+        circle, k, max_chord = Circle(1.0), 300, 0.25
+        x, y, geo = geodesic_pairs(circle, np.random.default_rng(5), k, max_chord)
+        t = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(20_000, 2))
+        p, q = circle.point(t[:, 0]), circle.point(t[:, 1])
+        close = np.flatnonzero(np.linalg.norm(p - q, axis=1) <= max_chord)[:k]
+        assert len(close) == k
+        assert np.array_equal(x, p[close]) and np.array_equal(y, q[close])
+        arcs = [circle_geodesic_distance(circle, a, b) for a, b in zip(x, y)]
+        assert np.allclose(geo, arcs, rtol=0.0, atol=1e-12)

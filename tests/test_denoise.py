@@ -5,6 +5,7 @@ import pytest
 
 from dense_oracles import field_of
 from tdcrecon import denoise
+from tdcrecon.checks import verify_slab_inclusion, verify_slab_separation
 from tdcrecon.denoise import (
     IterationDiagnostics,
     Schedule,
@@ -20,8 +21,6 @@ from tdcrecon.denoise import (
     schedule,
     sd_step,
     slab_counts,
-    verify_slab_inclusion,
-    verify_slab_separation,
 )
 from tdcrecon.geometry import Subspace
 from tdcrecon.models import Circle, SampleSpec, Torus, sample

@@ -3,17 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcrecon.geometry import (
-    Subspace,
-    hausdorff,
-    directed_hausdorff,
+from tdcrecon.checks import (
     perturbation_angle_bound_check,
-    principal_angle,
-    random_subspace,
     sampled_reach,
     subspace_rotation,
     symmetrize,
     top_eigenspace,
+)
+from tdcrecon.geometry import (
+    Subspace,
+    hausdorff,
+    directed_hausdorff,
+    principal_angle,
+    random_subspace,
 )
 from tdcrecon.tangent import TangentField
 

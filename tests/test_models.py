@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
 
+from tdcrecon.checks import (
+    circle_geodesic_distance,
+    monte_carlo_reach,
+    verify_ball_projection,
+    verify_geodesic_bounds,
+    verify_normal_offset,
+    verify_standardness,
+)
 from tdcrecon.geometry import principal_angle
 from tdcrecon.models import (
     Circle,
@@ -12,13 +20,8 @@ from tdcrecon.models import (
     default_k0,
     load_cloud_csv,
     make_model,
-    monte_carlo_reach,
     sample,
     save_cloud_csv,
-    verify_ball_projection,
-    verify_geodesic_bounds,
-    verify_normal_offset,
-    verify_standardness,
 )
 
 MODELS = [Circle(radius=1.0), Torus(2.0, 0.5), Sphere(radius=1.0)]
@@ -256,7 +259,7 @@ class TestGeodesicBounds:
     def test_coincident_pair_is_degenerate_zero(self):
         circle = Circle(1.0)
         x = circle.point(0.3)
-        assert circle.geodesic_distance(x[0], x[0]) == 0.0
+        assert circle_geodesic_distance(circle, x[0], x[0]) == 0.0
 
 
 class TestStandardness:

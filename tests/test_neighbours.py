@@ -28,7 +28,7 @@ from tdcrecon.denoise import (
     slab_counts,
 )
 from tdcrecon.geometry import Subspace, directed_hausdorff, hausdorff, random_subspace
-from tdcrecon.models import Circle, SampleSpec, Sphere, sample
+from tdcrecon.models import Circle, LabeledCloud, SampleSpec, Sphere, sample
 from tdcrecon.sparsify import farthest_point_sampling
 from tdcrecon.tangent import TseParams, estimate_tangents
 
@@ -599,15 +599,21 @@ class TestIterativeDenoiseOracle:
 
     def test_stop_when_nothing_estimable(self, monkeypatch):
         calls = count_searches(monkeypatch)
-        cloud, d, kappa, spec = denoise_case("circle-D2")
-        factory = lambda h: TseParams(h=h, d=1, min_neighbors=cloud.n)
-        keep, diags = iterative_denoise(cloud, d, 0.8, kappa, spec, 2, factory)
+        # 30 points 1 apart on a line: h_0 = (log 30 / (0.8 * 29))^(1/2) = 0.383,
+        # so no point has a neighbour within h_0
+        n, d, kappa = 30, 1, 1.0
+        points = np.zeros((n, 2))
+        points[:, 0] = np.arange(n)
+        cloud = LabeledCloud(points, np.ones(n, dtype=np.int8), SampleSpec(n=n, beta=0.8))
+        spec = SlabSpec(k1=0.5, k2=0.5, t=0.6)
+        assert schedule(n, d, 0.8, kappa, 0).hs[0] < 1.0
+        keep, diags = iterative_denoise(cloud, d, 0.8, kappa, spec, 2)
         assert keep == list(range(cloud.n))
         assert len(diags) == 1 and calls == ["query_pairs"]
         assert diags[0].survivors == cloud.n
         assert diags[0].inherited == 0
         assert diags[0].stop_reason == NO_TANGENT
-        assert (keep, diags) == dense.iterative_denoise(cloud, d, 0.8, kappa, spec, 2, factory)
+        assert (keep, diags) == dense.iterative_denoise(cloud, d, 0.8, kappa, spec, 2)
         assert '"stop_reason": "no tangent estimable"' in diagnostics_to_json(diags)
 
     def test_stop_when_nothing_survives(self):
