@@ -35,7 +35,7 @@ class SlabSpec:
     t: float  # survival threshold factor (times log(n-1))
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0 or self.t < 0:
+        if not (self.k1 > 0 and self.k2 > 0 and self.t >= 0):
             raise ValueError("need k1, k2 > 0 and t >= 0")
 
 
@@ -49,6 +49,8 @@ def lemma_slab_constants(
     """
     if ambient_dim <= d:
         raise ValueError("need ambient_dim > d")
+    if not rho > 0:
+        raise ValueError("need reach rho > 0")
     k = angle_constant
     k1 = 3.0 / (4.0 * d + 8.0 * k * math.sqrt(d))
     k2 = 1.0 / (4.0 * math.sqrt(ambient_dim - d) * max(rho, 1.0))
@@ -192,7 +194,7 @@ class Schedule:
 def schedule(n: int, d: int, beta: float, kappa: float, k_max: int) -> Schedule:
     if n < 3:
         raise ValueError("need n >= 3")
-    if not 0 < beta <= 1 or kappa <= 0 or d < 1 or k_max < 0:
+    if not (0 < beta <= 1 and kappa > 0) or d < 1 or k_max < 0:
         raise ValueError("invalid schedule parameters")
     gammas = [1.0 / (d + 1)]
     for _ in range(k_max):
@@ -228,6 +230,8 @@ def k_hat(distances_to_manifold: np.ndarray, sched: Schedule, rho: float) -> int
     Oracle diagnostic (uses ground-truth distances).  Returns 0 when no point
     lies beyond h_inf^2/rho.
     """
+    if not rho > 0:
+        raise ValueError("need reach rho > 0")
     d = np.asarray(distances_to_manifold, dtype=float)
     cut = sched.h_infinity**2 / rho
     far = d[d > cut]

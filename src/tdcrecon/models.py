@@ -87,7 +87,7 @@ class Circle(ManifoldModel):
     ambient_dim: int = 2
 
     def __post_init__(self):
-        if self.radius <= 0 or self.ambient_dim < 2:
+        if not self.radius > 0 or self.ambient_dim < 2:
             raise ValueError("need radius > 0 and ambient_dim >= 2")
 
     intrinsic_dim = 1
@@ -140,7 +140,7 @@ class Sphere(ManifoldModel):
     ambient_dim: int = 3
 
     def __post_init__(self):
-        if self.radius <= 0 or self.ambient_dim < 3:
+        if not self.radius > 0 or self.ambient_dim < 3:
             raise ValueError("need radius > 0 and ambient_dim >= 3")
 
     intrinsic_dim = 2
@@ -359,10 +359,8 @@ def sample(model: ManifoldModel, spec: SampleSpec) -> LabeledCloud:
     """Draw n points: signal uniform on M with probability beta, else uniform
     in the ball B(centroid, k0).  Bit-deterministic given the seed."""
     k0 = default_k0(model) if spec.k0 is None else spec.k0
-    if k0 < default_k0(model):
-        raise ValueError(
-            f"k0 = {k0} is below diameter + reach = {default_k0(model)}"
-        )
+    if not k0 >= default_k0(model):
+        raise ValueError(f"need k0 >= diameter + reach = {default_k0(model)}, got {k0}")
     rng = np.random.default_rng(spec.seed)
     labels = (rng.random(spec.n) < spec.beta).astype(np.int8)
     n_signal = int(labels.sum())

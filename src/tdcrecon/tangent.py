@@ -36,7 +36,7 @@ class TseParams:
     min_neighbors: int = 3
 
     def __post_init__(self):
-        if self.h <= 0:
+        if not self.h > 0:
             raise ValueError("need bandwidth h > 0")
         if self.d < 1:
             raise ValueError("need intrinsic dimension d >= 1")
@@ -49,7 +49,7 @@ def default_bandwidth(n: int, d: int, c: float = 1.0) -> float:
     """(c * log(n) / (n - 1)) ** (1/d)."""
     if n < 3:
         raise ValueError("need n >= 3")
-    if c <= 0:
+    if not c > 0:
         raise ValueError("need c > 0")
     return (c * math.log(n) / (n - 1)) ** (1.0 / d)
 
@@ -104,20 +104,25 @@ class TangentField:
         points = np.asarray(points, dtype=float)
         tree = cKDTree(points[self.indices])
         queries = points[self.skipped]
-        # the tree returns one of possibly several tied nearest estimates:
-        # gather every estimate within its distance (plus a margin above the
-        # tree's rounding) and keep, per query, the first at the least norm
-        nearest_dist, _ = tree.query(queries)
-        ties = tree.query_ball_point(queries, nearest_dist * (1.0 + 1e-9))
-        lengths = [len(t) for t in ties]
-        rows = np.repeat(np.arange(len(ties)), lengths)
-        cols = np.fromiter(chain.from_iterable(ties), dtype=np.intp, count=sum(lengths))
-        dist = np.linalg.norm(tree.data[cols] - queries[rows], axis=1)
-        # per query: least norm first, then the earliest estimate
-        order = np.lexsort((cols, dist, rows))
-        rows, cols = rows[order], cols[order]
-        first = np.flatnonzero(np.diff(rows, prepend=-1))
-        source = cols[first]
+        # the tree's nearest estimate is the one to inherit from unless the
+        # second nearest is as near, up to a margin above the tree's rounding
+        # (with a single estimate the second is at inf)
+        nearest_dist, nearest = tree.query(queries, k=2)
+        source = nearest[:, 0]
+        tied = np.flatnonzero(nearest_dist[:, 1] <= nearest_dist[:, 0] * (1.0 + 1e-9))
+        if len(tied):
+            # gather every estimate within that margin and keep, per query,
+            # the first at the least norm
+            ties = tree.query_ball_point(queries[tied], nearest_dist[tied, 0] * (1.0 + 1e-9))
+            lengths = [len(t) for t in ties]
+            rows = np.repeat(tied, lengths)
+            cols = np.fromiter(chain.from_iterable(ties), dtype=np.intp, count=sum(lengths))
+            dist = np.linalg.norm(tree.data[cols] - queries[rows], axis=1)
+            # per query: least norm first, then the earliest estimate
+            order = np.lexsort((cols, dist, rows))
+            rows, cols = rows[order], cols[order]
+            first = np.flatnonzero(np.diff(rows, prepend=-1))
+            source[rows[first]] = cols[first]
         indices = np.concatenate([self.indices, self.skipped])
         order = np.argsort(indices)
         bases = np.concatenate([self.bases, self.bases[source]])

@@ -74,6 +74,12 @@ class TestInSlab:
                 axis_rot @ x + shift, moved_sub, 0.2, spec, axis_rot @ y + shift
             )
 
+    @pytest.mark.parametrize("factor", ["k1", "k2", "t"])
+    def test_nan_factor_raises(self, factor):
+        factors = {"k1": 0.5, "k2": 0.25, "t": 1.0, factor: float("nan")}
+        with pytest.raises(ValueError, match="need k1, k2 > 0 and t >= 0"):
+            SlabSpec(**factors)
+
 
 def brute_force_sd_step(points, field_, h, spec, n_total):
     survivors = []
@@ -195,6 +201,16 @@ class TestSchedule:
             (2.0 * math.log(4000) / (0.8 * 3999)) ** 0.5
         )
 
+    def test_nan_kappa_raises(self):
+        # a NaN kappa made every bandwidth NaN: iterative_denoise kept every
+        # point and stopped with "no tangent estimable"
+        with pytest.raises(ValueError, match="invalid schedule parameters"):
+            schedule(n=200, d=1, beta=0.8, kappa=float("nan"), k_max=2)
+        cloud = sample(Circle(1.0), SampleSpec(n=200, beta=0.8, seed=5))
+        spec = default_slab_spec(1, 2, 1.0, t=0.4)
+        with pytest.raises(ValueError, match="invalid schedule parameters"):
+            iterative_denoise(cloud, d=1, beta=0.8, kappa=float("nan"), spec=spec, k_iters=2)
+
 
 class TestKDelta:
     def test_d2_oracle(self):
@@ -246,6 +262,11 @@ class TestKHat:
         s = self.make_sched()
         assert k_hat(np.array([0.04, 0.05]), s, rho=1.0) == 0
 
+    def test_nan_reach_raises(self):
+        # every distance compared below a NaN cut: k_hat used to return 0
+        with pytest.raises(ValueError, match="need reach rho > 0"):
+            k_hat(np.array([0.0, 0.01]), self.make_sched(), rho=float("nan"))
+
 
 class TestLemmaConstants:
     def test_values(self):
@@ -258,6 +279,11 @@ class TestLemmaConstants:
         spec = default_slab_spec(2, 3, rho=0.5, t=1.0)
         assert spec.k1 == pytest.approx(3.0 / (8.0 + 16.0 * math.sqrt(2.0)))
         assert spec.k2 == pytest.approx(0.25)
+
+    def test_nan_reach_raises(self):
+        # k2 and k3 used to come back NaN
+        with pytest.raises(ValueError, match="need reach rho > 0"):
+            lemma_slab_constants(1, 3, rho=float("nan"))
 
 
 class TestIterativeDenoise:

@@ -50,6 +50,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             Circle(-1.0)
 
+    @pytest.mark.parametrize("model", [Circle, Sphere])
+    def test_nan_radius_raises(self, model):
+        with pytest.raises(ValueError, match="need radius > 0"):
+            model(float("nan"))
+
 
 class TestProjection:
     def test_fixed_points(self):
@@ -181,6 +186,11 @@ class TestSampling:
             sample(Circle(1.0), SampleSpec(n=10, beta=0.5, k0=1.0, seed=0))
         ok = sample(Circle(1.0), SampleSpec(n=10, beta=0.5, k0=5.0, seed=0))
         assert ok.n == 10
+
+    def test_nan_k0_raises(self):
+        # a NaN outlier radius used to put NaN outliers into the cloud
+        with pytest.raises(ValueError, match="need k0 >= diameter"):
+            sample(Circle(1.0), SampleSpec(n=50, beta=0.5, k0=float("nan"), seed=0))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

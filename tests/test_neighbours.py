@@ -15,7 +15,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import dense_oracles as dense
-from tdcrecon import _neighbours
+from tdcrecon import _neighbours, sparsify
 from tdcrecon.denoise import (
     NO_SURVIVORS,
     NO_TANGENT,
@@ -28,7 +28,7 @@ from tdcrecon.denoise import (
     slab_counts,
 )
 from tdcrecon.geometry import Subspace, directed_hausdorff, hausdorff, random_subspace
-from tdcrecon.models import Circle, LabeledCloud, SampleSpec, Sphere, sample
+from tdcrecon.models import Circle, LabeledCloud, SampleSpec, Sphere, Torus, sample
 from tdcrecon.sparsify import farthest_point_sampling
 from tdcrecon.tangent import TseParams, estimate_tangents
 
@@ -505,6 +505,30 @@ class TestFarthestPointOracle:
         pts = lattice(range(6), range(5), range(3))
         assert farthest_point_sampling(pts, eps) == dense.farthest_point_sampling(pts, eps)
 
+    # one pick a round, two, and more than any cloud has points
+    @pytest.mark.parametrize("batch", [1, 2, 10_000])
+    def test_forced_round_sizes(self, monkeypatch, batch):
+        monkeypatch.setattr(sparsify, "_BATCH", batch)
+        for pts, _, _ in CLOUDS.values():
+            for eps in (0.05, 0.7):
+                assert farthest_point_sampling(pts, eps) == dense.farthest_point_sampling(pts, eps)
+        sphere = CLOUDS["D3-sphere"][0]
+        got = farthest_point_sampling(sphere, 0.3, start=77)
+        assert got == dense.farthest_point_sampling(sphere, 0.3, start=77)
+        # the largest distance ties with the round's cut on the lattice
+        grid = lattice(range(6), range(5), range(3))
+        for eps in (0.5, 1.0, 1.5, 2.0):
+            assert farthest_point_sampling(grid, eps, start=7) == dense.farthest_point_sampling(
+                grid, eps, start=7
+            )
+
+    def test_one_ball_query_per_round(self, monkeypatch):
+        calls = count_searches(monkeypatch, sparsify)
+        pts = sample(Torus(), SampleSpec(n=4000, seed=5)).points
+        net = farthest_point_sampling(pts, 0.1)
+        # one query per net point would be about 1.5k
+        assert calls.count("query_ball_point") <= len(net) / 8
+
 
 class TestHausdorffOracle:
     @pytest.mark.parametrize("big_d", [1, 3, 10])
@@ -542,8 +566,8 @@ def denoise_case(name):
     return cloud, 1, 8.0, SlabSpec(k1=1.5, k2=0.5, t=0.6)
 
 
-def count_searches(monkeypatch):
-    """Record, by method name, every search of a tree the neighbour layer builds from now on."""
+def count_searches(monkeypatch, module=_neighbours):
+    """Record, by method name, every search of a tree ``module`` builds from now on."""
     calls = []
 
     class Counted(cKDTree):
@@ -559,7 +583,7 @@ def count_searches(monkeypatch):
             calls.append("sparse_distance_matrix")
             return super().sparse_distance_matrix(*args, **kwargs)
 
-    monkeypatch.setattr(_neighbours, "cKDTree", Counted)
+    monkeypatch.setattr(module, "cKDTree", Counted)
     return calls
 
 

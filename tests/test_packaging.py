@@ -26,3 +26,9 @@ def test_script_targets_import():
 
 def test_version_matches_package():
     assert load()["project"]["version"] == tdcrecon.__version__
+
+
+def test_description_matches_package():
+    # the description used to advertise a complex the package does not build
+    summary = tdcrecon.__doc__.splitlines()[0].rstrip(".")
+    assert load()["project"]["description"].startswith(summary)

@@ -42,6 +42,11 @@ class TestTraces:
         with pytest.raises(ValueError):
             farthest_point_sampling(np.zeros((3, 2)), 0.5, start=3)
 
+    def test_nan_eps_raises(self):
+        # a NaN eps never stops the greedy: the loop used to run forever
+        with pytest.raises(ValueError, match="need eps > 0"):
+            farthest_point_sampling(np.zeros((3, 2)), float("nan"))
+
     def test_tie_break_lowest_index(self):
         pts = np.array([[0.0], [1.0], [-1.0]])
         assert farthest_point_sampling(pts, eps=0.5, start=0) == [0, 1, 2]

@@ -78,6 +78,11 @@ class TestDefaultBandwidth:
         with pytest.raises(ValueError):
             default_bandwidth(100, 1, c=0.0)
 
+    def test_nan_c_raises(self):
+        # the bandwidth used to come back NaN
+        with pytest.raises(ValueError, match="need c > 0"):
+            default_bandwidth(100, 1, c=float("nan"))
+
 
 class TestEstimateTangents:
     def test_collinear_points(self):
@@ -114,6 +119,10 @@ class TestEstimateTangents:
         field = estimate_tangents(pts, TseParams(h=0.3, d=1, min_neighbors=2))
         assert field.skipped.tolist() == [3]
         assert sorted(field.indices.tolist()) == [0, 1, 2]
+
+    def test_nan_bandwidth_raises(self):
+        with pytest.raises(ValueError, match="need bandwidth h > 0"):
+            TseParams(h=float("nan"), d=1)
 
     @pytest.mark.parametrize("min_neighbors", [0, -1])
     def test_min_neighbors_below_one_raises(self, min_neighbors):
@@ -214,6 +223,15 @@ class TestTangentField:
         assert not len(full.skipped)
         assert principal_angle(full.subspace_at(1), span([1, 0])) == 0.0
         assert principal_angle(full.subspace_at(2), span([0, 1])) == 0.0
+
+    def test_complete_from_one_estimate(self):
+        # the tree reports the missing second nearest estimate at inf
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
+        field = field_of([1], [span([0, 1])], skipped=[0, 2])
+        full = field.complete(pts)
+        assert full.indices.tolist() == [0, 1, 2]
+        for j in (0, 1, 2):
+            assert principal_angle(full.subspace_at(j), span([0, 1])) == 0.0
 
     def test_complete_empty_field_errors(self):
         field = field_of([], [], skipped=[0])
