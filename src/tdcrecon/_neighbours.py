@@ -17,11 +17,11 @@ row alone is wider; so every array of a block has a hard bound, however
 skewed the neighbour counts are.
 
 A denoising iteration asks it twice at one bandwidth: local PCA in the
-h-ball, then slab counts in the ball that holds each slab.  One search at the
-wider radius serves both (:class:`SharedNeighbours`): local PCA reads its
-blocks as they come, the slab counts read the pairs it kept, and each gets
-the neighbours, differences and membership that a search of its own would
-give.
+h-ball, then slab counts in the ball that holds each slab.  It runs one
+self-join at the wider radius and reads each block once for both
+(:mod:`.denoise`): the block's differences give the PCA bases of its rows
+and, with those bases, their slab counts.  Only the rows whose tangent is
+inherited are read again, from the same lists; there is no second reader.
 """
 from __future__ import annotations
 
@@ -46,8 +46,15 @@ def check_finite(x: np.ndarray, name: str) -> None:
 
 
 def check_indices(indices, n: int) -> np.ndarray:
-    """``indices`` as an index array; ValueError names one outside [0, n)."""
-    indices = np.asarray(indices, dtype=np.intp)
+    """``indices`` as an index array; ValueError names one outside [0, n).
+
+    Only integer input is taken: a boolean mask or a float would otherwise be
+    read as the indices 0 and 1, or rounded towards zero.
+    """
+    indices = np.asarray(indices)
+    if indices.size and not np.issubdtype(indices.dtype, np.integer):
+        raise ValueError(f"indices must be integers, got dtype {indices.dtype}")
+    indices = indices.astype(np.intp, copy=False)
     bad = indices[(indices < 0) | (indices >= n)]
     if bad.size:
         raise ValueError(f"index {bad[0]} is outside [0, {n})")
@@ -100,9 +107,9 @@ def _chunks(widths: np.ndarray, big_d: int):
 def _blocks(points: np.ndarray, indptr: np.ndarray, cols: np.ndarray, targets: np.ndarray):
     """Padded neighbour blocks of ``points[targets]``, before the exact test.
 
-    Yields ``(chunk, at, listed, nbr, diff, d2)`` per block, as
+    Yields ``(chunk, listed, nbr, diff, d2)`` per block, as
     :func:`ball_blocks` does; ``listed`` marks the slots that are not
-    padding and ``at`` gives their positions in ``cols``.
+    padding.
     """
     starts = indptr[targets]
     widths = indptr[targets + 1] - starts
@@ -115,15 +122,10 @@ def _blocks(points: np.ndarray, indptr: np.ndarray, cols: np.ndarray, targets: n
         listed = slot < c[:, None]
         nbr = np.where(listed, np.take(cols, at, mode="clip"), own[:, None])
         # padding is the target itself: its differences are exactly zero
-        diff = points[nbr] - points[own][:, None]
+        diff = np.take(points, nbr, axis=0)
+        diff -= points[own][:, None]
         d2 = np.einsum("rwi,rwi->rw", diff, diff)
-        yield chunk, at, listed, nbr, diff, d2
-
-
-def _within(blocks, r2: float):
-    """The blocks of :func:`_blocks` with the exact test ``d2 <= r2`` on listed slots."""
-    for chunk, _, listed, nbr, diff, d2 in blocks:
-        yield chunk, nbr, diff, d2, listed & (d2 <= r2)
+        yield chunk, listed, nbr, diff, d2
 
 
 def ball_blocks(points: np.ndarray, targets: np.ndarray, r2: float):
@@ -147,68 +149,5 @@ def ball_blocks(points: np.ndarray, targets: np.ndarray, r2: float):
     points = np.asarray(points, dtype=float)
     targets = check_indices(targets, len(points))
     indptr, cols = _candidates(points, r2)
-    yield from _within(_blocks(points, indptr, cols, targets), r2)
-
-
-class SharedNeighbours:
-    """One ball search of a cloud, read twice: once as it runs, then from lists.
-
-    The search covers the closed balls of squared radius ``r2`` around every
-    point of ``points``.  The first :meth:`blocks` call runs it and gets its
-    blocks as they come; meanwhile the pairs within squared radius
-    ``keep_r2`` are kept as index lists, and later calls are served from
-    them.  Either way a call yields what :func:`ball_blocks` yields for its
-    targets and radius: the same neighbours inside the ball in the same
-    order, with the same differences and squared distances, though padded
-    and chunked in its own way.
-    """
-
-    def __init__(self, points: np.ndarray, r2: float, keep_r2: float):
-        points = np.asarray(points, dtype=float)
-        check_finite(points, "points")
-        if keep_r2 > r2:
-            raise ValueError(f"kept squared radius {keep_r2} exceeds the search's {r2}")
-        self.points, self.r2, self.keep_r2 = points, r2, keep_r2
-        self.indptr = self.cols = None
-        self._searched = False
-
-    def blocks(self, points: np.ndarray, targets: np.ndarray, r2: float):
-        """:func:`ball_blocks` of ``points[targets]`` against the cloud.
-
-        ``points`` must be the cloud of the search.  The first call must ask
-        for every point in index order and ``r2`` up to the search's squared
-        radius; later calls may ask for any points and ``r2`` up to
-        ``keep_r2``.
-        """
-        if points is not self.points and not np.array_equal(points, self.points):
-            raise ValueError("the neighbour search ran on another cloud")
-        targets = check_indices(targets, len(self.points))
-        if not self._searched:
-            if not np.array_equal(targets, np.arange(len(self.points))) or r2 > self.r2:
-                raise ValueError(
-                    "the first reader must ask for every point, in index order, "
-                    f"within squared radius {self.r2}"
-                )
-            self._searched = True
-            return self._search(targets, r2)
-        if self.cols is None:
-            raise ValueError("the first reader stopped before the search ended")
-        if r2 > self.keep_r2:
-            raise ValueError(f"squared radius {r2} exceeds the kept {self.keep_r2}")
-        return _within(_blocks(self.points, self.indptr, self.cols, targets), r2)
-
-    def _search(self, every: np.ndarray, r2: float):
-        indptr, cols = _candidates(self.points, self.r2)
-        # the listed pairs within keep_r2, marked as their blocks pass, and
-        # how many each point has
-        kept = np.zeros(len(cols), dtype=bool)
-        lengths = np.zeros(len(every), dtype=np.intp)
-        for chunk, at, listed, nbr, diff, d2 in _blocks(self.points, indptr, cols, every):
-            keep = listed & (d2 <= self.keep_r2)
-            kept[at[keep]] = True
-            lengths[chunk] = keep.sum(axis=1)
-            yield chunk, nbr, diff, d2, listed & (d2 <= r2)
-        self.indptr = np.concatenate([[0], np.cumsum(lengths)])
-        # the narrowest unsigned type for the kept indices: at n=100k in
-        # D=10 they number tens of millions
-        self.cols = cols[kept].astype(np.min_scalar_type(max(len(every) - 1, 0)))
+    for chunk, listed, nbr, diff, d2 in _blocks(points, indptr, cols, targets):
+        yield chunk, nbr, diff, d2, listed & (d2 <= r2)

@@ -8,10 +8,13 @@ gamma_{k+1} = (2*gamma_k + 1) / (d + 2), gamma_0 = 1/(d+1), whose fixed point
 is 1/d.
 
 The slab at bandwidth h lies in the ball of radius sqrt((k1 h)^2 + (k2 h^2)^2),
-so each iteration runs one neighbour search, at the larger of that radius and
-the tangent bandwidth, and its lists serve both the local-PCA tangents and the
-slab counts (:class:`._neighbours.SharedNeighbours`).  The search is one
-KD-tree self-join of the surviving cloud, which finds each pair once.
+so each iteration runs one neighbour search of the surviving cloud, a KD-tree
+self-join at the larger of that radius and the tangent bandwidth, and reads
+its neighbour blocks in one pass: each block gives the local-PCA bases of its
+rows and, with those bases, the rows' slab counts.  Only the points whose
+tangent is inherited from the nearest estimate are read a second time, from
+the same lists, once :meth:`.TangentField.complete` has filled them in.  The
+lists are dropped before the next iteration searches.
 """
 from __future__ import annotations
 
@@ -25,7 +28,9 @@ from . import _neighbours
 from ._neighbours import check_finite
 from .geometry import Subspace
 from .models import LabeledCloud
-from .tangent import TangentField, TseParams, estimate_tangents
+from .tangent import TangentField, TseParams, _block_bases
+# still importable from here, where the benchmark's tracer wraps it
+from .tangent import estimate_tangents  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -66,16 +71,19 @@ def default_slab_spec(
 
 
 def _slab_mask(
-    diff: np.ndarray, basis: np.ndarray, h: float, spec: SlabSpec
+    diff: np.ndarray, basis: np.ndarray, h: float, spec: SlabSpec, d2: np.ndarray | None = None
 ) -> np.ndarray:
     """Closed slab membership of offsets from slab centres, one per row of ``diff``.
 
     ``basis`` is the D x d tangent basis shared by every row, or a stack of
-    bases that broadcasts against the rows of ``diff``.
+    bases, one per matrix of rows: (..., D, d) against ``diff`` (..., rows, D).
+    ``d2``, the squared lengths of the rows, is computed when not given.
     """
-    tang = np.einsum("...i,...ij->...j", diff, basis)
+    if d2 is None:
+        d2 = np.einsum("...i,...i->...", diff, diff)
+    tang = np.matmul(diff, basis)
     tang2 = np.einsum("...j,...j->...", tang, tang)
-    norm2 = np.einsum("...i,...i->...", diff, diff) - tang2
+    norm2 = d2 - tang2
     return (tang2 <= (spec.k1 * h) ** 2) & (np.maximum(norm2, 0.0) <= (spec.k2 * h * h) ** 2)
 
 
@@ -83,6 +91,14 @@ def in_slab(x: np.ndarray, tangent: Subspace, h: float, spec: SlabSpec, y) -> bo
     """Closed-condition membership of y in the slab at x with direction T."""
     diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
     return bool(_slab_mask(diff[None, :], tangent.basis, h, spec)[0])
+
+
+def _slab_hits(diff, d2, inside, bases, h: float, spec: SlabSpec) -> np.ndarray:
+    """Per row of a neighbour block, the slots ``inside`` that lie in the row's slab.
+
+    ``bases`` holds one tangent basis per row.
+    """
+    return np.count_nonzero(inside & _slab_mask(diff, bases, h, spec, d2), axis=1)
 
 
 def _slab_ball_r2(h: float, spec: SlabSpec) -> float:
@@ -94,20 +110,11 @@ def _slab_ball_r2(h: float, spec: SlabSpec) -> float:
     return ((spec.k1 * h) ** 2 + (spec.k2 * h * h) ** 2) * (1.0 + 1e-12)
 
 
-def slab_counts(
-    points: np.ndarray,
-    field_: TangentField,
-    h: float,
-    spec: SlabSpec,
-    *,
-    neighbours: _neighbours.SharedNeighbours | None = None,
-) -> np.ndarray:
+def slab_counts(points: np.ndarray, field_: TangentField, h: float, spec: SlabSpec) -> np.ndarray:
     """Number of cloud points inside each point's slab (self included).
 
     Only the points of ``field_`` get a count; their rows are read from a
-    search of the whole cloud.  ``neighbours``, a search of ``points`` that
-    keeps the pairs in the ball around each slab, replaces the call's own
-    search.
+    search of the whole cloud.
     """
     points = np.asarray(points, dtype=float)
     check_finite(points, "points")
@@ -116,41 +123,77 @@ def slab_counts(
         return counts
     centres, bases = field_.indices, field_.bases
     r2 = _slab_ball_r2(h, spec)
-    if neighbours is None:
-        blocks = _neighbours.ball_blocks(points, centres, r2)
-    else:
-        blocks = neighbours.blocks(points, centres, r2)
     # every centre lies in its own slab
     found = np.ones(len(centres), dtype=int)
-    for chunk, _, diff, _, inside in blocks:
-        hit = inside & _slab_mask(diff, bases[chunk, None], h, spec)
-        found[chunk] += hit.sum(axis=1)
+    for chunk, _, diff, d2, inside in _neighbours.ball_blocks(points, centres, r2):
+        found[chunk] += _slab_hits(diff, d2, inside, bases[chunk], h, spec)
     counts[centres] = found
     return counts
 
 
 def sd_step(
-    points: np.ndarray,
-    field_: TangentField,
-    h: float,
-    spec: SlabSpec,
-    n_total: int,
-    *,
-    neighbours: _neighbours.SharedNeighbours | None = None,
+    points: np.ndarray, field_: TangentField, h: float, spec: SlabSpec, n_total: int
 ) -> list[int]:
     """One denoising pass: keep index j iff its slab count >= t * log(n-1).
 
     ``n_total`` is the original sample size; the threshold does not shrink as
-    points are removed across iterations.  ``neighbours`` go to
-    :func:`slab_counts`.
+    points are removed across iterations.
     """
     if n_total < 3:
         raise ValueError("need n >= 3")
     if not np.array_equal(np.sort(field_.indices), np.arange(len(points))):
         raise ValueError("tangent field must cover every point of the cloud")
     threshold = spec.t * math.log(n_total - 1)
-    counts = slab_counts(points, field_, h, spec, neighbours=neighbours)
+    counts = slab_counts(points, field_, h, spec)
     return np.flatnonzero(counts >= threshold).tolist()
+
+
+def _tangents_and_slab_counts(
+    points: np.ndarray, params: TseParams, spec: SlabSpec
+) -> tuple[TangentField, np.ndarray | None, int]:
+    """Local-PCA tangents and slab counts of every point, from one neighbour search.
+
+    Returns what ``estimate_tangents(points, params)`` returns, the counts
+    that :func:`slab_counts` gives on its completed field (None when no
+    tangent is estimable), and the number of (point, neighbour) pairs within
+    h, each point left out of its own.  One self-join at the wider of h and
+    the slab ball is read once: each block gives the bases of its estimable
+    rows, and those rows count their slabs with the bases just computed, on
+    the same differences.  The skipped rows are read again from the same
+    lists once they have inherited a basis.
+    """
+    n, big_d = points.shape
+    h = params.h
+    h2, slab_r2 = h * h, _slab_ball_r2(h, spec)
+    indptr, cols = _neighbours._candidates(points, max(h2, slab_r2))
+    every = np.arange(n)
+    bases = np.empty((n, big_d, params.d))
+    estimated = np.zeros(n, dtype=bool)
+    # every point lies in its own slab
+    counts = np.ones(n, dtype=int)
+    neighbours = 0
+    for chunk, listed, _, diff, d2 in _neighbours._blocks(points, indptr, cols, every):
+        near = listed & (d2 <= h2)
+        neighbours += int(np.count_nonzero(near))
+        ok, block = _block_bases(diff, near, params, n)
+        if block is None:
+            continue
+        if not ok.all():
+            chunk, listed, diff, d2 = chunk[ok], listed[ok], diff[ok], d2[ok]
+        bases[chunk] = block
+        estimated[chunk] = True
+        counts[chunk] += _slab_hits(diff, d2, listed & (d2 <= slab_r2), block, h, spec)
+    field_ = TangentField(every[estimated], bases[estimated], skipped=every[~estimated])
+    if not len(field_):
+        return field_, None, neighbours
+    if len(field_.skipped):
+        # the completed field covers every point, in index order
+        inherited, skipped = field_.complete(points).bases, field_.skipped
+        for chunk, listed, _, diff, d2 in _neighbours._blocks(points, indptr, cols, skipped):
+            rows = skipped[chunk]
+            inside = listed & (d2 <= slab_r2)
+            counts[rows] += _slab_hits(diff, d2, inside, inherited[rows], h, spec)
+    return field_, counts, neighbours
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +315,11 @@ class IterationDiagnostics:
     false_positives: int | None = None  # outliers kept
     inherited: int = 0  # tangents skipped at h and filled from the nearest estimate
     stop_reason: str | None = None  # why the loop ended at this iteration, if it did
+    threshold: float | None = None  # slab count a point needs to survive, t log(n-1)
+    # 5th and 50th percentiles of the slab counts (None when none were counted)
+    slab_p05: float | None = None
+    slab_p50: float | None = None
+    neighbours_mean: float | None = None  # mean neighbours within h, self excluded
 
 
 def diagnostics_to_json(diags: list[IterationDiagnostics]) -> str:
@@ -285,6 +333,10 @@ def diagnostics_to_json(diags: list[IterationDiagnostics]) -> str:
                 "false_positives": d.false_positives,
                 "inherited": d.inherited,
                 "stop_reason": d.stop_reason,
+                "threshold": d.threshold,
+                "slab_p05": d.slab_p05,
+                "slab_p50": d.slab_p50,
+                "neighbours_mean": d.neighbours_mean,
             }
             for d in diags
         ]
@@ -303,26 +355,31 @@ def iterative_denoise(
 
     Returns surviving indices into the original cloud plus per-iteration
     diagnostics (confusion counts when labels are available).  Each iteration
-    searches the surviving cloud once, and the tangents and slab counts share
-    the neighbour lists.  When no tangent can be estimated, or no point
-    survives, the loop stops; that iteration's diagnostics give the reason.
+    searches the surviving cloud once and reads each neighbour block once for
+    both the tangents and the slab counts.  When no tangent can be estimated,
+    or no point survives, the loop stops; that iteration's diagnostics give
+    the reason.
     """
     if k_iters < 0:
         raise ValueError("need k_iters >= 0")
+    points = np.asarray(cloud.points, dtype=float)
+    check_finite(points, "points")
+    if d > points.shape[1]:
+        raise ValueError(f"need d <= ambient dimension, got d={d} in R^{points.shape[1]}")
     n_total = cloud.n
     sched = schedule(n_total, d, beta, kappa, k_iters)
+    threshold = spec.t * math.log(n_total - 1)
     alive = np.arange(n_total)
     diags: list[IterationDiagnostics] = []
     for k in range(k_iters + 1):
         h = sched.h_at(k)
-        pts = cloud.points[alive]
-        slab_r2 = _slab_ball_r2(h, spec)
-        neighbours = _neighbours.SharedNeighbours(pts, max(h * h, slab_r2), keep_r2=slab_r2)
-        field_ = estimate_tangents(pts, TseParams(h=h, d=d), neighbours=neighbours)
+        pts = points[alive]
+        field_, counts, neighbours = _tangents_and_slab_counts(pts, TseParams(h=h, d=d), spec)
         inherited, stop_reason = len(field_.skipped), None
-        if len(field_):
-            field_ = field_.complete(pts)
-            alive = alive[sd_step(pts, field_, h, spec, n_total, neighbours=neighbours)]
+        slab_p05 = slab_p50 = None
+        if counts is not None:
+            slab_p05, slab_p50 = (float(np.percentile(counts, q)) for q in (5.0, 50.0))
+            alive = alive[counts >= threshold]
             if alive.size == 0:
                 stop_reason = NO_SURVIVORS
         else:
@@ -340,6 +397,10 @@ def iterative_denoise(
                 false_positives=fp,
                 inherited=inherited,
                 stop_reason=stop_reason,
+                threshold=threshold,
+                slab_p05=slab_p05,
+                slab_p50=slab_p50,
+                neighbours_mean=neighbours / len(pts),
             )
         )
         if stop_reason is not None:

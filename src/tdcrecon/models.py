@@ -10,6 +10,7 @@ Labels: 1 = signal (drawn on the manifold), 0 = outlier.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -398,9 +399,11 @@ def save_cloud_csv(path, points: np.ndarray, labels: np.ndarray | None = None) -
 def load_cloud_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     with open(path) as f:
         has_labels = f.readline().strip().split(",")[-1] == "label"
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
-    if data.size == 0:
-        raise ValueError(f"no points in {path}")
+        # a file of no rows fails here, before numpy warns that it read nothing
+        first = next((line for line in f if line.strip()), None)
+        if first is None:
+            raise ValueError(f"no points in {path}")
+        data = np.loadtxt(itertools.chain([first], f), delimiter=",", ndmin=2)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"non-finite coordinates in {path}")
     if has_labels:

@@ -10,9 +10,10 @@ which finds each neighbor pair once, so the work grows with the number of
 neighbor pairs, not with n^2.  They are read in padded blocks of a bounded
 size, targets of similar neighbor counts together, and the covariances of a
 block are formed together; each block's eigenvectors go straight into the
-field's (m, D, d) array of bases.  Inside a denoising iteration that
-self-join is the one search whose neighbor lists the slab counts share; a
-standalone call runs its own.
+field's (m, D, d) array of bases.  The block arithmetic is
+:func:`_block_bases`; a denoising iteration runs it on the blocks of its own
+single pass, which also count the slabs (:mod:`.denoise`), so there is one
+read of each block per iteration.  A standalone call runs its own search.
 """
 from __future__ import annotations
 
@@ -49,6 +50,8 @@ def default_bandwidth(n: int, d: int, c: float = 1.0) -> float:
     """(c * log(n) / (n - 1)) ** (1/d)."""
     if n < 3:
         raise ValueError("need n >= 3")
+    if d < 1:
+        raise ValueError("need d >= 1")
     if not c > 0:
         raise ValueError("need c > 0")
     return (c * math.log(n) / (n - 1)) ** (1.0 / d)
@@ -144,53 +147,62 @@ class TangentField:
         return cls([e["index"] for e in entries], bases if bases else np.zeros((0, 1, 1)))
 
 
+def _block_bases(
+    diff: np.ndarray, near: np.ndarray, params: TseParams, n: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Local-PCA bases of the rows of one padded neighbor block.
+
+    ``diff`` is a (rows, width, D) block of neighbor offsets from each row's
+    target, in increasing index order, and ``near`` marks the slots inside
+    the h-ball; ``n`` is the size of the cloud.  Returns ``ok``, the rows
+    with at least ``params.min_neighbors`` neighbors, and the (rows with ok,
+    D, d) stack of their bases, or None when no row has enough.
+    """
+    counts = near.sum(axis=1)
+    ok = counts >= params.min_neighbors
+    if not np.any(ok):
+        return ok, None
+    # each estimable target's neighbor offsets, zero wherever a slot holds
+    # no neighbor
+    if ok.all():
+        w = diff.copy()
+    else:
+        w, near, counts = diff[ok], near[ok], counts[ok]
+    w[~near] = 0.0
+    means = np.einsum("cwi->ci", w) / counts[:, None]
+    # sum of outer products minus the rank-one mean correction
+    scatter = np.matmul(w.transpose(0, 2, 1), w)
+    scatter -= counts[:, None, None] * np.einsum("ca,cb->cab", means, means)
+    cov = scatter / (n - 1)
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    _, eigvecs = np.linalg.eigh(cov)
+    return ok, eigvecs[:, :, ::-1][:, :, : params.d]
+
+
 def estimate_tangents(
-    points: np.ndarray,
-    params: TseParams,
-    subset: list[int] | None = None,
-    *,
-    neighbours: _neighbours.SharedNeighbours | None = None,
+    points: np.ndarray, params: TseParams, subset: list[int] | None = None
 ) -> TangentField:
     """Local-PCA tangent field over the whole cloud or a subset of indices.
 
-    The neighbor pool is always the full cloud; ``subset`` only selects where
-    estimates are produced, and its rows are read from a search of the whole
-    cloud.  ``neighbours``, a search of ``points`` that reaches radius h,
-    replaces the call's own search.
+    The neighbor pool is always the full cloud; ``subset``, integer indices,
+    only selects where estimates are produced, and its rows are read from a
+    search of the whole cloud.
     """
     points = np.asarray(points, dtype=float)
     check_finite(points, "points")
     n, big_d = points.shape
     if params.d > big_d:
         raise ValueError(f"need d <= ambient dimension, got d={params.d} in R^{big_d}")
-    targets = np.arange(n) if subset is None else np.asarray(subset, dtype=np.intp)
+    targets = np.arange(n) if subset is None else _neighbours.check_indices(subset, n)
     # row k of bases holds the estimate at targets[k] once estimated[k] is set
     bases = np.empty((len(targets), big_d, params.d))
     estimated = np.zeros(len(targets), dtype=bool)
     h2 = params.h * params.h
-    if neighbours is None:
-        blocks = _neighbours.ball_blocks(points, targets, h2)
-    else:
-        blocks = neighbours.blocks(points, targets, h2)
-    for chunk, _, diff, _, inside in blocks:
-        counts = inside.sum(axis=1)
-        ok = counts >= params.min_neighbors
-        if not np.any(ok):
-            continue
-        # each estimable target's neighbor offsets in increasing index order,
-        # zero wherever a slot holds no neighbor
-        w = np.where(inside[:, :, None], diff, 0.0)
-        if not ok.all():
-            w, counts = w[ok], counts[ok]
-        means = w.sum(axis=1) / counts[:, None]
-        # sum of outer products minus the rank-one mean correction
-        scatter = np.matmul(w.transpose(0, 2, 1), w)
-        scatter -= counts[:, None, None] * np.einsum("ca,cb->cab", means, means)
-        cov = scatter / (n - 1)
-        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        bases[chunk[ok]] = eigvecs[:, :, ::-1][:, :, : params.d]
-        estimated[chunk[ok]] = True
+    for chunk, _, diff, _, inside in _neighbours.ball_blocks(points, targets, h2):
+        ok, block = _block_bases(diff, inside, params, n)
+        if block is not None:
+            bases[chunk[ok]] = block
+            estimated[chunk[ok]] = True
     return TangentField(
         indices=targets[estimated], bases=bases[estimated], skipped=targets[~estimated]
     )

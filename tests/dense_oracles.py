@@ -4,7 +4,8 @@ Each function scans every point for every query, as the library did before
 its KD-tree neighbour layer; the tests require the library to return what
 these return.  ``local_covariance`` is the covariance of one point's ball,
 whose top eigenvectors ``estimate_tangents`` must span.  ``iterative_denoise``
-runs the denoising loop on these dense stages, each with a scan of its own.
+runs the denoising loop on these dense stages, each with a scan of its own,
+and scans once more for each iteration's neighbour counts.
 ``field_of`` and ``subspaces`` convert between a tangent field and the list
 of ``Subspace`` objects the tests write fields with.
 """
@@ -166,13 +167,19 @@ def iterative_denoise(cloud, d, beta, kappa, spec, k_iters):
         pts = cloud.points[alive]
         field_ = estimate_tangents(pts, TseParams(h=hs[k], d=d))
         inherited, stop_reason = len(field_.skipped), None
+        slab_p05 = slab_p50 = None
         if len(field_):
             counts = slab_counts(pts, complete(field_, pts), hs[k], spec)
+            slab_p05 = float(np.percentile(counts, 5.0))
+            slab_p50 = float(np.percentile(counts, 50.0))
             alive = alive[counts >= threshold]
             if alive.size == 0:
                 stop_reason = NO_SURVIVORS
         else:
             inherited, stop_reason = 0, NO_TANGENT
+        # the pairs within h, each point's pair with itself left out
+        rows = ball_pairs(pts, np.arange(len(pts)), hs[k] * hs[k])[0]
+        neighbours = len(rows) - len(pts)
         labels = cloud.labels[alive]
         diags.append(
             IterationDiagnostics(
@@ -183,6 +190,10 @@ def iterative_denoise(cloud, d, beta, kappa, spec, k_iters):
                 false_positives=int(np.sum(labels == 0)),
                 inherited=inherited,
                 stop_reason=stop_reason,
+                threshold=threshold,
+                slab_p05=slab_p05,
+                slab_p50=slab_p50,
+                neighbours_mean=neighbours / len(pts),
             )
         )
         if stop_reason is not None:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,16 @@ class TestCsv:
         got_pts, got_labels = load_cloud_csv(path)
         assert np.array_equal(got_pts, pts)
         assert np.array_equal(got_labels, [1])
+
+    @pytest.mark.parametrize("rest", ["", "\n\n"])
+    def test_header_only_raises_without_warning(self, tmp_path, rest):
+        # numpy used to warn that it read no data before the "no points" error
+        path = tmp_path / "cloud.csv"
+        path.write_text("x0,x1,label\n" + rest)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no points"):
+                load_cloud_csv(path)
 
     @pytest.mark.parametrize("n_labels", [2, 5])
     def test_label_count_mismatch(self, tmp_path, n_labels):

@@ -8,6 +8,7 @@ counts share one search per iteration, must return what the loop over the
 dense stages returns.
 """
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from tdcrecon.denoise import (
     NO_TANGENT,
     SlabSpec,
     _slab_ball_r2,
+    _tangents_and_slab_counts,
     default_slab_spec,
     diagnostics_to_json,
     iterative_denoise,
@@ -271,82 +273,97 @@ class TestOutOfRangeIndices:
             slab_counts(self.pts, field, 0.3, SlabSpec(0.5, 0.5, 1.0))
 
 
+class TestNonIntegerIndices:
+    pts = CLOUDS["D3-sphere"][0][:50]
+    params = TseParams(h=0.3, d=2)
+
+    def test_boolean_mask_raises(self):
+        # a mask with 3 True entries used to give 50 estimates at indices 0 and 1
+        mask = np.zeros(50, dtype=bool)
+        mask[[4, 9, 30]] = True
+        with pytest.raises(ValueError, match="must be integers, got dtype bool"):
+            estimate_tangents(self.pts, self.params, subset=mask)
+
+    def test_float_indices_raise(self):
+        # [1.7, 2.2] used to be read as [1, 2]
+        with pytest.raises(ValueError, match="must be integers, got dtype float64"):
+            estimate_tangents(self.pts, self.params, subset=[1.7, 2.2])
+
+    def test_empty_subset(self):
+        field = estimate_tangents(self.pts, self.params, subset=[])
+        assert len(field) == 0 and len(field.skipped) == 0
+
+
+def assert_pass_matches_stages(pts, params, spec):
+    """The one-pass tangents and slab counts hold the bits of the separate stages.
+
+    The stages are ``estimate_tangents``, ``complete`` and ``slab_counts``,
+    each with a search of its own; the neighbour total is the dense count of
+    pairs within h.  Returns the pass's field.
+    """
+    field, counts, neighbours = _tangents_and_slab_counts(pts, params, spec)
+    want = estimate_tangents(pts, params)
+    for got_array, want_array in zip(
+        (field.indices, field.bases, field.skipped), (want.indices, want.bases, want.skipped)
+    ):
+        assert got_array.tobytes() == want_array.tobytes()
+    if len(want):
+        want_counts = slab_counts(pts, want.complete(pts), params.h, spec)
+        assert counts.tobytes() == want_counts.tobytes()
+    else:
+        assert counts is None
+    rows = dense.ball_pairs(pts, np.arange(len(pts)), params.h * params.h)[0]
+    assert neighbours == len(rows) - len(pts)
+    return field
+
+
+# slab balls narrower and wider than the tangent bandwidth h
+NARROW_SLAB = SlabSpec(k1=0.5, k2=0.5, t=1.0)
+WIDE_SLAB = SlabSpec(k1=1.5, k2=0.5, t=1.0)
+
+
 class TestSharedNeighbours:
-    pts = CLOUDS["D3-sphere"][0]
+    """One neighbour search per denoising iteration, shared by tangents and slab counts.
+
+    Each block of the search is read once for the local-PCA bases of its
+    rows and, with those bases, their slab counts; the skipped rows are read
+    again from the same lists once they inherit a basis.  Either way the
+    results are those of the separate stages, each with a search of its own.
+    """
 
     def test_both_readers_match_own_searches(self):
-        every = np.arange(len(self.pts))
-        shared = _neighbours.SharedNeighbours(self.pts, 0.09, keep_r2=0.04)
-        assert_same_pairs(
-            shared.blocks(self.pts, every, 0.0625),
-            every,
-            dense.ball_pairs(self.pts, every, 0.0625),
-        )
-        subset = np.array([7, 3, 3, 400])
-        assert_same_pairs(
-            shared.blocks(self.pts, subset, 0.04), subset, dense.ball_pairs(self.pts, subset, 0.04)
-        )
-        assert_same_pairs(
-            shared.blocks(self.pts, every, 0.01),
-            every,
-            flatten(_neighbours.ball_blocks(self.pts, every, 0.01), every),
-        )
+        for name, spec in itertools.product(sorted(CLOUDS), (NARROW_SLAB, WIDE_SLAB)):
+            pts, h, d = CLOUDS[name]
+            field = assert_pass_matches_stages(pts, TseParams(h=h, d=d), spec)
+            assert len(field)
 
     def test_lattice_radii_hit_exactly(self):
-        # integer squared distances: the stream at 2 and the kept pairs at 1
-        # both have pairs on their spheres
+        # integer squared distances: neighbours on the h-sphere, and slab
+        # points on both faces of the slab (tangential 1, normal 1)
         pts = lattice(range(5), range(4), range(3))
-        every = np.arange(len(pts))
-        shared = _neighbours.SharedNeighbours(pts, 2.0, keep_r2=1.0)
-        assert_same_pairs(shared.blocks(pts, every, 2.0), every, dense.ball_pairs(pts, every, 2.0))
-        assert_same_pairs(shared.blocks(pts, every, 1.0), every, dense.ball_pairs(pts, every, 1.0))
+        for h, spec in [(1.0, SlabSpec(k1=1.0, k2=1.0, t=1.0)), (2.0, SlabSpec(0.5, 0.25, 1.0))]:
+            assert_pass_matches_stages(pts, TseParams(h=h, d=2, min_neighbors=4), spec)
 
     def test_kept_radius_equal_to_search(self):
-        pts, every, r2 = PAIR_CASES["lattice-r2"]
-        shared = _neighbours.SharedNeighbours(pts, r2, keep_r2=r2)
-        assert_same_pairs(shared.blocks(pts, every, r2), every, dense.ball_pairs(pts, every, r2))
-        subset = np.array([59, 0, 17, 17, 30])
-        assert_same_pairs(
-            shared.blocks(pts, subset, r2), subset, dense.ball_pairs(pts, subset, r2)
-        )
-        assert_same_pairs(shared.blocks(pts, every, 1.0), every, dense.ball_pairs(pts, every, 1.0))
+        # the slab ball is the search radius and the h-ball lies inside it
+        pts, h, d = CLOUDS["D10-circle"]
+        assert _slab_ball_r2(h, WIDE_SLAB) > h * h
+        field = assert_pass_matches_stages(pts, TseParams(h=h, d=d), WIDE_SLAB)
+        assert len(field.skipped)
 
     def test_kept_pairs_in_small_chunks(self, monkeypatch):
-        monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", 256)
-        shared = _neighbours.SharedNeighbours(self.pts, 0.09, keep_r2=0.09)
-        every = np.arange(len(self.pts))
-        for _ in shared.blocks(self.pts, every, 0.09):
-            pass
-        assert_same_pairs(
-            shared.blocks(self.pts, every, 0.09), every, dense.ball_pairs(self.pts, every, 0.09)
-        )
+        # every block cut, the skipped rows' second read included
+        for block_bytes in (1, 320):
+            monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", block_bytes)
+            for name, spec in itertools.product(sorted(CLOUDS), (NARROW_SLAB, WIDE_SLAB)):
+                pts, h, d = CLOUDS[name]
+                assert_pass_matches_stages(pts, TseParams(h=h, d=d), spec)
 
-    def test_misuse_raises(self):
-        every = np.arange(len(self.pts))
-        with pytest.raises(ValueError, match="kept squared radius"):
-            _neighbours.SharedNeighbours(self.pts, 0.04, keep_r2=0.09)
-        shared = _neighbours.SharedNeighbours(self.pts, 0.09, keep_r2=0.04)
-        with pytest.raises(ValueError, match="another cloud"):
-            shared.blocks(self.pts + 1.0, every, 0.09)
-        with pytest.raises(ValueError, match="first reader"):
-            shared.blocks(self.pts, every[:10], 0.09)
-        with pytest.raises(ValueError, match="first reader"):
-            shared.blocks(self.pts, every, 0.1)
-        search = shared.blocks(self.pts, every, 0.09)
-        next(search)
-        search.close()
-        with pytest.raises(ValueError, match="stopped before the search ended"):
-            shared.blocks(self.pts, every, 0.04)
-
-    def test_kept_radius_bound(self):
-        every = np.arange(len(self.pts))
-        shared = _neighbours.SharedNeighbours(self.pts, 0.09, keep_r2=0.04)
-        for _ in shared.blocks(self.pts, every, 0.09):
-            pass
-        with pytest.raises(ValueError, match="exceeds the kept"):
-            shared.blocks(self.pts, every, 0.0625)
-        with pytest.raises(ValueError, match=f"index -1 is outside \\[0, {len(self.pts)}\\)"):
-            shared.blocks(self.pts, [0, -1], 0.04)
+    def test_nothing_estimable(self):
+        # two points: no point has min_neighbors = 3 neighbours
+        pts = np.array([[0.0, 0.0], [0.0, 0.5]])
+        field = assert_pass_matches_stages(pts, TseParams(h=1.0, d=1), NARROW_SLAB)
+        assert len(field) == 0
 
 
 class TestEstimateTangentsOracle:
@@ -620,6 +637,37 @@ class TestIterativeDenoiseOracle:
         # one self-join each, and no other search: no counting pass, no
         # per-chunk dual-tree search
         assert calls == ["query_pairs"] * 3
+
+    def test_each_row_read_once(self, monkeypatch):
+        # every point's block row is read once, for its tangent and its slab
+        # count together; a row whose tangent is inherited once more
+        rows = []
+        blocks = _neighbours._blocks
+
+        def counted(*args):
+            for block in blocks(*args):
+                rows.append(len(block[0]))
+                yield block
+
+        monkeypatch.setattr(_neighbours, "_blocks", counted)
+        cloud, d, kappa, spec = denoise_case("circle-D10")
+        _, diags = iterative_denoise(cloud, d, 0.8, kappa, spec, k_iters=2)
+        sizes = [cloud.n] + [diag.survivors for diag in diags[:-1]]
+        assert len(diags) == 3 and diags[0].inherited > 0
+        assert sum(rows) == sum(sizes) + sum(diag.inherited for diag in diags)
+
+    def test_diagnostics_against_threshold(self):
+        cloud, d, kappa, spec = denoise_case("circle-D10")
+        _, diags = iterative_denoise(cloud, d, 0.8, kappa, spec, k_iters=2)
+        records = json.loads(diagnostics_to_json(diags))
+        for diag, record in zip(diags, records, strict=True):
+            assert diag.threshold == pytest.approx(spec.t * np.log(cloud.n - 1))
+            assert 1.0 <= diag.slab_p05 <= diag.slab_p50
+            assert diag.neighbours_mean > 0
+            for key in ("threshold", "slab_p05", "slab_p50", "neighbours_mean"):
+                assert record[key] == getattr(diag, key)
+        # the outliers' counts sit below the threshold, the signal's above it
+        assert diags[0].slab_p05 < diags[0].threshold < diags[0].slab_p50
 
     def test_stop_when_nothing_estimable(self, monkeypatch):
         calls = count_searches(monkeypatch)

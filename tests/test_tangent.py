@@ -83,6 +83,11 @@ class TestDefaultBandwidth:
         with pytest.raises(ValueError, match="need c > 0"):
             default_bandwidth(100, 1, c=float("nan"))
 
+    def test_zero_dimension_raises(self):
+        # the exponent 1/d used to raise ZeroDivisionError
+        with pytest.raises(ValueError, match="need d >= 1"):
+            default_bandwidth(100, 0)
+
 
 class TestEstimateTangents:
     def test_collinear_points(self):
