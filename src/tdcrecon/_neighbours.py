@@ -22,6 +22,9 @@ self-join at the wider radius and reads each block once for both
 (:mod:`.denoise`): the block's differences give the PCA bases of its rows
 and, with those bases, their slab counts.  Only the rows whose tangent is
 inherited are read again, from the same lists; there is no second reader.
+That pass is the only slab counter of the package.  :func:`ball_blocks` serves
+the standalone tangent estimate (:func:`.tangent.estimate_tangents`), the call
+that gives the tangents at the points of a net.
 """
 from __future__ import annotations
 
@@ -45,16 +48,21 @@ def check_finite(x: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains NaN or inf")
 
 
-def check_indices(indices, n: int) -> np.ndarray:
-    """``indices`` as an index array; ValueError names one outside [0, n).
+def as_indices(indices) -> np.ndarray:
+    """``indices`` as an index array; ValueError unless they are integers.
 
-    Only integer input is taken: a boolean mask or a float would otherwise be
-    read as the indices 0 and 1, or rounded towards zero.
+    A boolean mask or a float would otherwise be read as the indices 0 and 1,
+    or rounded towards zero.  An empty sequence is taken whatever its dtype.
     """
     indices = np.asarray(indices)
     if indices.size and not np.issubdtype(indices.dtype, np.integer):
         raise ValueError(f"indices must be integers, got dtype {indices.dtype}")
-    indices = indices.astype(np.intp, copy=False)
+    return indices.astype(np.intp, copy=False)
+
+
+def check_indices(indices, n: int) -> np.ndarray:
+    """:func:`as_indices` of ``indices``; ValueError names one outside [0, n)."""
+    indices = as_indices(indices)
     bad = indices[(indices < 0) | (indices >= n)]
     if bad.size:
         raise ValueError(f"index {bad[0]} is outside [0, {n})")

@@ -15,12 +15,16 @@ rows and, with those bases, the rows' slab counts.  Only the points whose
 tangent is inherited from the nearest estimate are read a second time, from
 the same lists, once :meth:`.TangentField.complete` has filled them in.  The
 lists are dropped before the next iteration searches.
+
+That pass is the package's only slab counter; :func:`in_slab` states the
+slab predicate for one pair of points.  Tangents alone, say at the points of
+a net, come from :func:`.tangent.estimate_tangents`.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,8 +33,6 @@ from ._neighbours import check_finite
 from .geometry import Subspace
 from .models import LabeledCloud
 from .tangent import TangentField, TseParams, _block_bases
-# still importable from here, where the benchmark's tracer wraps it
-from .tangent import estimate_tangents  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ def lemma_slab_constants(
     k1 = 3 / (4 d + 8 K sqrt(d)),  k2 = 1 / (4 sqrt(D - d) max(rho, 1)),
     k3 = min(k2 rho / (2 K), k1 / 2, sqrt(rho k1), sqrt(rho k2)).
     """
+    if d < 1:
+        raise ValueError("need d >= 1")
     if ambient_dim <= d:
         raise ValueError("need ambient_dim > d")
     if not rho > 0:
@@ -110,56 +114,18 @@ def _slab_ball_r2(h: float, spec: SlabSpec) -> float:
     return ((spec.k1 * h) ** 2 + (spec.k2 * h * h) ** 2) * (1.0 + 1e-12)
 
 
-def slab_counts(points: np.ndarray, field_: TangentField, h: float, spec: SlabSpec) -> np.ndarray:
-    """Number of cloud points inside each point's slab (self included).
-
-    Only the points of ``field_`` get a count; their rows are read from a
-    search of the whole cloud.
-    """
-    points = np.asarray(points, dtype=float)
-    check_finite(points, "points")
-    counts = np.zeros(points.shape[0], dtype=int)
-    if not len(field_):
-        return counts
-    centres, bases = field_.indices, field_.bases
-    r2 = _slab_ball_r2(h, spec)
-    # every centre lies in its own slab
-    found = np.ones(len(centres), dtype=int)
-    for chunk, _, diff, d2, inside in _neighbours.ball_blocks(points, centres, r2):
-        found[chunk] += _slab_hits(diff, d2, inside, bases[chunk], h, spec)
-    counts[centres] = found
-    return counts
-
-
-def sd_step(
-    points: np.ndarray, field_: TangentField, h: float, spec: SlabSpec, n_total: int
-) -> list[int]:
-    """One denoising pass: keep index j iff its slab count >= t * log(n-1).
-
-    ``n_total`` is the original sample size; the threshold does not shrink as
-    points are removed across iterations.
-    """
-    if n_total < 3:
-        raise ValueError("need n >= 3")
-    if not np.array_equal(np.sort(field_.indices), np.arange(len(points))):
-        raise ValueError("tangent field must cover every point of the cloud")
-    threshold = spec.t * math.log(n_total - 1)
-    counts = slab_counts(points, field_, h, spec)
-    return np.flatnonzero(counts >= threshold).tolist()
-
-
 def _tangents_and_slab_counts(
     points: np.ndarray, params: TseParams, spec: SlabSpec
 ) -> tuple[TangentField, np.ndarray | None, int]:
     """Local-PCA tangents and slab counts of every point, from one neighbour search.
 
-    Returns what ``estimate_tangents(points, params)`` returns, the counts
-    that :func:`slab_counts` gives on its completed field (None when no
-    tangent is estimable), and the number of (point, neighbour) pairs within
-    h, each point left out of its own.  One self-join at the wider of h and
-    the slab ball is read once: each block gives the bases of its estimable
-    rows, and those rows count their slabs with the bases just computed, on
-    the same differences.  The skipped rows are read again from the same
+    Returns what ``estimate_tangents(points, params)`` returns, the number of
+    points in each point's slab along its tangent once the field is completed
+    (None when no tangent is estimable), and the number of (point, neighbour)
+    pairs within h, each point left out of its own.  One self-join at the
+    wider of h and the slab ball is read once: each block gives the bases of
+    its estimable rows, and those rows count their slabs with the bases just
+    computed, on the same differences.  The skipped rows are read again from the same
     lists once they have inherited a basis.
     """
     n, big_d = points.shape
@@ -225,6 +191,8 @@ class Schedule:
         return self.base ** (1.0 / self.d)
 
     def gamma_at(self, k: int) -> float:
+        if k < 0:
+            raise ValueError(f"need k >= 0, got {k}")
         g = self.gammas[-1] if k >= len(self.gammas) else self.gammas[k]
         for _ in range(len(self.gammas), k + 1):
             g = (2.0 * g + 1.0) / (self.d + 2.0)
@@ -247,6 +215,8 @@ def schedule(n: int, d: int, beta: float, kappa: float, k_max: int) -> Schedule:
 
 def k_delta(d: int, delta: float) -> int:
     """Smallest k with gamma_k >= 1/d - delta."""
+    if d < 1:
+        raise ValueError("need d >= 1")
     if not 0.0 < delta < 1.0 / (d * (d + 1)):
         raise ValueError(f"need 0 < delta < 1/(d(d+1)) = {1.0 / (d * (d + 1)):.6g}")
     target = 1.0 / d - delta
@@ -293,6 +263,8 @@ def calibrate_threshold(pilot_counts: np.ndarray, n: int) -> float:
     if n < 3:
         raise ValueError("need n >= 3")
     counts = np.asarray(pilot_counts, dtype=float)
+    if not counts.size:
+        raise ValueError("need at least one pilot count")
     return 0.5 * float(np.percentile(counts, 5.0)) / math.log(n - 1)
 
 
@@ -309,7 +281,7 @@ NO_SURVIVORS = "no survivors"
 @dataclass
 class IterationDiagnostics:
     k: int
-    h: float
+    h_k: float
     survivors: int
     true_positives: int | None = None  # signal points kept
     false_positives: int | None = None  # outliers kept
@@ -323,24 +295,7 @@ class IterationDiagnostics:
 
 
 def diagnostics_to_json(diags: list[IterationDiagnostics]) -> str:
-    return json.dumps(
-        [
-            {
-                "k": d.k,
-                "h_k": d.h,
-                "survivors": d.survivors,
-                "true_positives": d.true_positives,
-                "false_positives": d.false_positives,
-                "inherited": d.inherited,
-                "stop_reason": d.stop_reason,
-                "threshold": d.threshold,
-                "slab_p05": d.slab_p05,
-                "slab_p50": d.slab_p50,
-                "neighbours_mean": d.neighbours_mean,
-            }
-            for d in diags
-        ]
-    )
+    return json.dumps([asdict(d) for d in diags])
 
 
 def iterative_denoise(
@@ -391,7 +346,7 @@ def iterative_denoise(
         diags.append(
             IterationDiagnostics(
                 k=k,
-                h=h,
+                h_k=h,
                 survivors=int(alive.size),
                 true_positives=tp,
                 false_positives=fp,

@@ -13,11 +13,12 @@ block are formed together; each block's eigenvectors go straight into the
 field's (m, D, d) array of bases.  The block arithmetic is
 :func:`_block_bases`; a denoising iteration runs it on the blocks of its own
 single pass, which also count the slabs (:mod:`.denoise`), so there is one
-read of each block per iteration.  A standalone call runs its own search.
+read of each block per iteration.  :func:`estimate_tangents` is the
+standalone call, with a search of its own: the one to use for tangents
+outside the denoising loop, such as at the points of a net.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -62,13 +63,14 @@ class TangentField:
 
     Row k of ``bases``, an (m, D, d) stack of orthonormal bases, is the
     estimate at cloud index ``indices[k]``; ``skipped`` lists the indices
-    where no estimate could be made.  The arrays are copies; the bases are
-    checked once, on construction, and are read-only.
+    where no estimate could be made.  Indices must be integers.  The arrays
+    are copies; the bases are checked once, on construction, and are
+    read-only.
     """
 
     def __init__(self, indices, bases, skipped=()):
-        self.indices = np.array(indices, dtype=np.intp)
-        self.skipped = np.array(skipped, dtype=np.intp)
+        self.indices = np.array(_neighbours.as_indices(indices))
+        self.skipped = np.array(_neighbours.as_indices(skipped))
         bases = np.array(bases, dtype=float)
         if bases.ndim != 3:
             raise ValueError(f"expected an (m, D, d) stack of bases, got shape {bases.shape}")
@@ -82,8 +84,11 @@ class TangentField:
         return len(self.indices)
 
     def _rows(self, wanted) -> np.ndarray:
-        """Rows holding the cloud indices ``wanted`` (the first of repeats); KeyError if absent."""
-        wanted = np.asarray(wanted, dtype=np.intp)
+        """Rows holding the cloud indices ``wanted`` (the first of repeats); KeyError if absent.
+
+        ``wanted`` must be integers (ValueError otherwise).
+        """
+        wanted = _neighbours.as_indices(wanted)
         order = np.argsort(self.indices, kind="stable")
         at = np.searchsorted(self.indices, wanted, sorter=order)
         found = at < len(order)
@@ -134,17 +139,6 @@ class TangentField:
     def restrict(self, subset: list[int]) -> "TangentField":
         """Field re-indexed to a sub-cloud: local index k maps to subset[k]."""
         return TangentField(indices=np.arange(len(subset)), bases=self.bases[self._rows(subset)])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [{"index": int(i), "basis": b.T.tolist()} for i, b in zip(self.indices, self.bases)]
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TangentField":
-        entries = json.loads(text)
-        bases = [np.array(e["basis"], dtype=float).T for e in entries]
-        return cls([e["index"] for e in entries], bases if bases else np.zeros((0, 1, 1)))
 
 
 def _block_bases(

@@ -184,7 +184,7 @@ def iterative_denoise(cloud, d, beta, kappa, spec, k_iters):
         diags.append(
             IterationDiagnostics(
                 k=k,
-                h=hs[k],
+                h_k=hs[k],
                 survivors=int(alive.size),
                 true_positives=int(np.sum(labels == 1)),
                 false_positives=int(np.sum(labels == 0)),

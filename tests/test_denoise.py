@@ -1,8 +1,11 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+import dense_oracles as dense
 from dense_oracles import field_of
 from tdcrecon import denoise
 from tdcrecon.checks import verify_slab_inclusion, verify_slab_separation
@@ -19,11 +22,9 @@ from tdcrecon.denoise import (
     k_hat,
     lemma_slab_constants,
     schedule,
-    sd_step,
-    slab_counts,
 )
 from tdcrecon.geometry import Subspace
-from tdcrecon.models import Circle, SampleSpec, Torus, sample
+from tdcrecon.models import Circle, LabeledCloud, SampleSpec, Torus, sample
 from tdcrecon.tangent import TseParams
 
 
@@ -94,32 +95,59 @@ def brute_force_sd_step(points, field_, h, spec, n_total):
     return survivors
 
 
+def dense_sd_step(points, field_, h, spec, n_total):
+    """The reference step: the dense slab counts against t log(n-1)."""
+    counts = dense.slab_counts(points, field_, h, spec)
+    return np.flatnonzero(counts >= spec.t * math.log(n_total - 1)).tolist()
+
+
 def constant_field(n, sub):
     return field_of(range(n), [sub] * n)
 
 
+def one_step(points, d, kappa, spec):
+    """Survivors and diagnostics of one denoising step, iterative_denoise(k_iters=0)."""
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    cloud = LabeledCloud(points, np.ones(n, dtype=np.int8), SampleSpec(n=max(n, 1)))
+    keep, diags = iterative_denoise(cloud, d, 1.0, kappa, spec, k_iters=0)
+    return keep, diags[0]
+
+
 class TestSdStep:
+    """One slab-denoising step of the paper, and the dense reference for it.
+
+    The step is iterative_denoise with k_iters=0.  The reference, the dense
+    slab counts of ``dense_oracles`` against the threshold, is tied to the
+    slab predicate ``in_slab`` point pair by point pair.
+    """
+
     def test_low_threshold_keeps_everyone(self):
         pts = np.random.default_rng(1).normal(size=(20, 2))
+        # every slab holds its centre: a count of 1 meets t log(19) = 1
         spec = SlabSpec(k1=0.5, k2=0.5, t=1.0 / math.log(19))
-        out = sd_step(pts, constant_field(20, X_AXIS), 0.01, spec, 20)
-        assert out == list(range(20))
+        keep, diag = one_step(pts, 1, 5.0, spec)
+        assert diag.stop_reason is None
+        assert keep == list(range(20))
 
     def test_isolated_outlier_removed(self):
         pts = np.vstack([np.column_stack([np.linspace(0, 0.29, 30), np.zeros(30)]),
                          [[0.15, 0.5]]])
         spec = SlabSpec(k1=0.5, k2=1.0, t=3.0 / math.log(30))
-        out = sd_step(pts, constant_field(31, X_AXIS), 0.1, spec, 31)
-        assert out == list(range(30))
+        # h_0 = 0.107: the outlier has no neighbour and inherits the segment's tangent
+        keep, diag = one_step(pts, 1, 0.1, spec)
+        assert diag.h_k == pytest.approx(0.107, abs=1e-3)
+        assert diag.inherited == 1
+        assert keep == list(range(30))
 
     def test_segment_case_matches_oracle(self):
         pts = np.vstack([np.column_stack([np.linspace(0, 0.29, 30), np.zeros(30)]),
                          [[0.15, 0.5]]])
         spec = SlabSpec(k1=0.5, k2=1.0, t=3.0 / math.log(30))
         field_ = constant_field(31, X_AXIS)
-        assert sd_step(pts, field_, 0.1, spec, 31) == brute_force_sd_step(
-            pts, field_, 0.1, spec, 31
-        )
+        want = brute_force_sd_step(pts, field_, 0.1, spec, 31)
+        assert want == list(range(30))
+        assert dense_sd_step(pts, field_, 0.1, spec, 31) == want
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(2)
@@ -133,34 +161,28 @@ class TestSdStep:
                 t=rng.uniform(0.0, 3.0),
             )
             h = rng.uniform(0.3, 2.0)
-            assert sd_step(pts, field_, h, spec, n) == brute_force_sd_step(
+            assert dense_sd_step(pts, field_, h, spec, n) == brute_force_sd_step(
                 pts, field_, h, spec, n
             )
 
     def test_monotone_in_t(self):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(60, 2))
-        field_ = constant_field(60, X_AXIS)
+        pts = np.random.default_rng(3).normal(size=(60, 2))
         keep = None
-        for t in (0.5, 1.0, 2.0):
+        # thresholds of about 1, 2 and 3 points
+        for t in (0.25, 0.5, 0.75):
             spec = SlabSpec(k1=0.6, k2=0.6, t=t)
-            got = set(sd_step(pts, field_, 0.5, spec, 60))
+            got = set(one_step(pts, 1, 4.0, spec)[0])
             if keep is not None:
                 assert got <= keep
             keep = got
-
-    def test_requires_full_field(self):
-        pts = np.zeros((3, 2))
-        partial = field_of([0, 1], [X_AXIS, X_AXIS])
-        with pytest.raises(ValueError):
-            sd_step(pts, partial, 0.1, SlabSpec(0.5, 0.5, 1.0), 3)
+        assert keep
 
     @pytest.mark.parametrize("n_total", [0, 1, 2])
     def test_degenerate_sample_size(self, n_total):
-        # log(n - 1) is 0 at n = 2, so every point used to pass whatever t
-        pts = np.random.default_rng(4).normal(size=(20, 2))
+        # log(n - 1) is 0 at n = 2, so every point would pass whatever t
+        pts = np.random.default_rng(4).normal(size=(20, 2))[:n_total]
         with pytest.raises(ValueError, match="need n >= 3"):
-            sd_step(pts, constant_field(20, X_AXIS), 0.5, SlabSpec(0.5, 0.5, 5.0), n_total)
+            one_step(pts, 1, 1.0, SlabSpec(0.5, 0.5, 5.0))
 
 
 class TestSchedule:
@@ -195,6 +217,14 @@ class TestSchedule:
         assert s.h_at(5) == pytest.approx(s.base ** s.gamma_at(5))
         assert s.gamma_at(5) < 1.0
 
+    def test_negative_index_raises(self):
+        # k = -1 used to read gammas[-1]: h_at(-1) returned h_at(2)
+        s = schedule(n=1000, d=2, beta=1.0, kappa=1.0, k_max=2)
+        with pytest.raises(ValueError, match="need k >= 0, got -1"):
+            s.gamma_at(-1)
+        with pytest.raises(ValueError, match="need k >= 0, got -3"):
+            s.h_at(-3)
+
     def test_formula(self):
         s = schedule(n=4000, d=1, beta=0.8, kappa=2.0, k_max=0)
         assert s.hs[0] == pytest.approx(
@@ -228,6 +258,12 @@ class TestKDelta:
         # gamma_0 = 1/3 < 1/2 - delta for every admissible delta < 1/6,
         # so the first admissible index is 1 just below the boundary
         assert k_delta(2, 1 / 6 - 1e-9) == 1
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_zero_dimension_raises(self, d):
+        # the bound 1/(d(d+1)) used to divide by zero
+        with pytest.raises(ValueError, match="need d >= 1"):
+            k_delta(d, 0.1)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -280,6 +316,11 @@ class TestLemmaConstants:
         assert spec.k1 == pytest.approx(3.0 / (8.0 + 16.0 * math.sqrt(2.0)))
         assert spec.k2 == pytest.approx(0.25)
 
+    def test_zero_dimension_raises(self):
+        # k1 = 3 / (4 d + 8 K sqrt(d)) used to divide by zero
+        with pytest.raises(ValueError, match="need d >= 1"):
+            lemma_slab_constants(0, 3, 1.0)
+
     def test_nan_reach_raises(self):
         # k2 and k3 used to come back NaN
         with pytest.raises(ValueError, match="need reach rho > 0"):
@@ -303,6 +344,37 @@ class TestIterativeDenoise:
         payload = diagnostics_to_json(diags)
         assert '"k": 0' in payload and '"h_k"' in payload
 
+    def test_diagnostics_json_keys_are_fields(self):
+        cloud = sample(Circle(1.0), SampleSpec(n=400, beta=0.8, seed=5))
+        spec = default_slab_spec(1, 2, 1.0, t=0.3)
+        _, diags = iterative_denoise(cloud, 1, 0.8, 4.0, spec, k_iters=1)
+        names = [f.name for f in dataclasses.fields(IterationDiagnostics)]
+        records = json.loads(diagnostics_to_json(diags))
+        assert [list(record) for record in records] == [names] * len(diags)
+        for diag, record in zip(diags, records, strict=True):
+            assert record == dataclasses.asdict(diag)
+
+    def test_diagnostics_json_text(self):
+        # the record of a fixed run, key order and float digits included
+        cloud = sample(Circle(1.0), SampleSpec(n=400, beta=0.8, seed=5))
+        spec = default_slab_spec(1, 2, 1.0, t=0.3)
+        _, diags = iterative_denoise(cloud, 1, 0.8, 4.0, spec, k_iters=1)
+        assert diagnostics_to_json(diags) == (
+            '[{"k": 0, "h_k": 0.27400914101952034, "survivors": 310, '
+            '"true_positives": 310, "false_positives": 0, "inherited": 70, '
+            '"stop_reason": null, "threshold": 1.796688425066959, "slab_p05": 1.0, '
+            '"slab_p50": 5.0, "neighbours_mean": 23.445}, '
+            '{"k": 1, "h_k": 0.1779727051407696, "survivors": 293, '
+            '"true_positives": 293, "false_positives": 0, "inherited": 0, '
+            '"stop_reason": null, "threshold": 1.796688425066959, "slab_p05": 1.0, '
+            '"slab_p50": 4.0, "neighbours_mean": 18.36774193548387}]'
+        )
+
+    def test_dimension_above_ambient_raises(self):
+        cloud = sample(Circle(1.0), SampleSpec(n=50, beta=0.8, seed=4))
+        with pytest.raises(ValueError, match="need d <= ambient dimension, got d=3 in R\\^2"):
+            iterative_denoise(cloud, 3, 0.8, 1.0, SlabSpec(0.5, 0.5, 1.0), k_iters=0)
+
     def test_removes_far_outliers_keeps_signal(self):
         cloud = sample(Circle(1.0), SampleSpec(n=2000, beta=0.8, seed=6))
         spec = default_slab_spec(1, 2, 1.0, t=0.4, angle_constant=0.5)
@@ -323,6 +395,12 @@ def test_calibrate_threshold():
     counts = np.arange(1, 101)
     t = calibrate_threshold(counts, n=1001)
     assert t == pytest.approx(0.5 * np.percentile(counts, 5) / math.log(1000))
+
+
+def test_calibrate_threshold_no_counts_raises():
+    # the percentile of no counts used to raise IndexError
+    with pytest.raises(ValueError, match="need at least one pilot count"):
+        calibrate_threshold([], n=100)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

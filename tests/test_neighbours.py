@@ -3,9 +3,10 @@
 Every local query (tangents, slab counts, tangent inheritance, the
 farthest-point net, Hausdorff) must return what the dense scan returns: the
 same indices, counts, net order and distances, with closed-ball boundaries
-and ties resolved the same way.  The denoising loop, whose tangents and slab
-counts share one search per iteration, must return what the loop over the
-dense stages returns.
+and ties resolved the same way.  Slab counts come only from the denoising
+pass, whose tangents and slab counts share one search per iteration; the
+pass must return what the separate stages return, and the loop what the loop
+over the dense stages returns.
 """
 import itertools
 import json
@@ -25,9 +26,9 @@ from tdcrecon.denoise import (
     _tangents_and_slab_counts,
     default_slab_spec,
     diagnostics_to_json,
+    in_slab,
     iterative_denoise,
     schedule,
-    slab_counts,
 )
 from tdcrecon.geometry import Subspace, directed_hausdorff, hausdorff, random_subspace
 from tdcrecon.models import Circle, LabeledCloud, SampleSpec, Sphere, Torus, sample
@@ -65,10 +66,6 @@ def assert_same_field(got, want):
     assert got.skipped.tolist() == want.skipped.tolist()
     for g, w in zip(dense.subspaces(got), dense.subspaces(want), strict=True):
         assert np.max(np.abs(g.projector() - w.projector())) <= PROJECTOR_TOL
-
-
-def random_field(rng, n, big_d, d):
-    return dense.field_of(range(n), [random_subspace(rng, big_d, d) for _ in range(n)])
 
 
 def constant_field(n, basis):
@@ -247,8 +244,8 @@ class TestBlockCuts:
         # signal and outliers interleaved: rows of many widths side by side
         cloud = sample(Circle(1.0, ambient_dim=3), SampleSpec(n=600, beta=0.7, seed=305))
         pts, h = cloud.points, 0.25
-        field = estimate_tangents(pts, TseParams(h=h, d=1))
-        counts = slab_counts(pts, field.complete(pts), h, SlabSpec(k1=0.6, k2=1.5, t=1.0))
+        spec = SlabSpec(k1=0.6, k2=1.5, t=1.0)
+        field, counts, _ = _tangents_and_slab_counts(pts, TseParams(h=h, d=1), spec)
         return [a.tobytes() for a in (field.indices, field.bases, field.skipped, counts)]
 
     @pytest.mark.parametrize("block_bytes", [1, 320])
@@ -265,12 +262,6 @@ class TestOutOfRangeIndices:
     def test_estimate_tangents(self, bad):
         with pytest.raises(ValueError, match=f"index {bad} is outside \\[0, 50\\)"):
             estimate_tangents(self.pts, TseParams(h=0.3, d=2), subset=[3, bad])
-
-    @pytest.mark.parametrize("bad", [-1, -50, 50, 51])
-    def test_slab_counts(self, bad):
-        field = dense.field_of([3, bad], [Subspace(np.eye(3)[:, :2])] * 2)
-        with pytest.raises(ValueError, match=f"index {bad} is outside \\[0, 50\\)"):
-            slab_counts(self.pts, field, 0.3, SlabSpec(0.5, 0.5, 1.0))
 
 
 class TestNonIntegerIndices:
@@ -297,9 +288,10 @@ class TestNonIntegerIndices:
 def assert_pass_matches_stages(pts, params, spec):
     """The one-pass tangents and slab counts hold the bits of the separate stages.
 
-    The stages are ``estimate_tangents``, ``complete`` and ``slab_counts``,
-    each with a search of its own; the neighbour total is the dense count of
-    pairs within h.  Returns the pass's field.
+    The stages are ``estimate_tangents``, with a search of its own,
+    ``complete`` and the dense slab counts of ``dense_oracles``; the
+    neighbour total is the dense count of pairs within h.  Returns the
+    pass's field.
     """
     field, counts, neighbours = _tangents_and_slab_counts(pts, params, spec)
     want = estimate_tangents(pts, params)
@@ -308,7 +300,7 @@ def assert_pass_matches_stages(pts, params, spec):
     ):
         assert got_array.tobytes() == want_array.tobytes()
     if len(want):
-        want_counts = slab_counts(pts, want.complete(pts), params.h, spec)
+        want_counts = dense.slab_counts(pts, want.complete(pts), params.h, spec)
         assert counts.tobytes() == want_counts.tobytes()
     else:
         assert counts is None
@@ -328,7 +320,8 @@ class TestSharedNeighbours:
     Each block of the search is read once for the local-PCA bases of its
     rows and, with those bases, their slab counts; the skipped rows are read
     again from the same lists once they inherit a basis.  Either way the
-    results are those of the separate stages, each with a search of its own.
+    results are those of the separate stages: the standalone tangents, their
+    completion and the dense slab counts.
     """
 
     def test_both_readers_match_own_searches(self):
@@ -404,32 +397,12 @@ class TestEstimateTangentsOracle:
 
 
 class TestSlabCountsOracle:
-    @pytest.mark.parametrize("name", sorted(CLOUDS))
-    def test_matches_dense_random_tangents(self, name):
-        pts, h, d = CLOUDS[name]
-        rng = np.random.default_rng(7)
-        field = random_field(rng, len(pts), pts.shape[1], d)
-        spec = SlabSpec(k1=0.6, k2=1.5, t=1.0)
-        assert np.array_equal(
-            slab_counts(pts, field, h, spec), dense.slab_counts(pts, field, h, spec)
-        )
+    """The pass's slab counts and the dense slab counts they are held to."""
 
     def test_matches_dense_estimated_tangents(self):
         pts, h, d = CLOUDS["D10-circle"]
-        field = estimate_tangents(pts, TseParams(h=h, d=d)).complete(pts)
         spec = SlabSpec(k1=0.375, k2=1.0 / 12.0, t=0.4)
-        assert np.array_equal(
-            slab_counts(pts, field, h, spec), dense.slab_counts(pts, field, h, spec)
-        )
-
-    def test_partial_field(self):
-        pts, h, d = CLOUDS["D3-sphere"]
-        rng = np.random.default_rng(8)
-        field = dense.field_of([3, 40, 7], [random_subspace(rng, 3, 2) for _ in range(3)])
-        spec = SlabSpec(k1=0.5, k2=2.0, t=1.0)
-        got = slab_counts(pts, field, h, spec)
-        assert np.array_equal(got, dense.slab_counts(pts, field, h, spec))
-        assert np.count_nonzero(got) == 3
+        assert_pass_matches_stages(pts, TseParams(h=h, d=d), spec)
 
     @pytest.mark.parametrize(
         "h, k1, k2",
@@ -440,10 +413,13 @@ class TestSlabCountsOracle:
         # lattice: the slab corners (1, 1, 0) lie on both slab boundaries and
         # on the sphere that bounds the slab
         pts = lattice(range(5), range(-2, 3), range(-2, 3))
-        field = constant_field(len(pts), np.eye(3)[:, :1])
+        axis = Subspace(np.eye(3)[:, :1])
+        field = constant_field(len(pts), axis.basis)
         spec = SlabSpec(k1=k1, k2=k2, t=1.0)
-        got = slab_counts(pts, field, h, spec)
-        assert np.array_equal(got, dense.slab_counts(pts, field, h, spec))
+        got = dense.slab_counts(pts, field, h, spec)
+        # the reference decides each pair as the slab predicate does
+        for j in range(len(pts)):
+            assert got[j] == sum(in_slab(pts[j], axis, h, spec, y) for y in pts)
         centre = int(np.flatnonzero(np.all(pts == [2.0, 0.0, 0.0], axis=1))[0])
         # |x| <= 1 along the tangent, y^2 + z^2 <= 1 across it: 3 x 5 points
         assert got[centre] == 15
@@ -451,11 +427,7 @@ class TestSlabCountsOracle:
     def test_small_chunks(self, monkeypatch):
         monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", 256)
         pts, h, d = CLOUDS["D3-sphere"]
-        field = random_field(np.random.default_rng(9), len(pts), 3, d)
-        spec = SlabSpec(k1=0.6, k2=1.5, t=1.0)
-        assert np.array_equal(
-            slab_counts(pts, field, h, spec), dense.slab_counts(pts, field, h, spec)
-        )
+        assert_pass_matches_stages(pts, TseParams(h=h, d=d), SlabSpec(k1=0.6, k2=1.5, t=1.0))
 
 
 def same_basis(a, b):
@@ -720,9 +692,11 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("value", BAD)
     def test_slab_counts(self, value):
-        field = constant_field(len(self.pts), np.eye(3)[:, :2])
+        # the slab counts come from iterative_denoise alone, which checks the points
+        n = len(self.pts)
+        cloud = LabeledCloud(with_bad(self.pts, value), np.ones(n, dtype=np.int8), SampleSpec(n=n))
         with pytest.raises(ValueError, match="NaN or inf"):
-            slab_counts(with_bad(self.pts, value), field, 0.3, SlabSpec(0.5, 0.5, 1.0))
+            iterative_denoise(cloud, 2, 1.0, 1.0, SlabSpec(0.5, 0.5, 1.0), k_iters=0)
 
     @pytest.mark.parametrize("value", BAD)
     def test_farthest_point_sampling(self, value):

@@ -249,11 +249,23 @@ class TestTangentField:
         assert sub.indices.tolist() == [0, 1]
         assert principal_angle(sub.subspace_at(0), span([1, 1])) == 0.0
 
-    def test_json_round_trip(self):
-        field = field_of([1, 4], [span([1, 0, 0]), span([0, 0, 1])])
-        back = TangentField.from_json(field.to_json())
-        assert back.indices.tolist() == [1, 4]
-        for j in (1, 4):
-            assert np.array_equal(
-                back.subspace_at(j).basis, field.subspace_at(j).basis
-            )
+    def test_constructor_rejects_float_indices(self):
+        # [1.7, True] used to be stored as the indices [1, 1], skipped [2.9] as [2]
+        bases = [span([1, 0]).basis] * 2
+        with pytest.raises(ValueError, match="must be integers, got dtype float64"):
+            TangentField([1.7, True], bases)
+        with pytest.raises(ValueError, match="must be integers, got dtype float64"):
+            TangentField([0, 1], bases, skipped=[2.9])
+
+    def test_restrict_rejects_boolean_mask(self):
+        # the mask [False, False, True] used to give 3 rows, from indices 0 and 1
+        field = field_of([0, 1, 2], [span([1, 0]), span([0, 1]), span([1, 1])])
+        with pytest.raises(ValueError, match="must be integers, got dtype bool"):
+            field.restrict(np.array([False, False, True]))
+
+    def test_subspace_at_rejects_float_index(self):
+        # 1.9 used to give the estimate at index 1
+        field = field_of([0, 1, 2], [span([1, 0]), span([0, 1]), span([1, 1])])
+        with pytest.raises(ValueError, match="must be integers, got dtype float64"):
+            field.subspace_at(1.9)
+        assert principal_angle(field.subspace_at(np.int32(1)), span([0, 1])) == 0.0
