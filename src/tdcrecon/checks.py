@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .denoise import SlabSpec, _slab_mask, lemma_slab_constants
-from .geometry import Subspace, _check_same_shape, principal_angle, random_subspace
+from .geometry import Subspace, principal_angle, random_subspace
 from .models import Circle, ManifoldModel, Sphere, Torus
 
 # geodesic/Euclidean comparison constant used by the bound verifiers
@@ -193,16 +193,13 @@ def verify_standardness(
     )
 
 
-def _unit_normal_at(model: ManifoldModel, p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    basis = model.tangent(p).basis
-    g = rng.standard_normal(model.ambient_dim)
-    g -= basis @ (basis.T @ g)
-    norm = np.linalg.norm(g)
-    while norm < 1e-12:
-        g = rng.standard_normal(model.ambient_dim)
+def _unit_normal(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    while True:
+        g = rng.standard_normal(basis.shape[0])
         g -= basis @ (basis.T @ g)
         norm = np.linalg.norm(g)
-    return g / norm
+        if norm >= 1e-12:
+            return g / norm
 
 
 def _grid_tree(
@@ -229,7 +226,7 @@ def verify_ball_projection(
         p = model.sample_points(rng, 1)[0]
         h = rng.uniform(0.25, 1.0) * rho / 8.0
         delta = rng.uniform(0.0, h)
-        x = p + delta * _unit_normal_at(model, p, rng)
+        x = p + delta * _unit_normal(model.tangent_many(p)[0], rng)
         r_h = math.sqrt(max(h**2 - delta**2, 0.0))
         r_plus = (1.0 + ALPHA**2 * delta / rho) * r_h
         r_minus = (1.0 - ALPHA**2 * delta / rho) * r_h
@@ -255,18 +252,18 @@ def verify_normal_offset(
     done = 0
     while done < trials:
         p = model.sample_points(rng, 1)[0]
+        basis = model.tangent_many(p)[0]
         h_k = rng.uniform(0.3, 1.0) * rho / (12.0 * ALPHA)
         h = rng.uniform(h_k**2 / rho, h_k)
-        x = p + rng.uniform(0.0, h / math.sqrt(2.0)) * _unit_normal_at(model, p, rng)
+        x = p + rng.uniform(0.0, h / math.sqrt(2.0)) * _unit_normal(basis, rng)
         cand = tree.query_ball_point(x, 0.95 * h)
         if not cand:
             continue
         q = grid[cand[int(rng.integers(0, len(cand)))]]
         w = rng.uniform(0.0, h_k**2 / rho)
-        z = q + w * _unit_normal_at(model, q, rng)
+        z = q + w * _unit_normal(model.tangent_many(q)[0], rng)
         if np.linalg.norm(z - x) > h:
             continue
-        basis = model.tangent(p).basis
         offset = z - p
         normal_part = offset - basis @ (basis.T @ offset)
         if np.linalg.norm(normal_part) > 10.0 * h_k**2 / rho + 1e-9 * rho:
@@ -280,8 +277,7 @@ def monte_carlo_reach(model: ManifoldModel, n_points: int, seed: int) -> float:
     to sampling density)."""
     rng = np.random.default_rng(seed)
     pts = model.sample_points(rng, n_points)
-    tangents = [model.tangent(p) for p in pts]
-    return sampled_reach(pts, tangents)
+    return sampled_reach(pts, model.tangent_many(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +306,8 @@ def verify_slab_separation(
     for trial in range(trials):
         h = rng.uniform(0.2, 1.0) * h_max
         p = model.sample_points(rng, 1)[0]
-        normal = _unit_normal_at(model, p, rng)
+        basis = model.tangent_many(p)[0]
+        normal = _unit_normal(basis, rng)
         if trial % 2 == 0:
             # unconditional branch: distance at least h / sqrt(2)
             u = rng.uniform(h / math.sqrt(2.0), 0.9 * rho)
@@ -319,7 +316,7 @@ def verify_slab_separation(
             # near branch: distance in [h^2/rho, h/sqrt(2)), angle <= K h / rho
             u = rng.uniform(h * h / rho, h / math.sqrt(2.0))
             alpha = math.asin(min(1.0, angle_constant * h / rho)) * rng.uniform(0, 1)
-            tangent = tilt_subspace(model.tangent(p), normal, alpha)
+            tangent = tilt_subspace(Subspace(basis), normal, alpha)
         x = p + u * normal
         # the slab sits inside the ball of radius k1 h + k2 h^2 around x
         near = tree.query_ball_point(x, spec.k1 * h + spec.k2 * h * h + res)
@@ -354,7 +351,7 @@ def verify_slab_inclusion(
             continue
         near = grid[idx]
         near = near[np.linalg.norm(near - p, axis=1) <= k3 * h]
-        inside = _slab_mask(near - p, model.tangent(p).basis, h, spec)
+        inside = _slab_mask(near - p, model.tangent_many(p)[0], h, spec)
         violations += int(np.sum(~inside))
     return CheckReport(trials=trials, violations=violations)
 
@@ -411,13 +408,14 @@ def subspace_rotation(u: Subspace, v: Subspace) -> np.ndarray:
     where alpha_max = arcsin(principal_angle(u, v)) is the largest canonical
     angle.
     """
-    _check_same_shape(u, v)
-    big_d = u.ambient_dim
+    if u.basis.shape != v.basis.shape:
+        raise ValueError(f"need two subspaces of one shape, got {u} and {v}")
+    big_d, d = u.basis.shape
     a, sig, bt = np.linalg.svd(u.basis.T @ v.basis)
     up = u.basis @ a
     vp = v.basis @ bt.T
     r = np.eye(big_d)
-    for i in range(u.dim):
+    for i in range(d):
         c = min(1.0, max(-1.0, float(sig[i])))
         w = vp[:, i] - c * up[:, i]
         s = float(np.linalg.norm(w))
@@ -456,30 +454,22 @@ def perturbation_angle_bound_check(b: np.ndarray, e: np.ndarray) -> bool:
     return principal_angle(canonical, top) <= 2.0 * d * e2 + 1e-9
 
 
-def sampled_reach(
-    points: np.ndarray,
-    bases: list[Subspace] | np.ndarray,
-    min_normal: float = 1e-9,
-) -> float:
+def sampled_reach(points: np.ndarray, bases: np.ndarray, min_normal: float = 1e-9) -> float:
     """Point-cloud reach surrogate.
 
     Minimum over ordered pairs (p, q) of ||q - p||^2 / (2 * d(q - p, T_p)),
-    where T_p is the provided tangent subspace at p.  Pairs whose difference
-    is tangent to working precision (normal component below ``min_normal``)
-    are skipped.
+    where T_p is spanned by the basis of p in the (n, D, d) stack ``bases``.
+    Pairs whose difference is tangent to working precision (normal component
+    below ``min_normal``) are skipped.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     best = np.inf
     for i in range(n):
-        basis = bases[i].basis if isinstance(bases[i], Subspace) else bases[i]
         diff = np.delete(points, i, axis=0) - points[i]
-        tang = diff @ basis
-        normal2 = np.einsum("ij,ij->i", diff, diff) - np.einsum("ij,ij->i", tang, tang)
-        normal = np.sqrt(np.maximum(normal2, 0.0))
+        tang = diff @ bases[i]
+        dist2 = np.einsum("ij,ij->i", diff, diff)
+        normal = np.sqrt(np.maximum(dist2 - np.einsum("ij,ij->i", tang, tang), 0.0))
         keep = normal > min_normal
-        if not np.any(keep):
-            continue
-        dist2 = np.einsum("ij,ij->i", diff[keep], diff[keep])
-        best = min(best, float(np.min(dist2 / (2.0 * normal[keep]))))
+        best = min(best, float(np.min(dist2[keep] / (2.0 * normal[keep]), initial=np.inf)))
     return best

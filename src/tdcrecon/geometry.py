@@ -1,8 +1,10 @@
 """Dimension-agnostic subspace algebra and set-to-set distances (nearest
 points from a KD-tree).
 
-Everything here is pure and operates on plain numpy arrays plus the small
-:class:`Subspace` wrapper.  Tolerances are fixed module constants, not knobs.
+Everything here is pure and operates on plain numpy arrays.  Tangent spaces
+are (m, D, d) stacks of orthonormal bases, compared pair by pair with
+:func:`principal_angles`; the small :class:`Subspace` wrapper is one basis,
+where one subspace is meant.  Tolerances are fixed module constants, not knobs.
 """
 from __future__ import annotations
 
@@ -31,20 +33,12 @@ class Subspace:
         basis.setflags(write=False)
         self.basis = basis
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
     def projector(self) -> np.ndarray:
         """Orthogonal projection matrix onto the subspace."""
         return self.basis @ self.basis.T
 
     def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, ambient_dim={self.ambient_dim})"
+        return f"Subspace(dim={self.basis.shape[1]}, ambient_dim={self.basis.shape[0]})"
 
 
 def _check_bases(bases: np.ndarray) -> None:
@@ -69,29 +63,32 @@ def random_subspace(rng: np.random.Generator, ambient_dim: int, dim: int) -> Sub
     return Subspace(q)
 
 
-def _check_same_shape(u: Subspace, v: Subspace) -> None:
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError(
-            f"ambient dimension mismatch: {u.ambient_dim} vs {v.ambient_dim}"
-        )
-    if u.dim != v.dim:
-        raise ValueError(f"subspace dimension mismatch: {u.dim} vs {v.dim}")
+def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||P_A - P_B||_op in [0, 1] for each pair of bases of two (m, D, d) stacks.
+
+    Each of the m values is the sine of its pair's largest canonical angle.
+    The two projectors of a pair are subtracted in the order of their bytes,
+    so the result is bit-equal to ``principal_angles(b, a)``.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    if a.ndim != 3 or a.shape != b.shape:
+        raise ValueError(f"need two (m, D, d) stacks of one shape, got {a.shape} and {b.shape}")
+    _check_bases(a)
+    _check_bases(b)
+    m, big_d, _ = a.shape
+    pa, pb = np.matmul(a, a.transpose(0, 2, 1)), np.matmul(b, b.transpose(0, 2, 1))
+    # each projector as one byte string, so ">" compares as bytes objects do
+    key, size = f"S{pa.itemsize * big_d * big_d}", (m, big_d * big_d)
+    swap = (pa.reshape(size).view(key) > pb.reshape(size).view(key))[:, 0]
+    pa[swap], pb[swap] = pb[swap], pa[swap]
+    eigs = np.linalg.eigvalsh(pa - pb)
+    return np.minimum(1.0, np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1])))
 
 
 def principal_angle(u: Subspace, v: Subspace) -> float:
-    """Distance between equal-dimension subspaces: ||P_U - P_V||_op in [0, 1].
-
-    Equals the sine of the largest canonical angle.  The two projectors are
-    subtracted in a canonical order so the function is exactly symmetric.
-    """
-    _check_same_shape(u, v)
-    pu, pv = u.projector(), v.projector()
-    # canonical operand order makes principal_angle(u, v) bit-equal to (v, u)
-    if pu.tobytes() > pv.tobytes():
-        pu, pv = pv, pu
-    eigs = np.linalg.eigvalsh(pu - pv)
-    ang = max(abs(float(eigs[0])), abs(float(eigs[-1])))
-    return min(1.0, ang)
+    """:func:`principal_angles` of one pair of equal-dimension subspaces."""
+    return float(principal_angles(u.basis[None], v.basis[None])[0])
 
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:

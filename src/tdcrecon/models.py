@@ -1,22 +1,22 @@
 """Analytic ground-truth manifolds and samplers.
 
 Each model is a closed d-dimensional submanifold of R^D (embedded through its
-first few coordinates, zero-padded beyond) with a known reach, a closed-form
-nearest-point projection, exact tangent spaces, and a uniform surface sampler.
-The clutter sampler mixes uniform-on-manifold points with uniform ambient
-outliers in a ball around the manifold centroid.
+first few coordinates, zero-padded beyond) with a known reach, a uniform
+surface sampler and, for an (m, D) array of points, closed-form nearest points,
+distances and tangent spaces (an (m, D, d) stack of orthonormal bases).  The
+clutter sampler mixes uniform-on-manifold points with uniform ambient outliers
+in a ball around the manifold centroid.
 
 Labels: 1 = signal (drawn on the manifold), 0 = outlier.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Subspace
+from ._neighbours import check_finite
 
 MEDIAL_TOL = 1e-9
 ON_MANIFOLD_TOL = 1e-9
@@ -27,16 +27,13 @@ class MedialAxisError(ValueError):
 
 
 def _pad(coords: np.ndarray, ambient_dim: int) -> np.ndarray:
-    coords = np.atleast_2d(coords)
-    if coords.shape[1] == ambient_dim:
-        return coords
     out = np.zeros((coords.shape[0], ambient_dim))
     out[:, : coords.shape[1]] = coords
     return out
 
 
 class ManifoldModel:
-    """Shared interface; concrete models implement the *_impl hooks."""
+    """Shared interface; concrete models implement what raises NotImplementedError."""
 
     ambient_dim: int
     intrinsic_dim: int
@@ -58,24 +55,29 @@ class ManifoldModel:
     def project_many(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.project_many(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
     def distance_many(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.linalg.norm(x - self.project_many(x), axis=1)
-
-    def distance(self, x: np.ndarray) -> float:
-        return float(self.distance_many(x)[0])
-
-    def tangent(self, p: np.ndarray) -> Subspace:
-        p = np.asarray(p, dtype=float)
-        if self.distance(p) > ON_MANIFOLD_TOL:
-            raise ValueError("point is not on the manifold")
-        return self._tangent_impl(p)
-
-    def _tangent_impl(self, p: np.ndarray) -> Subspace:
         raise NotImplementedError
+
+    def tangent_many(self, points: np.ndarray) -> np.ndarray:
+        """(m, D, d) orthonormal bases of the tangent spaces at m points of M;
+        ValueError names the first row farther than ON_MANIFOLD_TOL from M."""
+        raise NotImplementedError
+
+    def _rows(self, x) -> np.ndarray:
+        """``x`` as (m, D) floats; ValueError unless each row is D finite coordinates."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.ndim != 2 or x.shape[1] != self.ambient_dim:
+            raise ValueError(f"need points of {self.ambient_dim} coordinates, got shape {x.shape}")
+        check_finite(x, "points")
+        return x
+
+    def _on_manifold(self, points) -> np.ndarray:
+        """``_rows(points)``, each row within ON_MANIFOLD_TOL of M."""
+        points = self._rows(points)
+        far = np.flatnonzero(self.distance_many(points) > ON_MANIFOLD_TOL)
+        if far.size:
+            raise ValueError(f"row {far[0]} is not on the manifold")
+        return points
 
     def grid(self, resolution: float) -> np.ndarray:
         """Deterministic point grid on the manifold with spacing <= resolution."""
@@ -110,7 +112,7 @@ class Circle(ManifoldModel):
         return self.point(rng.uniform(0.0, 2.0 * np.pi, size=k))
 
     def project_many(self, x):
-        x = _pad(np.asarray(x, dtype=float), self.ambient_dim)
+        x = self._rows(x)
         s = np.hypot(x[:, 0], x[:, 1])
         if np.any(s < MEDIAL_TOL):
             raise MedialAxisError("projection undefined near the circle axis")
@@ -120,15 +122,17 @@ class Circle(ManifoldModel):
         return out
 
     def distance_many(self, x):
-        x = _pad(np.asarray(x, dtype=float), self.ambient_dim)
+        x = self._rows(x)
         s = np.hypot(x[:, 0], x[:, 1])
         rest2 = np.einsum("ij,ij->i", x[:, 2:], x[:, 2:])
         return np.sqrt((s - self.radius) ** 2 + rest2)
 
-    def _tangent_impl(self, p):
-        v = np.zeros(self.ambient_dim)
-        v[0], v[1] = -p[1], p[0]
-        return Subspace((v / np.linalg.norm(v))[:, None])
+    def tangent_many(self, points):
+        p = self._on_manifold(points)
+        out = np.zeros((p.shape[0], self.ambient_dim, 1))
+        out[:, 0, 0], out[:, 1, 0] = -p[:, 1], p[:, 0]
+        out /= np.hypot(p[:, 0], p[:, 1])[:, None, None]
+        return out
 
     def grid(self, resolution):
         k = max(3, int(np.ceil(2.0 * np.pi * self.radius / resolution)))
@@ -159,7 +163,7 @@ class Sphere(ManifoldModel):
         return _pad(self.radius * g, self.ambient_dim)
 
     def project_many(self, x):
-        x = _pad(np.asarray(x, dtype=float), self.ambient_dim)
+        x = self._rows(x)
         s = np.linalg.norm(x[:, :3], axis=1)
         if np.any(s < MEDIAL_TOL):
             raise MedialAxisError("projection undefined near the sphere center")
@@ -168,22 +172,22 @@ class Sphere(ManifoldModel):
         return out
 
     def distance_many(self, x):
-        x = _pad(np.asarray(x, dtype=float), self.ambient_dim)
+        x = self._rows(x)
         s = np.linalg.norm(x[:, :3], axis=1)
         rest2 = np.einsum("ij,ij->i", x[:, 3:], x[:, 3:])
         return np.sqrt((s - self.radius) ** 2 + rest2)
 
-    def _tangent_impl(self, p):
-        n = p[:3] / np.linalg.norm(p[:3])
-        # two orthonormal vectors perpendicular to n inside the first 3 coords
-        a = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        u = a - np.dot(a, n) * n
-        u /= np.linalg.norm(u)
-        v = np.cross(n, u)
-        basis = np.zeros((self.ambient_dim, 2))
-        basis[:3, 0] = u
-        basis[:3, 1] = v
-        return Subspace(basis)
+    def tangent_many(self, points):
+        p = self._on_manifold(points)
+        n = p[:, :3] / np.linalg.norm(p[:, :3], axis=1, keepdims=True)
+        # two orthonormal vectors perpendicular to n inside the first 3 coords,
+        # starting from e2 where n is near +-e1
+        a = np.where((np.abs(n[:, 0]) < 0.9)[:, None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        u = a - np.einsum("ij,ij->i", a, n)[:, None] * n
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        out = np.zeros((p.shape[0], self.ambient_dim, 2))
+        out[:, :3, 0], out[:, :3, 1] = u, np.cross(n, u)
+        return out
 
     def grid(self, resolution):
         # Fibonacci lattice; spacing ~ sqrt(area / k)
@@ -229,10 +233,6 @@ class Torus(ManifoldModel):
         )
         return _pad(pts, self.ambient_dim)
 
-    def params_of(self, p: np.ndarray) -> tuple[float, float]:
-        s = math.hypot(p[0], p[1])
-        return math.atan2(p[1], p[0]), math.atan2(p[2], s - self.major_radius)
-
     def sample_points(self, rng, k):
         # rejection on v with acceptance (R + r cos v) / (R + r) gives exact
         # surface-measure uniformity
@@ -250,7 +250,7 @@ class Torus(ManifoldModel):
         return _pad(out[:k], self.ambient_dim)
 
     def project_many(self, x):
-        x = _pad(np.asarray(x, dtype=float), self.ambient_dim)
+        x = self._rows(x)
         s = np.hypot(x[:, 0], x[:, 1])
         if np.any(s < MEDIAL_TOL):
             raise MedialAxisError("projection undefined near the torus axis")
@@ -266,22 +266,24 @@ class Torus(ManifoldModel):
         return out
 
     def distance_many(self, x):
-        x = _pad(np.asarray(x, dtype=float), self.ambient_dim)
+        x = self._rows(x)
         s = np.hypot(x[:, 0], x[:, 1])
         t = np.hypot(s - self.major_radius, x[:, 2])
         rest2 = np.einsum("ij,ij->i", x[:, 3:], x[:, 3:])
         return np.sqrt((t - self.minor_radius) ** 2 + rest2)
 
-    def _tangent_impl(self, p):
-        u, v = self.params_of(p)
-        du = np.array([-math.sin(u), math.cos(u), 0.0])
-        dv = np.array(
-            [-math.sin(v) * math.cos(u), -math.sin(v) * math.sin(u), math.cos(v)]
-        )
-        basis = np.zeros((self.ambient_dim, 2))
-        basis[:3, 0] = du
-        basis[:3, 1] = dv
-        return Subspace(basis)
+    def tangent_many(self, points):
+        # d/du and d/dv of point(u, v), the cosines and sines of u and v read
+        # off p; on M, s >= R - r > 0 and t = r > 0
+        p = self._on_manifold(points)
+        s = np.hypot(p[:, 0], p[:, 1])
+        t = np.hypot(s - self.major_radius, p[:, 2])
+        cos_u, sin_u = p[:, 0] / s, p[:, 1] / s
+        cos_v, sin_v = (s - self.major_radius) / t, p[:, 2] / t
+        out = np.zeros((p.shape[0], self.ambient_dim, 2))
+        out[:, 0, 0], out[:, 1, 0] = -sin_u, cos_u
+        out[:, 0, 1], out[:, 1, 1], out[:, 2, 1] = -sin_v * cos_u, -sin_v * sin_u, cos_v
+        return out
 
     def grid(self, resolution):
         nu = max(3, int(np.ceil(2 * np.pi * (self.major_radius + self.minor_radius) / resolution)))
@@ -390,6 +392,7 @@ def save_cloud_csv(path, points: np.ndarray, labels: np.ndarray | None = None) -
             raise ValueError(
                 f"need one label per point, got {labels.size} labels for {points.shape[0]} points"
             )
+        _check_labels(labels)
         header += ",label"
         fmt.append("%d")
         points = np.column_stack([points, labels])
@@ -407,5 +410,13 @@ def load_cloud_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     if not np.all(np.isfinite(data)):
         raise ValueError(f"non-finite coordinates in {path}")
     if has_labels:
-        return data[:, :-1], data[:, -1].astype(np.int8)
+        return data[:, :-1], _check_labels(data[:, -1])
     return data, None
+
+
+def _check_labels(labels: np.ndarray) -> np.ndarray:
+    """``labels`` as int8; ValueError names the first row whose label is not 0 or 1."""
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        raise ValueError(f"labels must be 0 or 1, row {bad[0]} has {labels[bad[0]]}")
+    return labels.astype(np.int8)

@@ -7,7 +7,9 @@ whose top eigenvectors ``estimate_tangents`` must span.  ``iterative_denoise``
 runs the denoising loop on these dense stages, each with a scan of its own,
 and scans once more for each iteration's neighbour counts.
 ``field_of`` and ``subspaces`` convert between a tangent field and the list
-of ``Subspace`` objects the tests write fields with.
+of ``Subspace`` objects the tests write fields with.  ``tangent`` and
+``principal_angle`` are the one-point and one-pair forms that the models'
+``tangent_many`` and ``geometry.principal_angles`` replace.
 """
 import math
 
@@ -15,6 +17,7 @@ import numpy as np
 
 from tdcrecon.denoise import NO_SURVIVORS, NO_TANGENT, IterationDiagnostics, schedule
 from tdcrecon.geometry import Subspace
+from tdcrecon.models import Circle, Sphere, Torus
 from tdcrecon.tangent import TangentField, TseParams
 
 _CHUNK = 256
@@ -199,3 +202,37 @@ def iterative_denoise(cloud, d, beta, kappa, spec, k_iters):
         if stop_reason is not None:
             break
     return alive.tolist(), diags
+
+
+def tangent(model, p):
+    """The tangent space of ``model`` at one point ``p`` of it, as a ``Subspace``."""
+    p = np.asarray(p, dtype=float)
+    if isinstance(model, Circle):
+        v = np.zeros(model.ambient_dim)
+        v[0], v[1] = -p[1], p[0]
+        return Subspace((v / np.linalg.norm(v))[:, None])
+    basis = np.zeros((model.ambient_dim, 2))
+    if isinstance(model, Sphere):
+        n = p[:3] / np.linalg.norm(p[:3])
+        a = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        u = a - np.dot(a, n) * n
+        u /= np.linalg.norm(u)
+        basis[:3, 0] = u
+        basis[:3, 1] = np.cross(n, u)
+        return Subspace(basis)
+    assert isinstance(model, Torus)
+    u = math.atan2(p[1], p[0])
+    v = math.atan2(p[2], math.hypot(p[0], p[1]) - model.major_radius)
+    basis[:3, 0] = [-math.sin(u), math.cos(u), 0.0]
+    basis[:3, 1] = [-math.sin(v) * math.cos(u), -math.sin(v) * math.sin(u), math.cos(v)]
+    return Subspace(basis)
+
+
+def principal_angle(u, v):
+    """||P_U - P_V||_op of two ``Subspace`` objects, the projectors subtracted
+    in the order of their bytes."""
+    pu, pv = u.projector(), v.projector()
+    if pu.tobytes() > pv.tobytes():
+        pu, pv = pv, pu
+    eigs = np.linalg.eigvalsh(pu - pv)
+    return min(1.0, max(abs(float(eigs[0])), abs(float(eigs[-1]))))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import dense_oracles as dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from tdcrecon.geometry import (
     hausdorff,
     directed_hausdorff,
     principal_angle,
+    principal_angles,
     random_subspace,
 )
 from tdcrecon.tangent import TangentField
@@ -118,10 +120,10 @@ class TestPrincipalAngle:
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            u = random_subspace(rng, 6, 2)
-            v = random_subspace(rng, 6, 2)
-            assert principal_angle(u, v) == principal_angle(v, u)
+        pairs = [(random_subspace(rng, 6, 2), random_subspace(rng, 6, 2)) for _ in range(50)]
+        u = np.stack([a.basis for a, _ in pairs])
+        v = np.stack([b.basis for _, b in pairs])
+        assert np.array_equal(principal_angles(u, v), principal_angles(v, u))
 
     def test_range_and_orthogonal_vector_case(self):
         rng = np.random.default_rng(11)
@@ -141,6 +143,51 @@ class TestPrincipalAngle:
             assert principal_angle(u, w) <= (
                 principal_angle(u, v) + principal_angle(v, w) + 1e-8
             )
+
+
+class TestPrincipalAngles:
+    """The stacked angles against the one-pair form of dense_oracles."""
+
+    @pytest.mark.parametrize("big_d, d", [(3, 1), (3, 2), (10, 1), (10, 2), (10, 7)])
+    def test_bit_equal_to_reference_and_symmetric(self, big_d, d):
+        rng = np.random.default_rng(big_d * 10 + d)
+        subs = [random_subspace(rng, big_d, d) for _ in range(120)]
+        # unrelated pairs, equal pairs, and pairs one basis rotation apart
+        a = np.stack([s.basis for s in subs])
+        b = np.concatenate([a[60:], a[:30], a[30:60, :, ::-1]])
+        got = principal_angles(a, b)
+        want = [dense.principal_angle(Subspace(x), Subspace(y)) for x, y in zip(a, b)]
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, principal_angles(b, a))
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
+    def test_one_pair_is_principal_angle(self):
+        rng = np.random.default_rng(8)
+        u, v = random_subspace(rng, 5, 2), random_subspace(rng, 5, 2)
+        assert principal_angle(u, v) == principal_angles(u.basis[None], v.basis[None])[0]
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [((4, 3, 1), (4, 3, 2)), ((4, 3, 1), (4, 4, 1)), ((4, 3, 1), (5, 3, 1)), ((3, 1), (3, 1))],
+        ids=["dim", "ambient-dim", "count", "not-stacks"],
+    )
+    def test_mismatched_shapes_raise(self, a_shape, b_shape):
+        a = np.zeros(a_shape)
+        b = np.zeros(b_shape)
+        a[..., 0, 0] = b[..., 0, 0] = 1.0
+        with pytest.raises(ValueError, match="need two"):
+            principal_angles(a, b)
+
+    def test_non_orthonormal_raises(self):
+        a = np.tile(np.eye(3)[:, :2], (2, 1, 1))
+        b = a.copy()
+        b[1, 0, 0] = 2.0
+        with pytest.raises(ValueError, match="not orthonormal"):
+            principal_angles(a, b)
+
+    def test_empty(self):
+        got = principal_angles(np.zeros((0, 4, 2)), np.zeros((0, 4, 2)))
+        assert got.shape == (0,)
 
 
 class TestTopEigenspace:
@@ -227,6 +274,12 @@ class TestHausdorff:
 
 
 class TestSubspaceRotation:
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="need two subspaces of one shape"):
+            subspace_rotation(span([1, 0]), span([1, 0, 0]))
+        with pytest.raises(ValueError, match="need two subspaces of one shape"):
+            subspace_rotation(span([1, 0, 0]), Subspace(np.eye(3)[:, :2]))
+
     def test_identity_on_equal(self):
         u = span([1, 0, 0])
         assert np.allclose(subspace_rotation(u, u), np.eye(3), atol=1e-12)
@@ -307,5 +360,5 @@ def test_wielandt_hoffmann_small():
 def test_sampled_reach_circle():
     t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     pts = np.column_stack([np.cos(t), np.sin(t)])
-    tangents = [span([-np.sin(v), np.cos(v)]) for v in t]
+    tangents = np.column_stack([-np.sin(t), np.cos(t)])[:, :, None]
     assert sampled_reach(pts, tangents) == pytest.approx(1.0, abs=1e-9)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dense_oracles as dense
 from tdcrecon.checks import (
     circle_geodesic_distance,
     monte_carlo_reach,
@@ -11,7 +12,7 @@ from tdcrecon.checks import (
     verify_normal_offset,
     verify_standardness,
 )
-from tdcrecon.geometry import principal_angle
+from tdcrecon.geometry import Subspace, principal_angle, principal_angles
 from tdcrecon.models import (
     Circle,
     LabeledCloud,
@@ -65,11 +66,11 @@ class TestProjection:
             assert np.max(np.linalg.norm(model.project_many(pts) - pts, axis=1)) < 1e-10
 
     def test_circle_radial(self):
-        assert np.allclose(Circle(1.0).project([2.0, 0.0]), [1.0, 0.0])
+        assert np.allclose(Circle(1.0).project_many([[2.0, 0.0]])[0], [1.0, 0.0])
 
     def test_torus_closed_form(self):
         torus = Torus(2.0, 0.5)
-        assert np.allclose(torus.project([3.0, 0.0, 0.0]), [2.5, 0.0, 0.0])
+        assert np.allclose(torus.project_many([[3.0, 0.0, 0.0]])[0], [2.5, 0.0, 0.0])
 
     def test_torus_against_grid_search(self):
         torus = Torus(2.0, 0.5)
@@ -78,7 +79,7 @@ class TestProjection:
         for _ in range(20):
             x = rng.uniform(-3, 3, size=3)
             try:
-                q = torus.project(x)
+                q = torus.project_many(x)[0]
             except MedialAxisError:
                 continue
             best = grid[np.argmin(np.linalg.norm(grid - x, axis=1))]
@@ -100,39 +101,78 @@ class TestProjection:
 
     def test_medial_axis_errors(self):
         with pytest.raises(MedialAxisError):
-            Circle(1.0).project([0.0, 0.0])
+            Circle(1.0).project_many([[0.0, 0.0]])
         with pytest.raises(MedialAxisError):
-            Torus(2.0, 0.5).project([0.0, 0.0, 1.0])
+            Torus(2.0, 0.5).project_many([[0.0, 0.0, 1.0]])
         with pytest.raises(MedialAxisError):
-            Torus(2.0, 0.5).project([2.0, 0.0, 0.0])  # core circle
+            Torus(2.0, 0.5).project_many([[2.0, 0.0, 0.0]])  # core circle
         with pytest.raises(MedialAxisError):
-            Sphere(1.0).project([0.0, 0.0, 0.0])
+            Sphere(1.0).project_many([[0.0, 0.0, 0.0]])
 
     def test_padding_extra_coords(self):
         circle = Circle(1.0, ambient_dim=4)
-        q = circle.project([0.0, 2.0, 0.7, -0.3])
+        q = circle.project_many([[0.0, 2.0, 0.7, -0.3]])[0]
         assert np.allclose(q, [0.0, 1.0, 0.0, 0.0])
-        assert circle.distance([0.0, 2.0, 0.7, -0.3]) == pytest.approx(
+        assert circle.distance_many([[0.0, 2.0, 0.7, -0.3]])[0] == pytest.approx(
             np.sqrt(1.0 + 0.49 + 0.09)
         )
 
 
+class TestMalformedPoints:
+    """project_many, distance_many and tangent_many take only rows of D finite coordinates."""
+
+    METHODS = ["project_many", "distance_many", "tangent_many"]
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "model, x",
+        [
+            (Circle(1.0, ambient_dim=10), np.ones((1, 3))),  # was zero-padded to 10-D
+            (Circle(1.0), np.ones((1, 3))),
+            (Torus(), np.ones((1, 5))),  # failed inside numpy's broadcasting
+            (Sphere(1.0, ambient_dim=4), np.ones((2, 3))),
+        ],
+        ids=["circle10-short", "circle2-long", "torus3-long", "sphere4-short"],
+    )
+    def test_wrong_row_length(self, method, model, x):
+        with pytest.raises(ValueError, match=f"need points of {model.ambient_dim} coordinates"):
+            getattr(model, method)(x)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "model, x",
+        [
+            (Circle(1.0), [[np.nan, 1.0]]),  # distance was nan, the projection [nan, nan]
+            (Sphere(1.0), [[np.inf, 0.0, 0.0]]),  # distance was inf
+            (Torus(), [[3.0, 0.0, 0.0], [2.5, 0.0, -np.inf]]),
+        ],
+        ids=["circle-nan", "sphere-inf", "torus-minus-inf"],
+    )
+    def test_non_finite(self, method, model, x):
+        with pytest.raises(ValueError, match="points contains NaN or inf"):
+            getattr(model, method)(x)
+
+
+def _tangent_at(model, p):
+    return Subspace(model.tangent_many([p])[0])
+
+
 class TestTangent:
     def test_circle(self):
-        sub = Circle(1.0).tangent([1.0, 0.0])
+        sub = _tangent_at(Circle(1.0), [1.0, 0.0])
         assert principal_angle(sub, _span([0.0, 1.0])) < 1e-12
 
     def test_sphere_pole(self):
-        sub = Sphere(1.0).tangent([0.0, 0.0, 1.0])
+        sub = _tangent_at(Sphere(1.0), [0.0, 0.0, 1.0])
         assert principal_angle(sub, _span([1, 0, 0], [0, 1, 0])) < 1e-12
 
     def test_torus_outer_point(self):
-        sub = Torus(2.0, 0.5).tangent([2.5, 0.0, 0.0])
+        sub = _tangent_at(Torus(2.0, 0.5), [2.5, 0.0, 0.0])
         assert principal_angle(sub, _span([0, 1, 0], [0, 0, 1])) < 1e-12
 
     def test_off_manifold_rejected(self):
         with pytest.raises(ValueError):
-            Circle(1.0).tangent([1.5, 0.0])
+            Circle(1.0).tangent_many([[1.5, 0.0]])
 
     def test_reach_criterion_monte_carlo(self):
         for model in MODELS:
@@ -140,9 +180,75 @@ class TestTangent:
             assert est >= model.reach - 0.01
 
 
-def _span(*vectors):
-    from tdcrecon.geometry import Subspace
+STACK_MODELS = [
+    model(ambient_dim=big_d) for model in (Circle, Sphere, Torus) for big_d in (3, 10)
+]
 
+
+def _model_id(model):
+    return f"{type(model).__name__.lower()}{model.ambient_dim}"
+
+
+def _special_points(model):
+    """Points of M on the axes of the closed forms' case splits."""
+    quarter = np.arange(4) * np.pi / 2
+    if isinstance(model, Circle):
+        return model.point(quarter)  # (1, 0), (0, 1), (-1, 0), (0, -1)
+    if isinstance(model, Torus):
+        u, v = np.meshgrid(quarter, quarter)
+        return model.point(u.ravel(), v.ravel())
+    # the sphere's basis starts from e2 where |n_0| >= 0.9
+    c, s = 0.9, np.sqrt(1.0 - 0.81)
+    pts = np.array(
+        [[1, 0, 0], [-1, 0, 0], [c, s, 0], [-c, 0, s], [0.95, 0, -np.sqrt(0.0975)],
+         [0, 0, 1], [0, 0, -1], [0, 1, 0]]
+    )
+    out = np.zeros((len(pts), model.ambient_dim))
+    out[:, :3] = pts
+    return out
+
+
+class TestTangentMany:
+    """The stacks against the one-point and one-pair forms of dense_oracles."""
+
+    def points(self, model):
+        rng = np.random.default_rng(21)
+        return np.vstack([_special_points(model), model.sample_points(rng, 200)])
+
+    @pytest.mark.parametrize("model", STACK_MODELS, ids=_model_id)
+    def test_projectors_match_reference(self, model):
+        pts = self.points(model)
+        bases = model.tangent_many(pts)
+        assert bases.shape == (len(pts), model.ambient_dim, model.intrinsic_dim)
+        gram = np.matmul(bases.transpose(0, 2, 1), bases)
+        assert np.max(np.abs(gram - np.eye(model.intrinsic_dim))) <= 1e-12
+        want = np.array([dense.tangent(model, p).projector() for p in pts])
+        assert np.max(np.abs(np.matmul(bases, bases.transpose(0, 2, 1)) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("model", STACK_MODELS, ids=_model_id)
+    def test_angles_match_reference(self, model):
+        pts = self.points(model)
+        a = model.tangent_many(pts)
+        for b in (model.tangent_many(np.roll(pts, 1, axis=0)), a):
+            got = principal_angles(a, b)
+            want = [dense.principal_angle(Subspace(x), Subspace(y)) for x, y in zip(a, b)]
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, principal_angles(b, a))
+
+    def test_off_manifold_row_named(self):
+        torus = Torus(2.0, 0.5)
+        pts = torus.sample_points(np.random.default_rng(22), 5)
+        pts[3] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="row 3 is not on the manifold"):
+            torus.tangent_many(pts)
+
+    @pytest.mark.parametrize("model", STACK_MODELS, ids=_model_id)
+    def test_empty(self, model):
+        bases = model.tangent_many(np.zeros((0, model.ambient_dim)))
+        assert bases.shape == (0, model.ambient_dim, model.intrinsic_dim)
+
+
+def _span(*vectors):
     basis = np.array(vectors, dtype=float).T
     basis /= np.linalg.norm(basis, axis=0)
     return Subspace(basis)
@@ -254,6 +360,22 @@ class TestCsv:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="no points"):
                 load_cloud_csv(path)
+
+    @pytest.mark.parametrize("label", ["2.7", "-1", "300", "0.5"])
+    def test_load_rejects_label_not_0_or_1(self, tmp_path, label):
+        # 2.7 was read as 2, -1 kept, 300 wrapped to 44 and 0.5 read as 0
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"x0,x1,label\n0.5,1.0,1\n2.0,3.0,0\n1.0,1.0,{label}\n4.0,4.0,7\n")
+        with pytest.raises(ValueError, match="row 2 has"):
+            load_cloud_csv(path)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [-1, 0, 1], [1, 0.5, 0]], ids=["2", "-1", "0.5"])
+    def test_save_rejects_label_not_0_or_1(self, tmp_path, labels):
+        path = tmp_path / "cloud.csv"
+        bad = next(i for i, v in enumerate(labels) if v not in (0, 1))
+        with pytest.raises(ValueError, match=f"row {bad} has"):
+            save_cloud_csv(path, np.zeros((3, 2)), np.array(labels))
+        assert not path.exists()
 
     @pytest.mark.parametrize("n_labels", [2, 5])
     def test_label_count_mismatch(self, tmp_path, n_labels):
