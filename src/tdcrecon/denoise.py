@@ -16,9 +16,8 @@ tangent is inherited from the nearest estimate are read a second time, from
 the same lists, once :meth:`.TangentField.complete` has filled them in.  The
 lists are dropped before the next iteration searches.
 
-That pass is the package's only slab counter; :func:`in_slab` states the
-slab predicate for one pair of points.  Tangents alone, say at the points of
-a net, come from :func:`.tangent.estimate_tangents`.
+That pass is the package's only slab counter.  Tangents alone, say at the
+points of a net, come from :func:`.tangent.estimate_tangents`.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ import numpy as np
 
 from . import _neighbours
 from ._neighbours import check_finite
-from .geometry import Subspace
 from .models import LabeledCloud
 from .tangent import TangentField, TseParams, _block_bases
 
@@ -89,12 +87,6 @@ def _slab_mask(
     tang2 = np.einsum("...j,...j->...", tang, tang)
     norm2 = d2 - tang2
     return (tang2 <= (spec.k1 * h) ** 2) & (np.maximum(norm2, 0.0) <= (spec.k2 * h * h) ** 2)
-
-
-def in_slab(x: np.ndarray, tangent: Subspace, h: float, spec: SlabSpec, y) -> bool:
-    """Closed-condition membership of y in the slab at x with direction T."""
-    diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    return bool(_slab_mask(diff[None, :], tangent.basis, h, spec)[0])
 
 
 def _slab_hits(diff, d2, inside, bases, h: float, spec: SlabSpec) -> np.ndarray:
@@ -175,42 +167,35 @@ class Schedule:
     d: int
     beta: float
     kappa: float
-    gammas: list[float]
 
     @property
     def base(self) -> float:
         return self.kappa * math.log(self.n) / (self.beta * (self.n - 1))
 
-    @property
-    def hs(self) -> list[float]:
-        base = self.base
-        return [base**g for g in self.gammas]
-
-    @property
-    def h_infinity(self) -> float:
-        return self.base ** (1.0 / self.d)
-
     def gamma_at(self, k: int) -> float:
-        if k < 0:
-            raise ValueError(f"need k >= 0, got {k}")
-        g = self.gammas[-1] if k >= len(self.gammas) else self.gammas[k]
-        for _ in range(len(self.gammas), k + 1):
-            g = (2.0 * g + 1.0) / (self.d + 2.0)
-        return g
+        return _gamma(self.d, k)
 
     def h_at(self, k: int) -> float:
         return self.base ** self.gamma_at(k)
 
 
-def schedule(n: int, d: int, beta: float, kappa: float, k_max: int) -> Schedule:
+def _gamma(d: int, k: int) -> float:
+    """gamma_k of the recurrence gamma_{k+1} = (2 gamma_k + 1) / (d + 2),
+    walked from gamma_0 = 1/(d+1)."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    g = 1.0 / (d + 1)
+    for _ in range(k):
+        g = (2.0 * g + 1.0) / (d + 2.0)
+    return g
+
+
+def schedule(n: int, d: int, beta: float, kappa: float) -> Schedule:
     if n < 3:
         raise ValueError("need n >= 3")
-    if not (0 < beta <= 1 and kappa > 0) or d < 1 or k_max < 0:
+    if not (0 < beta <= 1 and kappa > 0) or d < 1:
         raise ValueError("invalid schedule parameters")
-    gammas = [1.0 / (d + 1)]
-    for _ in range(k_max):
-        gammas.append((2.0 * gammas[-1] + 1.0) / (d + 2.0))
-    return Schedule(n=n, d=d, beta=beta, kappa=kappa, gammas=gammas)
+    return Schedule(n=n, d=d, beta=beta, kappa=kappa)
 
 
 def k_delta(d: int, delta: float) -> int:
@@ -219,11 +204,8 @@ def k_delta(d: int, delta: float) -> int:
         raise ValueError("need d >= 1")
     if not 0.0 < delta < 1.0 / (d * (d + 1)):
         raise ValueError(f"need 0 < delta < 1/(d(d+1)) = {1.0 / (d * (d + 1)):.6g}")
-    target = 1.0 / d - delta
-    g = 1.0 / (d + 1)
     k = 0
-    while g < target:
-        g = (2.0 * g + 1.0) / (d + 2.0)
+    while _gamma(d, k) < 1.0 / d - delta:
         k += 1
     if k > math.ceil(_k_delta_bound(d, delta)) + 1:
         raise RuntimeError(f"k_delta({d}, {delta}) = {k} exceeds its closed-form bound")
@@ -235,37 +217,6 @@ def _k_delta_bound(d: int, delta: float) -> float:
     return (math.log(1.0 / delta) - math.log(d * (d + 1))) / (
         math.log(d + 2.0) - math.log(2.0)
     )
-
-
-def k_hat(distances_to_manifold: np.ndarray, sched: Schedule, rho: float) -> int:
-    """Smallest k such that every distance above h_inf^2/rho exceeds h_k^2/rho.
-
-    Oracle diagnostic (uses ground-truth distances).  Returns 0 when no point
-    lies beyond h_inf^2/rho.
-    """
-    if not rho > 0:
-        raise ValueError("need reach rho > 0")
-    d = np.asarray(distances_to_manifold, dtype=float)
-    cut = sched.h_infinity**2 / rho
-    far = d[d > cut]
-    if far.size == 0:
-        return 0
-    m = float(far.min())
-    for k in range(100_000):
-        if sched.h_at(k) ** 2 / rho < m:
-            return k
-    raise RuntimeError("k_hat did not converge; schedule base may be >= 1")
-
-
-def calibrate_threshold(pilot_counts: np.ndarray, n: int) -> float:
-    """Default threshold rule: half the 5th percentile of pilot on-slab counts,
-    expressed in units of log(n-1)."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    counts = np.asarray(pilot_counts, dtype=float)
-    if not counts.size:
-        raise ValueError("need at least one pilot count")
-    return 0.5 * float(np.percentile(counts, 5.0)) / math.log(n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +273,7 @@ def iterative_denoise(
     if d > points.shape[1]:
         raise ValueError(f"need d <= ambient dimension, got d={d} in R^{points.shape[1]}")
     n_total = cloud.n
-    sched = schedule(n_total, d, beta, kappa, k_iters)
+    sched = schedule(n_total, d, beta, kappa)
     threshold = spec.t * math.log(n_total - 1)
     alive = np.arange(n_total)
     diags: list[IterationDiagnostics] = []

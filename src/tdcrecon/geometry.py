@@ -3,8 +3,7 @@ points from a KD-tree).
 
 Everything here is pure and operates on plain numpy arrays.  Tangent spaces
 are (m, D, d) stacks of orthonormal bases, compared pair by pair with
-:func:`principal_angles`; the small :class:`Subspace` wrapper is one basis,
-where one subspace is meant.  Tolerances are fixed module constants, not knobs.
+:func:`principal_angles`.  Tolerances are fixed module constants, not knobs.
 """
 from __future__ import annotations
 
@@ -14,31 +13,6 @@ from scipy.spatial import cKDTree
 from ._neighbours import check_finite
 
 ORTHONORMALITY_TOL = 1e-10
-
-
-class Subspace:
-    """A d-dimensional linear subspace of R^D stored as an orthonormal basis.
-
-    The basis is a D x d matrix with orthonormal columns (checked to 1e-10 on
-    construction).  Instances are treated as immutable.
-    """
-
-    __slots__ = ("basis",)
-
-    def __init__(self, basis: np.ndarray):
-        basis = np.array(basis, dtype=float)
-        if basis.ndim == 1:
-            basis = basis[:, None]
-        _check_bases(basis[None])
-        basis.setflags(write=False)
-        self.basis = basis
-
-    def projector(self) -> np.ndarray:
-        """Orthogonal projection matrix onto the subspace."""
-        return self.basis @ self.basis.T
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.basis.shape[1]}, ambient_dim={self.basis.shape[0]})"
 
 
 def _check_bases(bases: np.ndarray) -> None:
@@ -52,15 +26,6 @@ def _check_bases(bases: np.ndarray) -> None:
     gram = np.matmul(bases.transpose(0, 2, 1), bases)
     if np.max(np.abs(gram - np.eye(d)), initial=0.0) > ORTHONORMALITY_TOL:
         raise ValueError("basis columns are not orthonormal to 1e-10")
-
-
-def random_subspace(rng: np.random.Generator, ambient_dim: int, dim: int) -> Subspace:
-    """Haar-ish random subspace from the QR of a Gaussian matrix."""
-    g = rng.standard_normal((ambient_dim, dim))
-    q, r = np.linalg.qr(g)
-    # fix signs so the result is a deterministic function of g
-    q = q * np.sign(np.where(np.diag(r) == 0.0, 1.0, np.diag(r)))
-    return Subspace(q)
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -84,16 +49,6 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pa[swap], pb[swap] = pb[swap], pa[swap]
     eigs = np.linalg.eigvalsh(pa - pb)
     return np.minimum(1.0, np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1])))
-
-
-def principal_angle(u: Subspace, v: Subspace) -> float:
-    """:func:`principal_angles` of one pair of equal-dimension subspaces."""
-    return float(principal_angles(u.basis[None], v.basis[None])[0])
-
-
-def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    """Hausdorff distance between two finite point sets in R^D."""
-    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
 def directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:

@@ -328,23 +328,17 @@ class SampleSpec:
 @dataclass
 class LabeledCloud:
     points: np.ndarray
-    labels: np.ndarray  # 1 = signal, 0 = outlier
-    spec: SampleSpec
+    labels: np.ndarray | None = None  # 1 = signal, 0 = outlier; None when unlabelled
 
     def __post_init__(self):
-        if self.points.shape[0] != self.labels.shape[0]:
-            raise ValueError("labels length must equal point count")
+        if self.labels is not None:
+            if self.points.shape[0] != self.labels.shape[0]:
+                raise ValueError("labels length must equal point count")
+            _check_labels(self.labels)
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.points.shape[1]
-
-    def signal_indices(self) -> np.ndarray:
-        return np.nonzero(self.labels == 1)[0]
 
 
 def default_k0(model: ManifoldModel) -> float:
@@ -374,7 +368,7 @@ def sample(model: ManifoldModel, spec: SampleSpec) -> LabeledCloud:
     points = np.empty((spec.n, model.ambient_dim))
     points[labels == 1] = signal
     points[labels == 0] = outliers
-    return LabeledCloud(points=points, labels=labels, spec=spec)
+    return LabeledCloud(points=points, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +377,11 @@ def sample(model: ManifoldModel, spec: SampleSpec) -> LabeledCloud:
 
 def save_cloud_csv(path, points: np.ndarray, labels: np.ndarray | None = None) -> None:
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    # the loader's rules, before the file is opened
+    if points.size == 0:
+        raise ValueError(f"no points in {path}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"non-finite coordinates in {path}")
     d = points.shape[1]
     header = ",".join(f"x{i}" for i in range(d))
     fmt = ["%.17g"] * d

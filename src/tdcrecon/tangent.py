@@ -28,7 +28,7 @@ from scipy.spatial import cKDTree
 
 from . import _neighbours
 from ._neighbours import check_finite
-from .geometry import Subspace, _check_bases
+from .geometry import _check_bases
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,6 @@ class TangentField:
         if not found.all():
             raise KeyError(int(wanted[~found][0]))
         return order[at]
-
-    def subspace_at(self, index: int) -> Subspace:
-        return Subspace(self.bases[self._rows([index])[0]])
 
     def complete(self, points: np.ndarray) -> "TangentField":
         """Fill skipped indices with the nearest estimated neighbor's subspace.

@@ -6,21 +6,55 @@ these return.  ``local_covariance`` is the covariance of one point's ball,
 whose top eigenvectors ``estimate_tangents`` must span.  ``iterative_denoise``
 runs the denoising loop on these dense stages, each with a scan of its own,
 and scans once more for each iteration's neighbour counts.
-``field_of`` and ``subspaces`` convert between a tangent field and the list
-of ``Subspace`` objects the tests write fields with.  ``tangent`` and
-``principal_angle`` are the one-point and one-pair forms that the models'
-``tangent_many`` and ``geometry.principal_angles`` replace.
+``Subspace`` is one subspace, and ``field_of`` and ``subspaces`` convert
+between a tangent field and the list of ``Subspace`` objects the tests write
+fields with.  ``tangent`` and ``principal_angle`` are the one-point and
+one-pair forms that the models' ``tangent_many`` and
+``geometry.principal_angles`` replace.  ``in_slab`` is the slab predicate
+for one pair of points; the tests tie ``slab_counts`` to it pair by pair.
 """
 import math
 
 import numpy as np
 
-from tdcrecon.denoise import NO_SURVIVORS, NO_TANGENT, IterationDiagnostics, schedule
-from tdcrecon.geometry import Subspace
+from tdcrecon.denoise import (
+    NO_SURVIVORS,
+    NO_TANGENT,
+    IterationDiagnostics,
+    SlabSpec,
+    _slab_mask,
+    schedule,
+)
+from tdcrecon.geometry import _check_bases
 from tdcrecon.models import Circle, Sphere, Torus
 from tdcrecon.tangent import TangentField, TseParams
 
 _CHUNK = 256
+
+
+class Subspace:
+    """A d-dimensional linear subspace of R^D stored as an orthonormal basis.
+
+    The basis is a D x d matrix with orthonormal columns (checked to 1e-10 on
+    construction).  Instances are treated as immutable.
+    """
+
+    __slots__ = ("basis",)
+
+    def __init__(self, basis: np.ndarray):
+        basis = np.array(basis, dtype=float)
+        if basis.ndim == 1:
+            basis = basis[:, None]
+        _check_bases(basis[None])
+        basis.setflags(write=False)
+        self.basis = basis
+
+    def projector(self) -> np.ndarray:
+        """Orthogonal projection matrix onto the subspace."""
+        return self.basis @ self.basis.T
+
+    def __repr__(self) -> str:
+        return f"Subspace(dim={self.basis.shape[1]}, ambient_dim={self.basis.shape[0]})"
 
 
 def field_of(indices, subs, skipped=()):
@@ -121,6 +155,12 @@ def complete(field_, points):
     return TangentField([indices[k] for k in order], np.array([bases[k] for k in order]))
 
 
+def in_slab(x: np.ndarray, tangent: Subspace, h: float, spec: SlabSpec, y) -> bool:
+    """Closed-condition membership of y in the slab at x with direction T."""
+    diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+    return bool(_slab_mask(diff[None, :], tangent.basis, h, spec)[0])
+
+
 def slab_counts(points, field_, h, spec):
     points = np.asarray(points, dtype=float)
     counts = np.zeros(points.shape[0], dtype=int)
@@ -162,17 +202,18 @@ def directed_hausdorff(a, b):
 def iterative_denoise(cloud, d, beta, kappa, spec, k_iters):
     """The denoising loop on the dense tangents, completion and slab counts."""
     n_total = cloud.n
-    hs = schedule(n_total, d, beta, kappa, k_iters).hs
+    sched = schedule(n_total, d, beta, kappa)
     threshold = spec.t * math.log(n_total - 1)
     alive = np.arange(n_total)
     diags = []
     for k in range(k_iters + 1):
+        h = sched.h_at(k)
         pts = cloud.points[alive]
-        field_ = estimate_tangents(pts, TseParams(h=hs[k], d=d))
+        field_ = estimate_tangents(pts, TseParams(h=h, d=d))
         inherited, stop_reason = len(field_.skipped), None
         slab_p05 = slab_p50 = None
         if len(field_):
-            counts = slab_counts(pts, complete(field_, pts), hs[k], spec)
+            counts = slab_counts(pts, complete(field_, pts), h, spec)
             slab_p05 = float(np.percentile(counts, 5.0))
             slab_p50 = float(np.percentile(counts, 50.0))
             alive = alive[counts >= threshold]
@@ -181,13 +222,13 @@ def iterative_denoise(cloud, d, beta, kappa, spec, k_iters):
         else:
             inherited, stop_reason = 0, NO_TANGENT
         # the pairs within h, each point's pair with itself left out
-        rows = ball_pairs(pts, np.arange(len(pts)), hs[k] * hs[k])[0]
+        rows = ball_pairs(pts, np.arange(len(pts)), h * h)[0]
         neighbours = len(rows) - len(pts)
         labels = cloud.labels[alive]
         diags.append(
             IterationDiagnostics(
                 k=k,
-                h_k=hs[k],
+                h_k=h,
                 survivors=int(alive.size),
                 true_positives=int(np.sum(labels == 1)),
                 false_positives=int(np.sum(labels == 0)),

@@ -1,7 +1,6 @@
 """Monte-Carlo checks of the paper's geometric lemmas on the analytic models.
 
-The estimator does not use this module.  It checks the statements that the
-estimator's guarantees rest on:
+The checks cover the statements that the estimator's guarantees rest on:
 
 - chord against geodesic distance for close pairs (:func:`verify_geodesic_bounds`);
 - the r^d scaling of the uniform measure of small balls (:func:`verify_standardness`);
@@ -12,8 +11,9 @@ estimator's guarantees rest on:
 - the reach as a sampled quotient (:func:`monte_carlo_reach`, :func:`sampled_reach`);
 - the top-eigenspace perturbation bound (:func:`perturbation_angle_bound_check`).
 
-The subspace helpers at the end build the perturbed tangents and eigenspaces
-these checks and the tests need.
+The subspace helpers at the end build the random and perturbed tangents and
+the eigenspaces these checks and the tests need.  The estimator does not
+import this module; the tests do.
 """
 from __future__ import annotations
 
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .denoise import SlabSpec, _slab_mask, lemma_slab_constants
-from .geometry import Subspace, principal_angle, random_subspace
-from .models import Circle, ManifoldModel, Sphere, Torus
+from dense_oracles import Subspace, principal_angle
+from tdcrecon.denoise import SlabSpec, _slab_mask, lemma_slab_constants
+from tdcrecon.models import Circle, ManifoldModel, Sphere, Torus
 
 # geodesic/Euclidean comparison constant used by the bound verifiers
 ALPHA = 1.0 + 1.0 / (4.0 * math.sqrt(2.0))
@@ -357,7 +357,16 @@ def verify_slab_inclusion(
 
 
 # ---------------------------------------------------------------------------
-# subspace helpers: perturbed tangents, eigenspaces, rotations, sampled reach
+# subspace helpers: random and tilted tangents, eigenspaces, rotations, reach
+
+
+def random_subspace(rng: np.random.Generator, ambient_dim: int, dim: int) -> Subspace:
+    """Haar-ish random subspace from the QR of a Gaussian matrix."""
+    g = rng.standard_normal((ambient_dim, dim))
+    q, r = np.linalg.qr(g)
+    # fix signs so the result is a deterministic function of g
+    q = q * np.sign(np.where(np.diag(r) == 0.0, 1.0, np.diag(r)))
+    return Subspace(q)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

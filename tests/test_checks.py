@@ -1,4 +1,4 @@
-"""The lemma-check module: its close-pair sampler and its boundary with the estimator.
+"""The lemma-check module: its close-pair sampler and its boundary with the package.
 
 The checks themselves are tested next to the code they are about
 (test_models, test_geometry, test_denoise).
@@ -6,23 +6,32 @@ The checks themselves are tested next to the code they are about
 import ast
 import importlib
 import math
-import os
-import subprocess
-import sys
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 
 import tdcrecon
-from tdcrecon.checks import circle_geodesic_distance, geodesic_pairs
+from lemma_checks import circle_geodesic_distance, geodesic_pairs
 from tdcrecon.models import Circle
 
-ESTIMATOR_MODULES = ["_neighbours", "geometry", "models", "tangent", "denoise", "sparsify"]
+MODULES = ["_neighbours", "denoise", "geometry", "models", "sparsify", "tangent"]
 CHECK_NAMES = {"monte_carlo_reach", "geodesic_pairs", "CheckReport"}
 
 
 def test_estimator_modules_hold_no_checks():
-    for name in ESTIMATOR_MODULES:
+    # the package is the estimator, the models and their I/O
+    assert sorted(m.name for m in pkgutil.iter_modules(tdcrecon.__path__)) == MODULES
+    # no library file imports the test support
+    for path in Path(tdcrecon.__file__).resolve().parent.rglob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        assert not imported & {"lemma_checks", "dense_oracles"}, path
+    for name in MODULES:
         module = importlib.import_module(f"tdcrecon.{name}")
         names = set(vars(module))
         for obj in vars(module).values():
@@ -30,23 +39,6 @@ def test_estimator_modules_hold_no_checks():
                 names |= set(vars(obj))  # methods, such as a model's geodesic_pairs
         leaked = {n for n in names if n.startswith("verify_") or n in CHECK_NAMES}
         assert not leaked, f"tdcrecon.{name} defines {sorted(leaked)}"
-    # importing the estimator does not load the checks
-    src = str(Path(tdcrecon.__file__).resolve().parent.parent)
-    code = (
-        "import sys, tdcrecon.denoise, tdcrecon.sparsify; "
-        "print(sorted(m for m in sys.modules if m.startswith('tdcrecon')))"
-    )
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    loaded = ast.literal_eval(out)
-    assert "tdcrecon.denoise" in loaded and "tdcrecon.sparsify" in loaded
-    assert "tdcrecon.checks" not in loaded
 
 
 class TestCircleGeodesicPairs:

@@ -6,25 +6,28 @@ import numpy as np
 import pytest
 
 import dense_oracles as dense
-from dense_oracles import field_of
+from dense_oracles import Subspace, field_of, in_slab
+from lemma_checks import verify_slab_inclusion, verify_slab_separation
 from tdcrecon import denoise
-from tdcrecon.checks import verify_slab_inclusion, verify_slab_separation
 from tdcrecon.denoise import (
     IterationDiagnostics,
-    Schedule,
     SlabSpec,
-    calibrate_threshold,
     default_slab_spec,
     diagnostics_to_json,
-    in_slab,
     iterative_denoise,
     k_delta,
-    k_hat,
     lemma_slab_constants,
     schedule,
 )
-from tdcrecon.geometry import Subspace
-from tdcrecon.models import Circle, LabeledCloud, SampleSpec, Torus, sample
+from tdcrecon.models import (
+    Circle,
+    LabeledCloud,
+    SampleSpec,
+    Torus,
+    load_cloud_csv,
+    sample,
+    save_cloud_csv,
+)
 from tdcrecon.tangent import TseParams
 
 
@@ -86,10 +89,8 @@ def brute_force_sd_step(points, field_, h, spec, n_total):
     survivors = []
     threshold = spec.t * math.log(n_total - 1)
     for j in range(len(points)):
-        count = sum(
-            in_slab(points[j], field_.subspace_at(j), h, spec, points[i])
-            for i in range(len(points))
-        )
+        tangent = Subspace(field_.restrict([j]).bases[0])
+        count = sum(in_slab(points[j], tangent, h, spec, y) for y in points)
         if count >= threshold:
             survivors.append(j)
     return survivors
@@ -109,7 +110,7 @@ def one_step(points, d, kappa, spec):
     """Survivors and diagnostics of one denoising step, iterative_denoise(k_iters=0)."""
     points = np.asarray(points, dtype=float)
     n = len(points)
-    cloud = LabeledCloud(points, np.ones(n, dtype=np.int8), SampleSpec(n=max(n, 1)))
+    cloud = LabeledCloud(points, np.ones(n, dtype=np.int8))
     keep, diags = iterative_denoise(cloud, d, 1.0, kappa, spec, k_iters=0)
     return keep, diags[0]
 
@@ -187,12 +188,12 @@ class TestSdStep:
 
 class TestSchedule:
     def test_gamma_d2(self):
-        s = schedule(n=1000, d=2, beta=1.0, kappa=1.0, k_max=2)
-        assert s.gammas == pytest.approx([1 / 3, 5 / 12, 11 / 24])
+        s = schedule(n=1000, d=2, beta=1.0, kappa=1.0)
+        assert [s.gamma_at(k) for k in range(3)] == pytest.approx([1 / 3, 5 / 12, 11 / 24])
 
     def test_gamma_d1(self):
-        s = schedule(n=1000, d=1, beta=1.0, kappa=1.0, k_max=2)
-        assert s.gammas == pytest.approx([1 / 2, 2 / 3, 7 / 9])
+        s = schedule(n=1000, d=1, beta=1.0, kappa=1.0)
+        assert [s.gamma_at(k) for k in range(3)] == pytest.approx([1 / 2, 2 / 3, 7 / 9])
 
     def test_fixed_point(self):
         for d in (1, 2, 3, 5):
@@ -200,34 +201,36 @@ class TestSchedule:
             assert (2 * g + 1) / (d + 2) == pytest.approx(g)
 
     def test_monotone_increasing_below_limit(self):
-        s = schedule(n=5000, d=2, beta=0.8, kappa=1.0, k_max=12)
-        gam = np.array(s.gammas)
+        s = schedule(n=5000, d=2, beta=0.8, kappa=1.0)
+        gam = np.array([s.gamma_at(k) for k in range(13)])
         assert np.all(np.diff(gam) > 0)
         assert np.all(gam <= 1 / 2 + 1e-12)
 
     def test_h_decreasing_when_base_below_one(self):
-        s = schedule(n=5000, d=2, beta=0.8, kappa=1.0, k_max=8)
+        s = schedule(n=5000, d=2, beta=0.8, kappa=1.0)
         assert s.base < 1
-        assert np.all(np.diff(s.hs) < 0)
-        assert s.hs[-1] > s.h_infinity
+        hs = [s.h_at(k) for k in range(9)]
+        assert np.all(np.diff(hs) < 0)
+        # above the limit base ** (1/d)
+        assert hs[-1] > s.base ** (1.0 / s.d)
 
     def test_h_at_extends(self):
-        s = schedule(n=5000, d=1, beta=1.0, kappa=1.0, k_max=1)
-        assert s.h_at(0) == s.hs[0]
+        s = schedule(n=5000, d=1, beta=1.0, kappa=1.0)
+        assert s.h_at(0) == s.base ** s.gamma_at(0) == s.base**0.5
         assert s.h_at(5) == pytest.approx(s.base ** s.gamma_at(5))
         assert s.gamma_at(5) < 1.0
 
     def test_negative_index_raises(self):
-        # k = -1 used to read gammas[-1]: h_at(-1) returned h_at(2)
-        s = schedule(n=1000, d=2, beta=1.0, kappa=1.0, k_max=2)
+        # k = -1 used to read the last stored exponent: h_at(-1) returned h_at(2)
+        s = schedule(n=1000, d=2, beta=1.0, kappa=1.0)
         with pytest.raises(ValueError, match="need k >= 0, got -1"):
             s.gamma_at(-1)
         with pytest.raises(ValueError, match="need k >= 0, got -3"):
             s.h_at(-3)
 
     def test_formula(self):
-        s = schedule(n=4000, d=1, beta=0.8, kappa=2.0, k_max=0)
-        assert s.hs[0] == pytest.approx(
+        s = schedule(n=4000, d=1, beta=0.8, kappa=2.0)
+        assert s.h_at(0) == pytest.approx(
             (2.0 * math.log(4000) / (0.8 * 3999)) ** 0.5
         )
 
@@ -235,7 +238,7 @@ class TestSchedule:
         # a NaN kappa made every bandwidth NaN: iterative_denoise kept every
         # point and stopped with "no tangent estimable"
         with pytest.raises(ValueError, match="invalid schedule parameters"):
-            schedule(n=200, d=1, beta=0.8, kappa=float("nan"), k_max=2)
+            schedule(n=200, d=1, beta=0.8, kappa=float("nan"))
         cloud = sample(Circle(1.0), SampleSpec(n=200, beta=0.8, seed=5))
         spec = default_slab_spec(1, 2, 1.0, t=0.4)
         with pytest.raises(ValueError, match="invalid schedule parameters"):
@@ -281,29 +284,6 @@ class TestKDelta:
             k_delta(2, 0.05)
 
 
-class TestKHat:
-    def make_sched(self):
-        return schedule(n=200, d=1, beta=1.0, kappa=1.0, k_max=3)
-
-    def test_all_on_manifold(self):
-        assert k_hat(np.zeros(10), self.make_sched(), rho=1.0) == 0
-
-    def test_single_far_outlier(self):
-        s = self.make_sched()
-        # h_0^2 ~ 0.0266, h_1^2 ~ 0.0079: distance 0.01 needs one iteration
-        assert s.hs[0] ** 2 > 0.01 > s.hs[1] ** 2
-        assert k_hat(np.array([0.0, 0.01]), s, rho=1.0) == 1
-
-    def test_outliers_beyond_h0(self):
-        s = self.make_sched()
-        assert k_hat(np.array([0.04, 0.05]), s, rho=1.0) == 0
-
-    def test_nan_reach_raises(self):
-        # every distance compared below a NaN cut: k_hat used to return 0
-        with pytest.raises(ValueError, match="need reach rho > 0"):
-            k_hat(np.array([0.0, 0.01]), self.make_sched(), rho=float("nan"))
-
-
 class TestLemmaConstants:
     def test_values(self):
         k1, k2, k3 = lemma_slab_constants(1, 2, rho=1.0, angle_constant=2.0)
@@ -334,6 +314,20 @@ class TestIterativeDenoise:
         keep, diags = iterative_denoise(cloud, 1, 0.5, 1.0, spec, k_iters=0)
         assert keep == list(range(50))
         assert diags[0].survivors == 50
+
+    def test_unlabelled_cloud(self, tmp_path):
+        # a cloud read from a file without labels used to fail on construction
+        cloud = sample(Circle(1.0), SampleSpec(n=400, beta=0.8, seed=5))
+        save_cloud_csv(tmp_path / "cloud.csv", cloud.points)
+        points, labels = load_cloud_csv(tmp_path / "cloud.csv")
+        assert labels is None
+        spec = default_slab_spec(1, 2, 1.0, t=0.3)
+        want, labelled = iterative_denoise(cloud, 1, 0.8, 4.0, spec, k_iters=1)
+        keep, diags = iterative_denoise(LabeledCloud(points, labels), 1, 0.8, 4.0, spec, k_iters=1)
+        assert keep == want and len(keep) < cloud.n
+        assert diags == [
+            dataclasses.replace(d, true_positives=None, false_positives=None) for d in labelled
+        ]
 
     def test_diagnostics_confusion_counts(self):
         cloud = sample(Circle(1.0), SampleSpec(n=400, beta=0.8, seed=5))
@@ -380,34 +374,14 @@ class TestIterativeDenoise:
         spec = default_slab_spec(1, 2, 1.0, t=0.4, angle_constant=0.5)
         keep, diags = iterative_denoise(cloud, 1, 0.8, 8.0, spec, k_iters=2)
         keep = np.array(keep)
-        signal = set(cloud.signal_indices().tolist())
+        signal = set(np.flatnonzero(cloud.labels == 1).tolist())
         kept_signal = [j for j in keep if j in signal]
         # all signal survives and the far outliers are gone
         assert len(kept_signal) == len(signal)
-        sched = schedule(2000, 1, 0.8, 8.0, 2)
-        far_cut = sched.hs[2] ** 2 / 1.0
+        far_cut = schedule(2000, 1, 0.8, 8.0).h_at(2) ** 2 / 1.0
         dists = Circle(1.0).distance_many(cloud.points[keep])
         labels = cloud.labels[keep]
         assert np.all(dists[labels == 0] <= far_cut)
-
-
-def test_calibrate_threshold():
-    counts = np.arange(1, 101)
-    t = calibrate_threshold(counts, n=1001)
-    assert t == pytest.approx(0.5 * np.percentile(counts, 5) / math.log(1000))
-
-
-def test_calibrate_threshold_no_counts_raises():
-    # the percentile of no counts used to raise IndexError
-    with pytest.raises(ValueError, match="need at least one pilot count"):
-        calibrate_threshold([], n=100)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2])
-def test_calibrate_threshold_degenerate_sample_size(n):
-    # n = 2 used to divide by log(1) = 0
-    with pytest.raises(ValueError, match="need n >= 3"):
-        calibrate_threshold(np.arange(1, 101), n=n)
 
 
 class TestLemma4MonteCarla:

@@ -1,24 +1,18 @@
 import numpy as np
 import pytest
-import dense_oracles as dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcrecon.checks import (
+from dense_oracles import Subspace, principal_angle
+from lemma_checks import (
     perturbation_angle_bound_check,
+    random_subspace,
     sampled_reach,
     subspace_rotation,
     symmetrize,
     top_eigenspace,
 )
-from tdcrecon.geometry import (
-    Subspace,
-    hausdorff,
-    directed_hausdorff,
-    principal_angle,
-    principal_angles,
-    random_subspace,
-)
+from tdcrecon.geometry import directed_hausdorff, principal_angles
 from tdcrecon.tangent import TangentField
 
 
@@ -86,14 +80,14 @@ class TestSubspaceStack:
         field = TangentField(range(5), bases)
         assert len(field) == len(bases)
         for k, basis in enumerate(bases):
-            sub = field.subspace_at(k)
-            assert isinstance(sub, Subspace)
-            assert np.array_equal(sub.basis, basis)
-            assert not sub.basis.flags.writeable
+            one = field.restrict([k]).bases
+            assert one.shape == (1, *basis.shape)
+            assert np.array_equal(one[0], basis)
+            assert not one.flags.writeable
         assert not field.bases.flags.writeable
-        # the stack is copied: changing the input changes no subspace
+        # the stack is copied: changing the input changes no basis
         bases[0, 0, 0] = 7.0
-        assert field.subspace_at(0).basis[0, 0] != 7.0
+        assert field.restrict([0]).bases[0, 0, 0] != 7.0
 
     def test_empty_stack(self):
         assert len(TangentField([], np.zeros((0, 3, 1)))) == 0
@@ -114,9 +108,9 @@ class TestPrincipalAngle:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            principal_angle(span([1, 0]), span([1, 0, 0]))
+            principal_angles(span([1, 0]).basis[None], span([1, 0, 0]).basis[None])
         with pytest.raises(ValueError):
-            principal_angle(span([1, 0, 0]), Subspace(np.eye(3)[:, :2]))
+            principal_angles(span([1, 0, 0]).basis[None], np.eye(3)[None, :, :2])
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(7)
@@ -156,7 +150,7 @@ class TestPrincipalAngles:
         a = np.stack([s.basis for s in subs])
         b = np.concatenate([a[60:], a[:30], a[30:60, :, ::-1]])
         got = principal_angles(a, b)
-        want = [dense.principal_angle(Subspace(x), Subspace(y)) for x, y in zip(a, b)]
+        want = [principal_angle(Subspace(x), Subspace(y)) for x, y in zip(a, b)]
         assert np.array_equal(got, want)
         assert np.array_equal(got, principal_angles(b, a))
         assert np.all((got >= 0.0) & (got <= 1.0))
@@ -232,6 +226,11 @@ class TestTopEigenspace:
             q = np.eye(big_d) - p
             rec = p @ s @ p + q @ s @ q
             assert np.linalg.norm(s - rec) <= 1e-8 * np.linalg.norm(s)
+
+
+def hausdorff(a, b):
+    """The Hausdorff distance: the directed distance both ways."""
+    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
 def brute_force_hausdorff(a, b):

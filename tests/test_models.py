@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import dense_oracles as dense
-from tdcrecon.checks import (
+from dense_oracles import Subspace, principal_angle
+from lemma_checks import (
     circle_geodesic_distance,
     monte_carlo_reach,
     verify_ball_projection,
@@ -12,7 +13,7 @@ from tdcrecon.checks import (
     verify_normal_offset,
     verify_standardness,
 )
-from tdcrecon.geometry import Subspace, principal_angle, principal_angles
+from tdcrecon.geometry import principal_angles
 from tdcrecon.models import (
     Circle,
     LabeledCloud,
@@ -231,7 +232,7 @@ class TestTangentMany:
         a = model.tangent_many(pts)
         for b in (model.tangent_many(np.roll(pts, 1, axis=0)), a):
             got = principal_angles(a, b)
-            want = [dense.principal_angle(Subspace(x), Subspace(y)) for x, y in zip(a, b)]
+            want = [principal_angle(Subspace(x), Subspace(y)) for x, y in zip(a, b)]
             assert np.array_equal(got, want)
             assert np.array_equal(got, principal_angles(b, a))
 
@@ -306,7 +307,9 @@ class TestSampling:
         with pytest.raises(ValueError):
             SampleSpec(n=5, beta=0.0)
         with pytest.raises(ValueError):
-            LabeledCloud(np.zeros((3, 2)), np.zeros(2), SampleSpec(n=3))
+            LabeledCloud(np.zeros((3, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="row 1 has 2"):
+            LabeledCloud(np.zeros((3, 2)), np.array([0, 2, 1]))
 
     def test_torus_sampler_uniform_in_v(self):
         # area element ~ (R + r cos v): the outer half carries more mass
@@ -375,6 +378,21 @@ class TestCsv:
         bad = next(i for i, v in enumerate(labels) if v not in (0, 1))
         with pytest.raises(ValueError, match=f"row {bad} has"):
             save_cloud_csv(path, np.zeros((3, 2)), np.array(labels))
+        assert not path.exists()
+
+    def test_save_rejects_non_finite(self, tmp_path):
+        # the writer used to write nan and inf, which the reader rejects
+        path = tmp_path / "cloud.csv"
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            save_cloud_csv(path, np.array([[np.nan, 1.0], [0.0, np.inf]]), np.array([1, 0]))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_save_rejects_no_points(self, tmp_path, shape):
+        # the writer used to write a header or blank lines, which the reader rejects
+        path = tmp_path / "cloud.csv"
+        with pytest.raises(ValueError, match="no points"):
+            save_cloud_csv(path, np.zeros(shape))
         assert not path.exists()
 
     @pytest.mark.parametrize("n_labels", [2, 5])
