@@ -1,12 +1,22 @@
-"""The neighbour query behind every local computation of the package.
+"""The neighbour queries behind every local computation of the package.
 
-Tangent estimation and slab counting ask the same question: which points of
-a cloud lie in a closed ball around a point of the same cloud.  One
-``scipy.spatial.cKDTree`` self-join of the cloud answers it for every point
-at once, finding each unordered pair once; :func:`ball_blocks` reads the
-answer as padded neighbour blocks, with ball membership decided exactly as a
-dense scan decides it.  A call about a subset of the points reads its rows
-from the search of the whole cloud.
+Each asks which points of a cloud lie in a closed ball: a
+``scipy.spatial.cKDTree`` search proposes candidates and the ball is then
+decided exactly, as a dense scan decides it.  The primitives:
+
+- :func:`_candidates`, one self-join of the cloud (each unordered pair found
+  once) as sorted per-point lists, and :func:`_blocks`, those lists as padded
+  blocks of differences; local-PCA tangents (:func:`.tangent.estimate_tangents`)
+  and the denoise pass of :mod:`.denoise`, the package's only slab counter,
+  read them.  A subset of the points reads its rows from the whole search.
+- :func:`ball_lists`, the flattened lists of balls around some centres, and
+  :func:`norms`, the exact norms of their candidates: the farthest-point
+  net's round update and the tie gather of ``TangentField.complete``.
+
+Every search runs a relative ``_RADIUS_SLACK`` wider than its ball, since
+the tree rounds distances its own way.  Only :mod:`.geometry`'s Hausdorff
+distance keeps its own query: it asks for one nearest point, not a ball,
+and its oracle test compares its ``einsum`` distances bit for bit.
 
 A block covers targets in stable order of width, the number of candidates
 the self-join lists for each, one row each; it is as wide as its last row,
@@ -15,20 +25,11 @@ that the block of differences (rows x widest row x D float64 values) stays
 within ``_BLOCK_BYTES``, a size that fits in a core's L2 cache, unless one
 row alone is wider; so every array of a block has a hard bound, however
 skewed the neighbour counts are.
-
-A denoising iteration asks it twice at one bandwidth: local PCA in the
-h-ball, then slab counts in the ball that holds each slab.  It runs one
-self-join at the wider radius and reads each block once for both
-(:mod:`.denoise`): the block's differences give the PCA bases of its rows
-and, with those bases, their slab counts.  Only the rows whose tangent is
-inherited are read again, from the same lists; there is no second reader.
-That pass is the only slab counter of the package.  :func:`ball_blocks` serves
-the standalone tangent estimate (:func:`.tangent.estimate_tangents`), the call
-that gives the tangents at the points of a net.
 """
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -113,11 +114,15 @@ def _chunks(widths: np.ndarray, big_d: int):
 
 
 def _blocks(points: np.ndarray, indptr: np.ndarray, cols: np.ndarray, targets: np.ndarray):
-    """Padded neighbour blocks of ``points[targets]``, before the exact test.
+    """Padded neighbour blocks of ``points[targets]`` from the lists of :func:`_candidates`.
 
-    Yields ``(chunk, listed, nbr, diff, d2)`` per block, as
-    :func:`ball_blocks` does; ``listed`` marks the slots that are not
-    padding.
+    Yields ``(chunk, listed, nbr, diff, d2)`` per block; ``chunk`` indexes
+    the ``targets`` it covers, and the blocks cover each once.  Row r is
+    target ``targets[chunk[r]]``: ``nbr[r]`` its neighbours in increasing
+    order, padded with itself (``listed`` is False there, ``diff`` zero),
+    ``diff[r]`` their differences from it and ``d2[r]`` the squared lengths.
+    The closed ball of squared radius r2, no wider than the search, is
+    ``listed & (d2 <= r2)``: a dense scan's predicate, exact on the sphere.
     """
     starts = indptr[targets]
     widths = indptr[targets + 1] - starts
@@ -136,26 +141,19 @@ def _blocks(points: np.ndarray, indptr: np.ndarray, cols: np.ndarray, targets: n
         yield chunk, listed, nbr, diff, d2
 
 
-def ball_blocks(points: np.ndarray, targets: np.ndarray, r2: float):
-    """Closed-ball neighbours of ``points[targets]`` among the points of the cloud.
+def ball_lists(tree, centres: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lengths, cols)``: the ``lengths[i]`` tree indices within ``radii[i]`` of ``centres[i]``.
 
-    Yields ``(chunk, nbr, diff, d2, inside)`` per block; ``chunk`` is the
-    index array of the ``targets`` it covers, and the blocks cover them all
-    once, in stable order of width.  Row r of the block is target
-    ``targets[chunk[r]]``: ``nbr[r]`` are point indices in
-    increasing order, padded with the target itself, ``diff[r]`` their
-    differences from the target and ``d2[r]`` the squared lengths.
-    ``inside[r, s]`` says that ``points[nbr[r, s]]`` lies in the closed ball
-    of squared radius ``r2`` around the target and is not the target itself
-    (a duplicate point at another index is inside); padding is never inside.
-
-    The search is one self-join of the whole cloud, whatever the targets.
-    Membership is the test ``d2 <= r2`` on these differences, so points on
-    the sphere are in or out exactly as in a dense scan that uses the same
-    predicate; the tree only proposes candidates.
+    The lists follow one another in ``cols``, each in no set order.  Each
+    ball is searched a relative ``_RADIUS_SLACK`` wider; the caller decides
+    membership on exact norms.
     """
-    points = np.asarray(points, dtype=float)
-    targets = check_indices(targets, len(points))
-    indptr, cols = _candidates(points, r2)
-    for chunk, listed, nbr, diff, d2 in _blocks(points, indptr, cols, targets):
-        yield chunk, nbr, diff, d2, listed & (d2 <= r2)
+    near = tree.query_ball_point(centres, radii * (1.0 + _RADIUS_SLACK), return_sorted=False)
+    lengths = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+    cols = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=int(lengths.sum()))
+    return lengths, cols
+
+
+def norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis: ``np.linalg.norm``'s own expression for real input."""
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))

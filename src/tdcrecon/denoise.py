@@ -101,9 +101,9 @@ def _slab_ball_r2(h: float, spec: SlabSpec) -> float:
     """Squared radius of a ball around the slab centre that holds the slab.
 
     The slab lies in the ball of squared radius (k1 h)^2 + (k2 h^2)^2; the
-    margin keeps every point the rounded slab test admits.
+    margin of ``_RADIUS_SLACK`` keeps every point the rounded slab test admits.
     """
-    return ((spec.k1 * h) ** 2 + (spec.k2 * h * h) ** 2) * (1.0 + 1e-12)
+    return ((spec.k1 * h) ** 2 + (spec.k2 * h * h) ** 2) * (1.0 + _neighbours._RADIUS_SLACK)
 
 
 def _tangents_and_slab_counts(

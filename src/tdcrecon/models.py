@@ -84,6 +84,11 @@ class ManifoldModel:
         raise NotImplementedError
 
 
+def _check_resolution(resolution: float) -> None:
+    if not resolution > 0:
+        raise ValueError("need resolution > 0")
+
+
 @dataclass(frozen=True)
 class Circle(ManifoldModel):
     radius: float = 1.0
@@ -135,6 +140,7 @@ class Circle(ManifoldModel):
         return out
 
     def grid(self, resolution):
+        _check_resolution(resolution)
         k = max(3, int(np.ceil(2.0 * np.pi * self.radius / resolution)))
         return self.point(np.linspace(0.0, 2.0 * np.pi, k, endpoint=False))
 
@@ -190,6 +196,7 @@ class Sphere(ManifoldModel):
         return out
 
     def grid(self, resolution):
+        _check_resolution(resolution)
         # Fibonacci lattice; spacing ~ sqrt(area / k)
         area = 4.0 * np.pi * self.radius**2
         k = max(16, int(np.ceil(2.5 * area / resolution**2)))
@@ -286,6 +293,7 @@ class Torus(ManifoldModel):
         return out
 
     def grid(self, resolution):
+        _check_resolution(resolution)
         nu = max(3, int(np.ceil(2 * np.pi * (self.major_radius + self.minor_radius) / resolution)))
         nv = max(3, int(np.ceil(2 * np.pi * self.minor_radius / resolution)))
         u = np.linspace(0.0, 2 * np.pi, nu, endpoint=False)
@@ -327,14 +335,20 @@ class SampleSpec:
 
 @dataclass
 class LabeledCloud:
+    """(n, D) float points and n int8 labels, from array-likes; ValueError on other shapes."""
+
     points: np.ndarray
     labels: np.ndarray | None = None  # 1 = signal, 0 = outlier; None when unlabelled
 
     def __post_init__(self):
+        self.points = np.asarray(self.points, dtype=float)
+        if self.points.ndim != 2:
+            raise ValueError(f"need an (n, D) point array, got shape {self.points.shape}")
         if self.labels is not None:
-            if self.points.shape[0] != self.labels.shape[0]:
+            labels = np.asarray(self.labels)
+            if labels.shape != (self.n,):
                 raise ValueError("labels length must equal point count")
-            _check_labels(self.labels)
+            self.labels = _check_labels(labels)
 
     @property
     def n(self) -> int:

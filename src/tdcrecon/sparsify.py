@@ -14,28 +14,22 @@ over the whole cloud takes, the lowest index of the tied included.  If the
 largest distance ties with v there are no candidates, and the round picks
 that point alone.
 
-The round's picks then update the distances with one KD-tree ball query.
-Each pick searches the ball of its distance when it was picked, as the greedy
-one pick at a time does: no point outside it can move closer.  A minimum does
-not depend on order and each (point, pick) distance is computed the same way,
-so the distances after a round equal the one-pick-at-a-time greedy's bit for
-bit.
+The round's picks then update the distances with one KD-tree ball query
+(:func:`._neighbours.ball_lists`, searching a relative ``_RADIUS_SLACK``
+wider).  Each pick searches the ball of its distance when it was picked, as
+the greedy one pick at a time does: no point outside it can move closer.  A
+minimum does not depend on order and each (point, pick) distance is computed
+the same way, so the distances after a round equal the one-pick-at-a-time
+greedy's bit for bit.
 """
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._neighbours import check_finite
+from ._neighbours import ball_lists, check_finite, norms
 
 _BATCH = 32  # picks a round may find; the fastest of 16, 32, 64 and 128 on a torus at n = 20k
-
-
-def _norms(diff: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis: ``np.linalg.norm``'s own expression for real input."""
-    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
 def farthest_point_sampling(points: np.ndarray, eps: float, start: int = 0) -> list[int]:
@@ -57,7 +51,7 @@ def farthest_point_sampling(points: np.ndarray, eps: float, start: int = 0) -> l
         raise ValueError(f"start index {start} out of range")
     tree = cKDTree(points)
     chosen = [start]
-    dist = _norms(points - points[start])
+    dist = norms(points - points[start])
     k = min(_BATCH, n)
     while True:
         v = np.partition(dist, n - k)[n - k]
@@ -67,7 +61,7 @@ def farthest_point_sampling(points: np.ndarray, eps: float, start: int = 0) -> l
             # pick of the round
             candidates, v = np.argmax(dist, keepdims=True), -np.inf
         sub = points[candidates]
-        gaps = _norms(sub[None, :, :] - sub[:, None, :])  # row j: distances to sub[j]
+        gaps = norms(sub[None, :, :] - sub[:, None, :])  # row j: distances to sub[j]
         value = dist[candidates]
         rows, reach = [], []
         while True:
@@ -82,12 +76,7 @@ def farthest_point_sampling(points: np.ndarray, eps: float, start: int = 0) -> l
         picked = candidates[rows]
         chosen.extend(picked.tolist())
         # every distance is at most a pick's distance when it was picked, so
-        # only points within that of the pick can move closer; the tree
-        # searches a relative 1e-12 wider
+        # only points within that of the pick can move closer
         centres = points[picked]
-        near = tree.query_ball_point(
-            centres, np.array(reach) * (1.0 + 1e-12), return_sorted=False
-        )
-        lengths = [len(ball) for ball in near]
-        cols = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=sum(lengths))
-        np.minimum.at(dist, cols, _norms(points[cols] - np.repeat(centres, lengths, axis=0)))
+        lengths, cols = ball_lists(tree, centres, np.array(reach))
+        np.minimum.at(dist, cols, norms(points[cols] - np.repeat(centres, lengths, axis=0)))

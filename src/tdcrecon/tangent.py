@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import _neighbours
-from ._neighbours import check_finite
+from ._neighbours import _RADIUS_SLACK, check_finite
 from .geometry import _check_bases
 
 
@@ -110,19 +109,17 @@ class TangentField:
         tree = cKDTree(points[self.indices])
         queries = points[self.skipped]
         # the tree's nearest estimate is the one to inherit from unless the
-        # second nearest is as near, up to a margin above the tree's rounding
-        # (with a single estimate the second is at inf)
+        # second nearest is as near, up to the relative _RADIUS_SLACK above
+        # the tree's rounding (with a single estimate the second is at inf)
         nearest_dist, nearest = tree.query(queries, k=2)
         source = nearest[:, 0]
-        tied = np.flatnonzero(nearest_dist[:, 1] <= nearest_dist[:, 0] * (1.0 + 1e-9))
+        tied = np.flatnonzero(nearest_dist[:, 1] <= nearest_dist[:, 0] * (1.0 + _RADIUS_SLACK))
         if len(tied):
             # gather every estimate within that margin and keep, per query,
             # the first at the least norm
-            ties = tree.query_ball_point(queries[tied], nearest_dist[tied, 0] * (1.0 + 1e-9))
-            lengths = [len(t) for t in ties]
+            lengths, cols = _neighbours.ball_lists(tree, queries[tied], nearest_dist[tied, 0])
             rows = np.repeat(tied, lengths)
-            cols = np.fromiter(chain.from_iterable(ties), dtype=np.intp, count=sum(lengths))
-            dist = np.linalg.norm(tree.data[cols] - queries[rows], axis=1)
+            dist = _neighbours.norms(tree.data[cols] - queries[rows])
             # per query: least norm first, then the earliest estimate
             order = np.lexsort((cols, dist, rows))
             rows, cols = rows[order], cols[order]
@@ -189,8 +186,9 @@ def estimate_tangents(
     bases = np.empty((len(targets), big_d, params.d))
     estimated = np.zeros(len(targets), dtype=bool)
     h2 = params.h * params.h
-    for chunk, _, diff, _, inside in _neighbours.ball_blocks(points, targets, h2):
-        ok, block = _block_bases(diff, inside, params, n)
+    indptr, cols = _neighbours._candidates(points, h2)
+    for chunk, listed, _, diff, d2 in _neighbours._blocks(points, indptr, cols, targets):
+        ok, block = _block_bases(diff, listed & (d2 <= h2), params, n)
         if block is not None:
             bases[chunk[ok]] = block
             estimated[chunk[ok]] = True

@@ -224,14 +224,17 @@ def iterative_denoise(cloud, d, beta, kappa, spec, k_iters):
         # the pairs within h, each point's pair with itself left out
         rows = ball_pairs(pts, np.arange(len(pts)), h * h)[0]
         neighbours = len(rows) - len(pts)
-        labels = cloud.labels[alive]
+        tp = fp = None
+        if cloud.labels is not None:
+            tp = int(np.sum(cloud.labels[alive] == 1))
+            fp = int(np.sum(cloud.labels[alive] == 0))
         diags.append(
             IterationDiagnostics(
                 k=k,
                 h_k=h,
                 survivors=int(alive.size),
-                true_positives=int(np.sum(labels == 1)),
-                false_positives=int(np.sum(labels == 0)),
+                true_positives=tp,
+                false_positives=fp,
                 inherited=inherited,
                 stop_reason=stop_reason,
                 threshold=threshold,

@@ -60,6 +60,16 @@ class TestBasics:
             model(float("nan"))
 
 
+class TestGrid:
+    @pytest.mark.parametrize("resolution", [-0.1, 0.0, float("nan")])
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_resolution_must_be_positive(self, model, resolution):
+        # a negative resolution used to give a few points or the grid of
+        # its absolute value, 0 a ZeroDivisionError and NaN an int error
+        with pytest.raises(ValueError, match="need resolution > 0"):
+            model.grid(resolution)
+
+
 class TestProjection:
     def test_fixed_points(self):
         for model in MODELS:
@@ -310,6 +320,19 @@ class TestSampling:
             LabeledCloud(np.zeros((3, 2)), np.zeros(2))
         with pytest.raises(ValueError, match="row 1 has 2"):
             LabeledCloud(np.zeros((3, 2)), np.array([0, 2, 1]))
+
+    def test_cloud_takes_array_likes(self):
+        # lists of labels or of points used to fail on ``.shape``
+        labelled = LabeledCloud(np.zeros((3, 2)), [0, 1, 1])
+        assert labelled.labels.dtype == np.int8 and labelled.labels.tolist() == [0, 1, 1]
+        unlabelled = LabeledCloud([[0, 0], [1, 1], [2, 2]])
+        assert unlabelled.points.dtype == float and unlabelled.points.shape == (3, 2)
+        assert unlabelled.n == 3 and unlabelled.labels is None
+
+    @pytest.mark.parametrize("points", [np.zeros(3), np.zeros((2, 3, 1)), 1.0])
+    def test_cloud_points_must_be_2d(self, points):
+        with pytest.raises(ValueError, match="need an \\(n, D\\) point array"):
+            LabeledCloud(points)
 
     def test_torus_sampler_uniform_in_v(self):
         # area element ~ (R + r cos v): the outer half carries more mass

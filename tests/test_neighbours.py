@@ -8,6 +8,7 @@ pass, whose tangents and slab counts share one search per iteration; the
 pass must return what the separate stages return, and the loop what the loop
 over the dense stages returns.
 """
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -73,6 +74,19 @@ def constant_field(n, basis):
     return dense.field_of(range(n), [Subspace(basis)] * n)
 
 
+def closed_ball_blocks(points, targets, r2):
+    """``(chunk, nbr, diff, d2, inside)`` per block of ``targets`` in the closed ball of ``r2``.
+
+    The library's own reading: one ``_candidates`` self-join at ``r2``, its
+    ``_blocks`` and the exact test ``listed & (d2 <= r2)``.
+    """
+    points = np.asarray(points, dtype=float)
+    targets = np.asarray(targets)
+    indptr, cols = _neighbours._candidates(points, r2)
+    for chunk, listed, nbr, diff, d2 in _neighbours._blocks(points, indptr, cols, targets):
+        yield chunk, nbr, diff, d2, listed & (d2 <= r2)
+
+
 def flatten(blocks, targets):
     """(rows, cols, diff, d2) of the pairs inside ball blocks, self pairs added.
 
@@ -136,7 +150,7 @@ class TestBallPairs:
         # unit lattice, radius 1: the four axis neighbours sit on the sphere
         pts = lattice(range(5), range(5))
         targets = [0, 12, 24, 7]
-        rows, cols, diff, d2 = flatten(_neighbours.ball_blocks(pts, targets, 1.0), targets)
+        rows, cols, diff, d2 = flatten(closed_ball_blocks(pts, targets, 1.0), targets)
         want = [
             (r, c)
             for r, t in enumerate(targets)
@@ -151,7 +165,7 @@ class TestBallPairs:
         # 20 slots of two coordinates: rows hold 3 to 8 neighbours
         monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", 20 * 2 * 8)
         pts = lattice(range(6), range(6))
-        chunks = list(_neighbours.ball_blocks(pts, np.arange(len(pts)), 2.0))
+        chunks = list(closed_ball_blocks(pts, np.arange(len(pts)), 2.0))
         covered = np.concatenate([c[0] for c in chunks])
         assert sorted(covered.tolist()) == list(range(len(pts)))
         assert any(len(c[0]) > 1 for c in chunks)
@@ -170,7 +184,7 @@ class TestBallPairs:
     def test_matches_dense(self, name):
         pts, targets, r2 = PAIR_CASES[name]
         assert_same_pairs(
-            _neighbours.ball_blocks(pts, targets, r2),
+            closed_ball_blocks(pts, targets, r2),
             targets,
             dense.ball_pairs(pts, targets, r2),
         )
@@ -180,7 +194,7 @@ class TestBallPairs:
         # every row is wider than a block: one row per block
         monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", 1)
         pts, targets, r2 = PAIR_CASES[name]
-        chunks = list(_neighbours.ball_blocks(pts, targets, r2))
+        chunks = list(closed_ball_blocks(pts, targets, r2))
         assert [len(c[0]) for c in chunks] == [1] * len(targets)
         covered = np.concatenate([c[0] for c in chunks])
         assert sorted(covered.tolist()) == list(range(len(targets)))
@@ -189,8 +203,28 @@ class TestBallPairs:
     def test_one_self_join(self, monkeypatch):
         calls = count_searches(monkeypatch)
         pts, targets, r2 = PAIR_CASES["subset"]
-        list(_neighbours.ball_blocks(pts, targets, r2))
+        list(closed_ball_blocks(pts, targets, r2))
         assert calls == ["query_pairs"]
+
+
+class TestBallLists:
+    def test_flattened_closed_balls(self):
+        # unit lattice: the axis neighbours at radius 1 and the diagonal ones
+        # at sqrt 2 lie on the spheres; radius 0 holds the centre alone
+        pts = lattice(range(5), range(5))
+        centres = pts[[0, 12, 24, 7]]
+        radii = np.array([1.0, np.sqrt(2.0), 0.0, 2.0])
+        lengths, cols = _neighbours.ball_lists(cKDTree(pts), centres, radii)
+        assert lengths.dtype == cols.dtype == np.intp and lengths.sum() == len(cols)
+        balls = np.split(cols, np.cumsum(lengths)[:-1])
+        for ball, centre, radius in zip(balls, centres, radii, strict=True):
+            want = np.flatnonzero(np.linalg.norm(pts - centre, axis=1) <= radius)
+            assert sorted(ball.tolist()) == want.tolist()
+
+    @pytest.mark.parametrize("shape", [(7, 3), (4, 5, 10), (0, 2)])
+    def test_norms_are_linalg_norms(self, shape):
+        diff = np.random.default_rng(7).normal(size=shape)
+        assert np.array_equal(_neighbours.norms(diff), np.linalg.norm(diff, axis=-1))
 
 
 def skewed_cloud():
@@ -230,7 +264,7 @@ class TestBlockMemory:
         # slots per listed candidate here; in order of width, 1.0
         pts = skewed_cloud()
         padded = listed = 0
-        for chunk, nbr, _, _, _ in _neighbours.ball_blocks(pts, np.arange(len(pts)), 0.01):
+        for chunk, nbr, _, _, _ in closed_ball_blocks(pts, np.arange(len(pts)), 0.01):
             padded += nbr.size
             listed += np.count_nonzero(nbr != chunk[:, None])
         assert listed > 10**6
@@ -658,6 +692,20 @@ class TestIterativeDenoiseOracle:
         assert diags[0].stop_reason == NO_TANGENT
         assert (keep, diags) == dense.iterative_denoise(cloud, d, 0.8, kappa, spec, 2)
         assert '"stop_reason": "no tangent estimable"' in diagnostics_to_json(diags)
+
+    def test_unlabelled_cloud(self):
+        # the oracle used to fail on a cloud without labels
+        cloud, d, kappa, spec = denoise_case("circle-D10")
+        unlabelled = LabeledCloud(cloud.points)
+        keep, diags = iterative_denoise(unlabelled, d, 0.8, kappa, spec, 2)
+        assert (keep, diags) == dense.iterative_denoise(unlabelled, d, 0.8, kappa, spec, 2)
+        # no confusion counts; the survivors and every other field as labelled
+        want_keep, labelled = iterative_denoise(cloud, d, 0.8, kappa, spec, 2)
+        assert keep == want_keep and len(keep) < cloud.n
+        assert diags == [
+            dataclasses.replace(diag, true_positives=None, false_positives=None)
+            for diag in labelled
+        ]
 
     def test_stop_when_nothing_survives(self):
         cloud, d, kappa, spec = denoise_case("circle-D2")
