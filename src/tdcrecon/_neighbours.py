@@ -11,7 +11,8 @@ decided exactly, as a dense scan decides it.  The primitives:
   read them.  A subset of the points reads its rows from the whole search.
 - :func:`ball_lists`, the flattened lists of balls around some centres, and
   :func:`norms`, the exact norms of their candidates: the farthest-point
-  net's round update and the tie gather of ``TangentField.complete``.
+  net's round update and the tie gather of the tangent inheritance
+  (:func:`.tangent._inherit`).
 
 Every search runs a relative ``_RADIUS_SLACK`` wider than its ball, since
 the tree rounds distances its own way.  Only :mod:`.geometry`'s Hausdorff
@@ -49,21 +50,17 @@ def check_finite(x: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains NaN or inf")
 
 
-def as_indices(indices) -> np.ndarray:
-    """``indices`` as an index array; ValueError unless they are integers.
+def check_indices(indices, n: int) -> np.ndarray:
+    """``indices`` as an index array; ValueError unless they are integers in [0, n).
 
     A boolean mask or a float would otherwise be read as the indices 0 and 1,
     or rounded towards zero.  An empty sequence is taken whatever its dtype.
+    The error names one index outside [0, n).
     """
     indices = np.asarray(indices)
     if indices.size and not np.issubdtype(indices.dtype, np.integer):
         raise ValueError(f"indices must be integers, got dtype {indices.dtype}")
-    return indices.astype(np.intp, copy=False)
-
-
-def check_indices(indices, n: int) -> np.ndarray:
-    """:func:`as_indices` of ``indices``; ValueError names one outside [0, n)."""
-    indices = as_indices(indices)
+    indices = indices.astype(np.intp, copy=False)
     bad = indices[(indices < 0) | (indices >= n)]
     if bad.size:
         raise ValueError(f"index {bad[0]} is outside [0, {n})")

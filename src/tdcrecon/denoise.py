@@ -13,7 +13,7 @@ self-join at the larger of that radius and the tangent bandwidth, and reads
 its neighbour blocks in one pass: each block gives the local-PCA bases of its
 rows and, with those bases, the rows' slab counts.  Only the points whose
 tangent is inherited from the nearest estimate are read a second time, from
-the same lists, once :meth:`.TangentField.complete` has filled them in.  The
+the same lists, once :func:`.tangent._inherit` has filled them in.  The
 lists are dropped before the next iteration searches.
 
 That pass is the package's only slab counter.  Tangents alone, say at the
@@ -30,7 +30,7 @@ import numpy as np
 from . import _neighbours
 from ._neighbours import check_finite
 from .models import LabeledCloud
-from .tangent import TangentField, TseParams, _block_bases
+from .tangent import TseParams, _block_bases, _inherit
 
 
 @dataclass(frozen=True)
@@ -108,29 +108,28 @@ def _slab_ball_r2(h: float, spec: SlabSpec) -> float:
 
 def _tangents_and_slab_counts(
     points: np.ndarray, params: TseParams, spec: SlabSpec
-) -> tuple[TangentField, np.ndarray | None, int]:
-    """Local-PCA tangents and slab counts of every point, from one neighbour search.
+) -> tuple[np.ndarray | None, int, int]:
+    """Slab counts of every point along its local-PCA tangent, from one neighbour search.
 
-    Returns what ``estimate_tangents(points, params)`` returns, the number of
-    points in each point's slab along its tangent once the field is completed
-    (None when no tangent is estimable), and the number of (point, neighbour)
-    pairs within h, each point left out of its own.  One self-join at the
-    wider of h and the slab ball is read once: each block gives the bases of
-    its estimable rows, and those rows count their slabs with the bases just
-    computed, on the same differences.  The skipped rows are read again from the same
+    Returns the number of points in each point's slab (None when no tangent
+    is estimable), the number of points whose tangent was inherited from the
+    nearest estimate, and the number of (point, neighbour) pairs within h,
+    each point left out of its own.  One self-join at the wider of h and the
+    slab ball is read once: each block gives the bases of its estimable
+    rows, and those rows count their slabs with the bases just computed, on
+    the same differences.  The skipped rows are read again from the same
     lists once they have inherited a basis.
     """
     n, big_d = points.shape
     h = params.h
     h2, slab_r2 = h * h, _slab_ball_r2(h, spec)
     indptr, cols = _neighbours._candidates(points, max(h2, slab_r2))
-    every = np.arange(n)
     bases = np.empty((n, big_d, params.d))
     estimated = np.zeros(n, dtype=bool)
     # every point lies in its own slab
     counts = np.ones(n, dtype=int)
     neighbours = 0
-    for chunk, listed, _, diff, d2 in _neighbours._blocks(points, indptr, cols, every):
+    for chunk, listed, _, diff, d2 in _neighbours._blocks(points, indptr, cols, np.arange(n)):
         near = listed & (d2 <= h2)
         neighbours += int(np.count_nonzero(near))
         ok, block = _block_bases(diff, near, params, n)
@@ -141,24 +140,21 @@ def _tangents_and_slab_counts(
         bases[chunk] = block
         estimated[chunk] = True
         counts[chunk] += _slab_hits(diff, d2, listed & (d2 <= slab_r2), block, h, spec)
-    field_ = TangentField(every[estimated], bases[estimated], skipped=every[~estimated])
-    if not len(field_):
-        return field_, None, neighbours
-    if len(field_.skipped):
-        # the completed field covers every point, in index order
-        inherited, skipped = field_.complete(points).bases, field_.skipped
-        for chunk, listed, _, diff, d2 in _neighbours._blocks(points, indptr, cols, skipped):
-            rows = skipped[chunk]
-            inside = listed & (d2 <= slab_r2)
-            counts[rows] += _slab_hits(diff, d2, inside, inherited[rows], h, spec)
-    return field_, counts, neighbours
+    if not estimated.any():
+        return None, 0, neighbours
+    skipped = _inherit(points, bases, estimated)
+    for chunk, listed, _, diff, d2 in _neighbours._blocks(points, indptr, cols, skipped):
+        rows = skipped[chunk]
+        inside = listed & (d2 <= slab_r2)
+        counts[rows] += _slab_hits(diff, d2, inside, bases[rows], h, spec)
+    return counts, len(skipped), neighbours
 
 
 # ---------------------------------------------------------------------------
 # bandwidth schedule
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schedule:
     """Exponents gamma_k and bandwidths h_k = base ** gamma_k with
     base = kappa * log(n) / (beta * (n - 1))."""
@@ -167,6 +163,12 @@ class Schedule:
     d: int
     beta: float
     kappa: float
+
+    def __post_init__(self):
+        if self.n < 3:
+            raise ValueError("need n >= 3")
+        if not (0 < self.beta <= 1 and self.kappa > 0) or self.d < 1:
+            raise ValueError("invalid schedule parameters")
 
     @property
     def base(self) -> float:
@@ -188,14 +190,6 @@ def _gamma(d: int, k: int) -> float:
     for _ in range(k):
         g = (2.0 * g + 1.0) / (d + 2.0)
     return g
-
-
-def schedule(n: int, d: int, beta: float, kappa: float) -> Schedule:
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if not (0 < beta <= 1 and kappa > 0) or d < 1:
-        raise ValueError("invalid schedule parameters")
-    return Schedule(n=n, d=d, beta=beta, kappa=kappa)
 
 
 def k_delta(d: int, delta: float) -> int:
@@ -270,26 +264,25 @@ def iterative_denoise(
         raise ValueError("need k_iters >= 0")
     points = np.asarray(cloud.points, dtype=float)
     check_finite(points, "points")
-    if d > points.shape[1]:
-        raise ValueError(f"need d <= ambient dimension, got d={d} in R^{points.shape[1]}")
+    if d >= points.shape[1]:
+        raise ValueError(f"need d < ambient dimension, got d={d} in R^{points.shape[1]}")
     n_total = cloud.n
-    sched = schedule(n_total, d, beta, kappa)
+    sched = Schedule(n_total, d, beta, kappa)
     threshold = spec.t * math.log(n_total - 1)
     alive = np.arange(n_total)
     diags: list[IterationDiagnostics] = []
     for k in range(k_iters + 1):
         h = sched.h_at(k)
         pts = points[alive]
-        field_, counts, neighbours = _tangents_and_slab_counts(pts, TseParams(h=h, d=d), spec)
-        inherited, stop_reason = len(field_.skipped), None
-        slab_p05 = slab_p50 = None
-        if counts is not None:
+        counts, inherited, neighbours = _tangents_and_slab_counts(pts, TseParams(h=h, d=d), spec)
+        stop_reason = slab_p05 = slab_p50 = None
+        if counts is None:
+            stop_reason = NO_TANGENT
+        else:
             slab_p05, slab_p50 = (float(np.percentile(counts, q)) for q in (5.0, 50.0))
             alive = alive[counts >= threshold]
             if alive.size == 0:
                 stop_reason = NO_SURVIVORS
-        else:
-            inherited, stop_reason = 0, NO_TANGENT
         tp = fp = None
         if cloud.labels is not None:
             tp = int(np.sum(cloud.labels[alive] == 1))

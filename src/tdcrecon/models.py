@@ -5,7 +5,7 @@ first few coordinates, zero-padded beyond) with a known reach, a uniform
 surface sampler and, for an (m, D) array of points, closed-form nearest points,
 distances and tangent spaces (an (m, D, d) stack of orthonormal bases).  The
 clutter sampler mixes uniform-on-manifold points with uniform ambient outliers
-in a ball around the manifold centroid.
+in a ball around the origin, the centroid of every model.
 
 Labels: 1 = signal (drawn on the manifold), 0 = outlier.
 """
@@ -44,10 +44,6 @@ class ManifoldModel:
 
     def diameter(self) -> float:
         raise NotImplementedError
-
-    def center(self) -> np.ndarray:
-        """Centroid of the manifold (the clutter ball is centered here)."""
-        return np.zeros(self.ambient_dim)
 
     def sample_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
         raise NotImplementedError
@@ -368,7 +364,8 @@ def _uniform_ball(rng: np.random.Generator, k: int, dim: int, radius: float) -> 
 
 def sample(model: ManifoldModel, spec: SampleSpec) -> LabeledCloud:
     """Draw n points: signal uniform on M with probability beta, else uniform
-    in the ball B(centroid, k0).  Bit-deterministic given the seed."""
+    in the ball B(0, k0) around the models' common centroid.  Bit-deterministic
+    given the seed."""
     k0 = default_k0(model) if spec.k0 is None else spec.k0
     if not k0 >= default_k0(model):
         raise ValueError(f"need k0 >= diameter + reach = {default_k0(model)}, got {k0}")
@@ -376,9 +373,7 @@ def sample(model: ManifoldModel, spec: SampleSpec) -> LabeledCloud:
     labels = (rng.random(spec.n) < spec.beta).astype(np.int8)
     n_signal = int(labels.sum())
     signal = model.sample_points(rng, n_signal)
-    outliers = model.center() + _uniform_ball(
-        rng, spec.n - n_signal, model.ambient_dim, k0
-    )
+    outliers = _uniform_ball(rng, spec.n - n_signal, model.ambient_dim, k0)
     points = np.empty((spec.n, model.ambient_dim))
     points[labels == 1] = signal
     points[labels == 0] = outliers

@@ -2,9 +2,10 @@
 
 At each requested point the covariance of the neighbors inside the closed ball
 of radius h (the point itself excluded, scaled by 1/(n-1)) is eigendecomposed
-and the span of the top d eigenvectors is the tangent estimate.  Points with
-fewer than ``min_neighbors`` neighbors are flagged and excluded from the
-field; downstream users can fill them in by nearest-neighbor inheritance.
+and the span of the top d eigenvectors is the tangent estimate.  A point with
+fewer than ``min_neighbors`` neighbors is listed as skipped and inherits the
+basis of the nearest estimated point (:func:`_inherit`), so a field has one
+basis per requested point, in the order requested.
 Neighbors come from one KD-tree self-join of the cloud (:mod:`._neighbours`),
 which finds each neighbor pair once, so the work grows with the number of
 neighbor pairs, not with n^2.  They are read in padded blocks of a bounded
@@ -13,9 +14,10 @@ block are formed together; each block's eigenvectors go straight into the
 field's (m, D, d) array of bases.  The block arithmetic is
 :func:`_block_bases`; a denoising iteration runs it on the blocks of its own
 single pass, which also count the slabs (:mod:`.denoise`), so there is one
-read of each block per iteration.  :func:`estimate_tangents` is the
-standalone call, with a search of its own: the one to use for tangents
-outside the denoising loop, such as at the points of a net.
+read of each block per iteration, and it fills the skipped rows with
+:func:`_inherit` as well.  :func:`estimate_tangents` is the standalone call,
+with a search of its own: the one to use for tangents outside the denoising
+loop, such as at the points of a net.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from scipy.spatial import cKDTree
 
 from . import _neighbours
 from ._neighbours import _RADIUS_SLACK, check_finite
-from .geometry import _check_bases
 
 
 @dataclass(frozen=True)
@@ -57,82 +58,53 @@ def default_bandwidth(n: int, d: int, c: float = 1.0) -> float:
     return (c * math.log(n) / (n - 1)) ** (1.0 / d)
 
 
+@dataclass(frozen=True, eq=False)
 class TangentField:
-    """Tangent estimates at a subset of cloud indices, held as arrays.
+    """Local-PCA tangents at the targets of one :func:`estimate_tangents` call.
 
-    Row k of ``bases``, an (m, D, d) stack of orthonormal bases, is the
-    estimate at cloud index ``indices[k]``; ``skipped`` lists the indices
-    where no estimate could be made.  Indices must be integers.  The arrays
-    are copies; the bases are checked once, on construction, and are
-    read-only.
+    Row k of ``bases``, a read-only (m, D, d) stack of orthonormal bases, is
+    the tangent at the k-th target.  ``skipped`` lists the rows where no
+    estimate could be made; each holds the basis of the nearest estimated
+    target instead.
     """
 
-    def __init__(self, indices, bases, skipped=()):
-        self.indices = np.array(_neighbours.as_indices(indices))
-        self.skipped = np.array(_neighbours.as_indices(skipped))
-        bases = np.array(bases, dtype=float)
-        if bases.ndim != 3:
-            raise ValueError(f"expected an (m, D, d) stack of bases, got shape {bases.shape}")
-        if len(bases) != len(self.indices):
-            raise ValueError("indices and bases must be parallel")
-        _check_bases(bases)
-        bases.setflags(write=False)
-        self.bases = bases
+    bases: np.ndarray
+    skipped: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.indices)
 
-    def _rows(self, wanted) -> np.ndarray:
-        """Rows holding the cloud indices ``wanted`` (the first of repeats); KeyError if absent.
+def _inherit(points: np.ndarray, bases: np.ndarray, estimated: np.ndarray) -> np.ndarray:
+    """Give each row not ``estimated`` the basis of the nearest estimated row, in place.
 
-        ``wanted`` must be integers (ValueError otherwise).
-        """
-        wanted = _neighbours.as_indices(wanted)
-        order = np.argsort(self.indices, kind="stable")
-        at = np.searchsorted(self.indices, wanted, sorter=order)
-        found = at < len(order)
-        found[found] = self.indices[order[at[found]]] == wanted[found]
-        if not found.all():
-            raise KeyError(int(wanted[~found][0]))
-        return order[at]
-
-    def complete(self, points: np.ndarray) -> "TangentField":
-        """Fill skipped indices with the nearest estimated neighbor's subspace.
-
-        Ties in distance go to the estimate listed first in ``indices``.
-        """
-        if not len(self.skipped):
-            return self
-        if not len(self.indices):
-            raise ValueError("cannot complete an empty tangent field")
-        points = np.asarray(points, dtype=float)
-        tree = cKDTree(points[self.indices])
-        queries = points[self.skipped]
-        # the tree's nearest estimate is the one to inherit from unless the
-        # second nearest is as near, up to the relative _RADIUS_SLACK above
-        # the tree's rounding (with a single estimate the second is at inf)
-        nearest_dist, nearest = tree.query(queries, k=2)
-        source = nearest[:, 0]
-        tied = np.flatnonzero(nearest_dist[:, 1] <= nearest_dist[:, 0] * (1.0 + _RADIUS_SLACK))
-        if len(tied):
-            # gather every estimate within that margin and keep, per query,
-            # the first at the least norm
-            lengths, cols = _neighbours.ball_lists(tree, queries[tied], nearest_dist[tied, 0])
-            rows = np.repeat(tied, lengths)
-            dist = _neighbours.norms(tree.data[cols] - queries[rows])
-            # per query: least norm first, then the earliest estimate
-            order = np.lexsort((cols, dist, rows))
-            rows, cols = rows[order], cols[order]
-            first = np.flatnonzero(np.diff(rows, prepend=-1))
-            source[rows[first]] = cols[first]
-        indices = np.concatenate([self.indices, self.skipped])
-        order = np.argsort(indices)
-        bases = np.concatenate([self.bases, self.bases[source]])
-        return TangentField(indices=indices[order], bases=bases[order])
-
-    def restrict(self, subset: list[int]) -> "TangentField":
-        """Field re-indexed to a sub-cloud: local index k maps to subset[k]."""
-        return TangentField(indices=np.arange(len(subset)), bases=self.bases[self._rows(subset)])
+    Row k of ``bases`` is the tangent at ``points[k]``; ties in distance go
+    to the estimated row that comes first.  Returns the rows that inherited.
+    """
+    skipped = np.flatnonzero(~estimated)
+    if not len(skipped):
+        return skipped
+    sources = np.flatnonzero(estimated)
+    if not len(sources):
+        raise ValueError("no tangent estimable: no target has min_neighbors neighbours within h")
+    tree = cKDTree(points[sources])
+    queries = points[skipped]
+    # the tree's nearest estimate is the one to inherit from unless the
+    # second nearest is as near, up to the relative _RADIUS_SLACK above
+    # the tree's rounding (with a single estimate the second is at inf)
+    nearest_dist, nearest = tree.query(queries, k=2)
+    source = nearest[:, 0]
+    tied = np.flatnonzero(nearest_dist[:, 1] <= nearest_dist[:, 0] * (1.0 + _RADIUS_SLACK))
+    if len(tied):
+        # gather every estimate within that margin and keep, per query,
+        # the first at the least norm
+        lengths, cols = _neighbours.ball_lists(tree, queries[tied], nearest_dist[tied, 0])
+        rows = np.repeat(tied, lengths)
+        dist = _neighbours.norms(tree.data[cols] - queries[rows])
+        # per query: least norm first, then the earliest estimate
+        order = np.lexsort((cols, dist, rows))
+        rows, cols = rows[order], cols[order]
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        source[rows[first]] = cols[first]
+    bases[skipped] = bases[sources[source]]
+    return skipped
 
 
 def _block_bases(
@@ -170,11 +142,14 @@ def _block_bases(
 def estimate_tangents(
     points: np.ndarray, params: TseParams, subset: list[int] | None = None
 ) -> TangentField:
-    """Local-PCA tangent field over the whole cloud or a subset of indices.
+    """Local-PCA tangents at every point of the cloud, or at the points ``subset`` lists.
 
-    The neighbor pool is always the full cloud; ``subset``, integer indices,
-    only selects where estimates are produced, and its rows are read from a
-    search of the whole cloud.
+    The neighbor pool is always the full cloud; ``subset``, integer indices
+    (repeats allowed), only selects the targets, and their rows are read
+    from a search of the whole cloud.  Row k of the field is the k-th
+    target.  A target with fewer than ``params.min_neighbors`` neighbors
+    inherits the basis of the nearest estimated target, the first in target
+    order on ties; ValueError when there are targets and none is estimable.
     """
     points = np.asarray(points, dtype=float)
     check_finite(points, "points")
@@ -192,6 +167,6 @@ def estimate_tangents(
         if block is not None:
             bases[chunk[ok]] = block
             estimated[chunk[ok]] = True
-    return TangentField(
-        indices=targets[estimated], bases=bases[estimated], skipped=targets[~estimated]
-    )
+    skipped = _inherit(points[targets], bases, estimated)
+    bases.setflags(write=False)
+    return TangentField(bases=bases, skipped=skipped)

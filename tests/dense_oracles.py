@@ -6,10 +6,12 @@ these return.  ``local_covariance`` is the covariance of one point's ball,
 whose top eigenvectors ``estimate_tangents`` must span.  ``iterative_denoise``
 runs the denoising loop on these dense stages, each with a scan of its own,
 and scans once more for each iteration's neighbour counts.
-``Subspace`` is one subspace, and ``field_of`` and ``subspaces`` convert
-between a tangent field and the list of ``Subspace`` objects the tests write
-fields with.  ``tangent`` and ``principal_angle`` are the one-point and
-one-pair forms that the models' ``tangent_many`` and
+``estimate_tangents`` is ``pca_bases`` followed by ``complete``, the argmin
+inheritance of the skipped rows, in target order, as the library's field
+holds them.  ``Subspace`` is one subspace, ``subspaces`` turns a stack of
+bases into ``Subspace`` objects, and ``estimated_rows`` lists the rows of a
+field that were not inherited.  ``tangent`` and ``principal_angle`` are the
+one-point and one-pair forms that the models' ``tangent_many`` and
 ``geometry.principal_angles`` replace.  ``in_slab`` is the slab predicate
 for one pair of points; the tests tie ``slab_counts`` to it pair by pair.
 """
@@ -22,12 +24,12 @@ from tdcrecon.denoise import (
     NO_TANGENT,
     IterationDiagnostics,
     SlabSpec,
+    Schedule,
     _slab_mask,
-    schedule,
 )
 from tdcrecon.geometry import _check_bases
 from tdcrecon.models import Circle, Sphere, Torus
-from tdcrecon.tangent import TangentField, TseParams
+from tdcrecon.tangent import TseParams
 
 _CHUNK = 256
 
@@ -57,15 +59,14 @@ class Subspace:
         return f"Subspace(dim={self.basis.shape[1]}, ambient_dim={self.basis.shape[0]})"
 
 
-def field_of(indices, subs, skipped=()):
-    """A tangent field from parallel lists of indices and ``Subspace`` objects."""
-    bases = [sub.basis for sub in subs]
-    return TangentField(indices, np.array(bases) if bases else np.zeros((0, 1, 1)), skipped)
+def subspaces(bases):
+    """An (m, D, d) stack of bases as ``Subspace`` objects, in order."""
+    return [Subspace(basis) for basis in bases]
 
 
-def subspaces(field_):
-    """The field's estimates as ``Subspace`` objects, in the order of its indices."""
-    return [Subspace(basis) for basis in field_.bases]
+def estimated_rows(field):
+    """The rows of a field that hold their own estimate, not an inherited one."""
+    return np.setdiff1d(np.arange(len(field.bases)), field.skipped)
 
 
 def ball_pairs(points, targets, r2):
@@ -109,11 +110,14 @@ def local_covariance(points: np.ndarray, j: int, h: float) -> np.ndarray:
     return centered.T @ centered / (n - 1)
 
 
-def estimate_tangents(points, params, subset=None):
+def pca_bases(points, params, targets):
+    """``(bases, estimated)``: the local-PCA basis at each target, set where
+    the target has at least ``params.min_neighbors`` neighbours."""
     points = np.asarray(points, dtype=float)
     n, big_d = points.shape
-    targets = np.arange(n) if subset is None else np.asarray(subset, dtype=int)
-    indices, bases, skipped = [], [], []
+    targets = np.asarray(targets, dtype=int)
+    bases = np.zeros((len(targets), big_d, params.d))
+    estimated = np.zeros(len(targets), dtype=bool)
     for lo in range(0, len(targets), _CHUNK):
         idx = targets[lo : lo + _CHUNK]
         diff = points[None, :, :] - points[idx][:, None, :]  # (c, n, D)
@@ -122,7 +126,6 @@ def estimate_tangents(points, params, subset=None):
         mask[np.arange(len(idx)), idx] = False
         counts = mask.sum(axis=1)
         ok = counts >= params.min_neighbors
-        skipped.extend(int(j) for j in idx[~ok])
         if not np.any(ok):
             continue
         w = np.where(mask[:, :, None], diff, 0.0)
@@ -135,24 +138,31 @@ def estimate_tangents(points, params, subset=None):
         cov = scatter[ok] / (n - 1)
         cov = 0.5 * (cov + cov.transpose(0, 2, 1))
         eigvals, eigvecs = np.linalg.eigh(cov)
-        for row, j in enumerate(idx[ok]):
-            indices.append(int(j))
-            bases.append(eigvecs[row][:, ::-1][:, : params.d])
-    return TangentField(indices, np.array(bases).reshape(-1, big_d, params.d), skipped)
+        rows = lo + np.flatnonzero(ok)
+        bases[rows] = eigvecs[:, :, ::-1][:, :, : params.d]
+        estimated[rows] = True
+    return bases, estimated
 
 
-def complete(field_, points):
-    """Skipped indices inherit from the first nearest estimate (argmin)."""
+def complete(points, bases, estimated):
+    """Each row not ``estimated`` takes the basis of the first nearest
+    estimated row (argmin), in place; row k is the tangent at ``points[k]``."""
     points = np.asarray(points, dtype=float)
-    est_pts = points[field_.indices]
-    indices = list(field_.indices)
-    bases = list(field_.bases)
-    for j in field_.skipped:
-        nearest = int(np.argmin(np.linalg.norm(est_pts - points[j], axis=1)))
-        indices.append(j)
-        bases.append(field_.bases[nearest])
-    order = np.argsort(indices)
-    return TangentField([indices[k] for k in order], np.array([bases[k] for k in order]))
+    sources = np.flatnonzero(estimated)
+    for k in np.flatnonzero(~estimated):
+        nearest = int(np.argmin(np.linalg.norm(points[sources] - points[k], axis=1)))
+        bases[k] = bases[sources[nearest]]
+
+
+def estimate_tangents(points, params, subset=None):
+    """``(bases, skipped)`` of the library's field: one row per target, in target order."""
+    points = np.asarray(points, dtype=float)
+    targets = np.arange(len(points)) if subset is None else np.asarray(subset, dtype=int)
+    bases, estimated = pca_bases(points, params, targets)
+    if len(targets) and not estimated.any():
+        raise ValueError("no tangent estimable")
+    complete(points[targets], bases, estimated)
+    return bases, np.flatnonzero(~estimated)
 
 
 def in_slab(x: np.ndarray, tangent: Subspace, h: float, spec: SlabSpec, y) -> bool:
@@ -161,12 +171,13 @@ def in_slab(x: np.ndarray, tangent: Subspace, h: float, spec: SlabSpec, y) -> bo
     return bool(_slab_mask(diff[None, :], tangent.basis, h, spec)[0])
 
 
-def slab_counts(points, field_, h, spec):
+def slab_counts(points, bases, h, spec):
+    """The number of points in each point's slab along ``bases[j]``, its tangent."""
     points = np.asarray(points, dtype=float)
     counts = np.zeros(points.shape[0], dtype=int)
     t1 = (spec.k1 * h) ** 2
     t2 = (spec.k2 * h * h) ** 2
-    for j, basis in zip(field_.indices, field_.bases):
+    for j, basis in enumerate(bases):
         diff = points - points[j]
         tang = diff @ basis
         tang2 = np.einsum("ij,ij->i", tang, tang)
@@ -202,18 +213,19 @@ def directed_hausdorff(a, b):
 def iterative_denoise(cloud, d, beta, kappa, spec, k_iters):
     """The denoising loop on the dense tangents, completion and slab counts."""
     n_total = cloud.n
-    sched = schedule(n_total, d, beta, kappa)
+    sched = Schedule(n_total, d, beta, kappa)
     threshold = spec.t * math.log(n_total - 1)
     alive = np.arange(n_total)
     diags = []
     for k in range(k_iters + 1):
         h = sched.h_at(k)
         pts = cloud.points[alive]
-        field_ = estimate_tangents(pts, TseParams(h=h, d=d))
-        inherited, stop_reason = len(field_.skipped), None
+        bases, estimated = pca_bases(pts, TseParams(h=h, d=d), np.arange(len(pts)))
+        inherited, stop_reason = int(np.count_nonzero(~estimated)), None
         slab_p05 = slab_p50 = None
-        if len(field_):
-            counts = slab_counts(pts, complete(field_, pts), h, spec)
+        if estimated.any():
+            complete(pts, bases, estimated)
+            counts = slab_counts(pts, bases, h, spec)
             slab_p05 = float(np.percentile(counts, 5.0))
             slab_p50 = float(np.percentile(counts, 50.0))
             alive = alive[counts >= threshold]

@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 import dense_oracles as dense
-from dense_oracles import Subspace, field_of, in_slab
+from dense_oracles import Subspace, in_slab
 from lemma_checks import verify_slab_inclusion, verify_slab_separation
 from tdcrecon import denoise
 from tdcrecon.denoise import (
     IterationDiagnostics,
+    Schedule,
     SlabSpec,
     default_slab_spec,
     diagnostics_to_json,
     iterative_denoise,
     k_delta,
     lemma_slab_constants,
-    schedule,
 )
 from tdcrecon.models import (
     Circle,
@@ -85,25 +85,26 @@ class TestInSlab:
             SlabSpec(**factors)
 
 
-def brute_force_sd_step(points, field_, h, spec, n_total):
+def brute_force_sd_step(points, bases, h, spec, n_total):
     survivors = []
     threshold = spec.t * math.log(n_total - 1)
     for j in range(len(points)):
-        tangent = Subspace(field_.restrict([j]).bases[0])
+        tangent = Subspace(bases[j])
         count = sum(in_slab(points[j], tangent, h, spec, y) for y in points)
         if count >= threshold:
             survivors.append(j)
     return survivors
 
 
-def dense_sd_step(points, field_, h, spec, n_total):
+def dense_sd_step(points, bases, h, spec, n_total):
     """The reference step: the dense slab counts against t log(n-1)."""
-    counts = dense.slab_counts(points, field_, h, spec)
+    counts = dense.slab_counts(points, bases, h, spec)
     return np.flatnonzero(counts >= spec.t * math.log(n_total - 1)).tolist()
 
 
 def constant_field(n, sub):
-    return field_of(range(n), [sub] * n)
+    """The bases of n points that all have the tangent ``sub``."""
+    return np.repeat(sub.basis[None], n, axis=0)
 
 
 def one_step(points, d, kappa, spec):
@@ -155,7 +156,7 @@ class TestSdStep:
         for _ in range(10):
             n = int(rng.integers(5, 80))
             pts = rng.normal(size=(n, 3))
-            field_ = field_of(range(n), [span(rng.normal(size=3)) for _ in range(n)])
+            field_ = np.stack([span(rng.normal(size=3)).basis for _ in range(n)])
             spec = SlabSpec(
                 k1=rng.uniform(0.2, 1.0),
                 k2=rng.uniform(0.2, 1.0),
@@ -188,11 +189,11 @@ class TestSdStep:
 
 class TestSchedule:
     def test_gamma_d2(self):
-        s = schedule(n=1000, d=2, beta=1.0, kappa=1.0)
+        s = Schedule(n=1000, d=2, beta=1.0, kappa=1.0)
         assert [s.gamma_at(k) for k in range(3)] == pytest.approx([1 / 3, 5 / 12, 11 / 24])
 
     def test_gamma_d1(self):
-        s = schedule(n=1000, d=1, beta=1.0, kappa=1.0)
+        s = Schedule(n=1000, d=1, beta=1.0, kappa=1.0)
         assert [s.gamma_at(k) for k in range(3)] == pytest.approx([1 / 2, 2 / 3, 7 / 9])
 
     def test_fixed_point(self):
@@ -201,13 +202,13 @@ class TestSchedule:
             assert (2 * g + 1) / (d + 2) == pytest.approx(g)
 
     def test_monotone_increasing_below_limit(self):
-        s = schedule(n=5000, d=2, beta=0.8, kappa=1.0)
+        s = Schedule(n=5000, d=2, beta=0.8, kappa=1.0)
         gam = np.array([s.gamma_at(k) for k in range(13)])
         assert np.all(np.diff(gam) > 0)
         assert np.all(gam <= 1 / 2 + 1e-12)
 
     def test_h_decreasing_when_base_below_one(self):
-        s = schedule(n=5000, d=2, beta=0.8, kappa=1.0)
+        s = Schedule(n=5000, d=2, beta=0.8, kappa=1.0)
         assert s.base < 1
         hs = [s.h_at(k) for k in range(9)]
         assert np.all(np.diff(hs) < 0)
@@ -215,30 +216,45 @@ class TestSchedule:
         assert hs[-1] > s.base ** (1.0 / s.d)
 
     def test_h_at_extends(self):
-        s = schedule(n=5000, d=1, beta=1.0, kappa=1.0)
+        s = Schedule(n=5000, d=1, beta=1.0, kappa=1.0)
         assert s.h_at(0) == s.base ** s.gamma_at(0) == s.base**0.5
         assert s.h_at(5) == pytest.approx(s.base ** s.gamma_at(5))
         assert s.gamma_at(5) < 1.0
 
     def test_negative_index_raises(self):
         # k = -1 used to read the last stored exponent: h_at(-1) returned h_at(2)
-        s = schedule(n=1000, d=2, beta=1.0, kappa=1.0)
+        s = Schedule(n=1000, d=2, beta=1.0, kappa=1.0)
         with pytest.raises(ValueError, match="need k >= 0, got -1"):
             s.gamma_at(-1)
         with pytest.raises(ValueError, match="need k >= 0, got -3"):
             s.h_at(-3)
 
     def test_formula(self):
-        s = schedule(n=4000, d=1, beta=0.8, kappa=2.0)
+        s = Schedule(n=4000, d=1, beta=0.8, kappa=2.0)
         assert s.h_at(0) == pytest.approx(
             (2.0 * math.log(4000) / (0.8 * 3999)) ** 0.5
         )
+
+    @pytest.mark.parametrize(
+        "n, d, beta, kappa, message",
+        [
+            # n - 1 = 0: h_at(0) divided by zero
+            (1, 1, 1.0, 1.0, "need n >= 3"),
+            # a negative bandwidth, -0.0465
+            (100, 0, 1.0, -1.0, "invalid schedule parameters"),
+            # beta is a fraction of signal points
+            (100, 1, 2.0, 1.0, "invalid schedule parameters"),
+        ],
+    )
+    def test_direct_construction_validates(self, n, d, beta, kappa, message):
+        with pytest.raises(ValueError, match=message):
+            Schedule(n=n, d=d, beta=beta, kappa=kappa)
 
     def test_nan_kappa_raises(self):
         # a NaN kappa made every bandwidth NaN: iterative_denoise kept every
         # point and stopped with "no tangent estimable"
         with pytest.raises(ValueError, match="invalid schedule parameters"):
-            schedule(n=200, d=1, beta=0.8, kappa=float("nan"))
+            Schedule(n=200, d=1, beta=0.8, kappa=float("nan"))
         cloud = sample(Circle(1.0), SampleSpec(n=200, beta=0.8, seed=5))
         spec = default_slab_spec(1, 2, 1.0, t=0.4)
         with pytest.raises(ValueError, match="invalid schedule parameters"):
@@ -366,8 +382,14 @@ class TestIterativeDenoise:
 
     def test_dimension_above_ambient_raises(self):
         cloud = sample(Circle(1.0), SampleSpec(n=50, beta=0.8, seed=4))
-        with pytest.raises(ValueError, match="need d <= ambient dimension, got d=3 in R\\^2"):
+        with pytest.raises(ValueError, match="need d < ambient dimension, got d=3 in R\\^2"):
             iterative_denoise(cloud, 3, 0.8, 1.0, SlabSpec(0.5, 0.5, 1.0), k_iters=0)
+
+    def test_dimension_equal_to_ambient_raises(self):
+        # a circle in R^2 denoised as a 2-manifold used to run and keep 254 of 300 points
+        cloud = sample(Circle(1.0), SampleSpec(n=300, beta=0.8, seed=4))
+        with pytest.raises(ValueError, match="need d < ambient dimension, got d=2 in R\\^2"):
+            iterative_denoise(cloud, 2, 0.8, 8.0, SlabSpec(0.5, 0.5, 0.3), k_iters=2)
 
     def test_removes_far_outliers_keeps_signal(self):
         cloud = sample(Circle(1.0), SampleSpec(n=2000, beta=0.8, seed=6))
@@ -378,7 +400,7 @@ class TestIterativeDenoise:
         kept_signal = [j for j in keep if j in signal]
         # all signal survives and the far outliers are gone
         assert len(kept_signal) == len(signal)
-        far_cut = schedule(2000, 1, 0.8, 8.0).h_at(2) ** 2 / 1.0
+        far_cut = Schedule(2000, 1, 0.8, 8.0).h_at(2) ** 2 / 1.0
         dists = Circle(1.0).distance_many(cloud.points[keep])
         labels = cloud.labels[keep]
         assert np.all(dists[labels == 0] <= far_cut)

@@ -13,7 +13,6 @@ from lemma_checks import (
     top_eigenspace,
 )
 from tdcrecon.geometry import directed_hausdorff, principal_angles
-from tdcrecon.tangent import TangentField
 
 
 def span(*vectors):
@@ -42,7 +41,7 @@ class TestSubspace:
 
 
 class TestSubspaceStack:
-    """A tangent field's stack of bases is checked as each basis alone would be."""
+    """A stack of bases given to ``principal_angles`` is checked as each basis alone would be."""
 
     def valid(self):
         rng = np.random.default_rng(4)
@@ -63,34 +62,27 @@ class TestSubspaceStack:
         ids=["nan", "skew", "long"],
     )
     def test_one_bad_basis_raises_as_alone(self, bad):
-        bases = self.valid()
+        bases, good = self.valid(), self.valid()
         bases[3] = bad
-        assert self.error_of(lambda: TangentField(range(5), bases)) == self.error_of(
-            lambda: Subspace(bad)
-        )
+        want = self.error_of(lambda: Subspace(bad))
+        assert self.error_of(lambda: principal_angles(bases, good)) == want
+        assert self.error_of(lambda: principal_angles(good, bases)) == want
 
     def test_bad_dims_raise_as_alone(self):
         bases = np.zeros((2, 3, 0))
-        assert self.error_of(lambda: TangentField(range(2), bases)) == self.error_of(
+        assert self.error_of(lambda: principal_angles(bases, bases)) == self.error_of(
             lambda: Subspace(bases[0])
         )
 
     def test_valid_stack(self):
         bases = self.valid()
-        field = TangentField(range(5), bases)
-        assert len(field) == len(bases)
-        for k, basis in enumerate(bases):
-            one = field.restrict([k]).bases
-            assert one.shape == (1, *basis.shape)
-            assert np.array_equal(one[0], basis)
-            assert not one.flags.writeable
-        assert not field.bases.flags.writeable
-        # the stack is copied: changing the input changes no basis
-        bases[0, 0, 0] = 7.0
-        assert field.restrict([0]).bases[0, 0, 0] != 7.0
+        given = bases.copy()
+        assert np.array_equal(principal_angles(bases, bases), np.zeros(len(bases)))
+        # the stacks are only read
+        assert np.array_equal(bases, given)
 
     def test_empty_stack(self):
-        assert len(TangentField([], np.zeros((0, 3, 1)))) == 0
+        assert len(principal_angles(np.zeros((0, 3, 1)), np.zeros((0, 3, 1)))) == 0
 
 
 class TestPrincipalAngle:

@@ -24,18 +24,18 @@ from tdcrecon import _neighbours, sparsify
 from tdcrecon.denoise import (
     NO_SURVIVORS,
     NO_TANGENT,
+    Schedule,
     SlabSpec,
     _slab_ball_r2,
     _tangents_and_slab_counts,
     default_slab_spec,
     diagnostics_to_json,
     iterative_denoise,
-    schedule,
 )
 from tdcrecon.geometry import directed_hausdorff
 from tdcrecon.models import Circle, LabeledCloud, SampleSpec, Sphere, Torus, sample
 from tdcrecon.sparsify import farthest_point_sampling
-from tdcrecon.tangent import TseParams, estimate_tangents
+from tdcrecon.tangent import TseParams, _inherit, estimate_tangents
 
 PROJECTOR_TOL = 1e-12
 
@@ -64,14 +64,11 @@ CLOUDS = clouds()
 
 
 def assert_same_field(got, want):
-    assert got.indices.tolist() == want.indices.tolist()
-    assert got.skipped.tolist() == want.skipped.tolist()
-    for g, w in zip(dense.subspaces(got), dense.subspaces(want), strict=True):
+    """The library's field ``got`` holds the dense oracle's ``(bases, skipped)``."""
+    want_bases, want_skipped = want
+    assert got.skipped.tolist() == want_skipped.tolist()
+    for g, w in zip(dense.subspaces(got.bases), dense.subspaces(want_bases), strict=True):
         assert np.max(np.abs(g.projector() - w.projector())) <= PROJECTOR_TOL
-
-
-def constant_field(n, basis):
-    return dense.field_of(range(n), [Subspace(basis)] * n)
 
 
 def closed_ball_blocks(points, targets, r2):
@@ -254,7 +251,7 @@ class TestBlockMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(field) == len(pts)
+        assert len(field.bases) - len(field.skipped) == len(pts)
         # the self-join's index lists (8 B per ordered pair), a few arrays
         # of a block each and the field itself
         assert peak <= 8 * pairs + 16 * _neighbours._BLOCK_BYTES
@@ -280,8 +277,11 @@ class TestBlockCuts:
         cloud = sample(Circle(1.0, ambient_dim=3), SampleSpec(n=600, beta=0.7, seed=305))
         pts, h = cloud.points, 0.25
         spec = SlabSpec(k1=0.6, k2=1.5, t=1.0)
-        field, counts, _ = _tangents_and_slab_counts(pts, TseParams(h=h, d=1), spec)
-        return [a.tobytes() for a in (field.indices, field.bases, field.skipped, counts)]
+        params = TseParams(h=h, d=1)
+        field = estimate_tangents(pts, params)
+        counts, inherited, _ = _tangents_and_slab_counts(pts, params, spec)
+        assert inherited > 0
+        return [a.tobytes() for a in (field.bases, field.skipped, counts)]
 
     @pytest.mark.parametrize("block_bytes", [1, 320])
     def test_bit_identical(self, monkeypatch, block_bytes):
@@ -317,31 +317,31 @@ class TestNonIntegerIndices:
 
     def test_empty_subset(self):
         field = estimate_tangents(self.pts, self.params, subset=[])
-        assert len(field) == 0 and len(field.skipped) == 0
+        assert field.bases.shape == (0, 3, 2) and len(field.skipped) == 0
 
 
 def assert_pass_matches_stages(pts, params, spec):
-    """The one-pass tangents and slab counts hold the bits of the separate stages.
+    """The one-pass slab counts hold the bits of the separate stages.
 
-    The stages are ``estimate_tangents``, with a search of its own,
-    ``complete`` and the dense slab counts of ``dense_oracles``; the
-    neighbour total is the dense count of pairs within h.  Returns the
-    pass's field.
+    The stages are ``estimate_tangents``, with a search of its own, and the
+    dense slab counts of ``dense_oracles`` along its bases; the inherited
+    total is its number of skipped rows, and the neighbour total is the
+    dense count of pairs within h.  Returns the standalone field, or None
+    when no tangent is estimable.
     """
-    field, counts, neighbours = _tangents_and_slab_counts(pts, params, spec)
-    want = estimate_tangents(pts, params)
-    for got_array, want_array in zip(
-        (field.indices, field.bases, field.skipped), (want.indices, want.bases, want.skipped)
-    ):
-        assert got_array.tobytes() == want_array.tobytes()
-    if len(want):
-        want_counts = dense.slab_counts(pts, want.complete(pts), params.h, spec)
-        assert counts.tobytes() == want_counts.tobytes()
-    else:
-        assert counts is None
+    counts, inherited, neighbours = _tangents_and_slab_counts(pts, params, spec)
     rows = dense.ball_pairs(pts, np.arange(len(pts)), params.h * params.h)[0]
     assert neighbours == len(rows) - len(pts)
-    return field
+    if counts is None:
+        assert inherited == 0
+        with pytest.raises(ValueError, match="no tangent estimable"):
+            estimate_tangents(pts, params)
+        return None
+    want = estimate_tangents(pts, params)
+    assert inherited == len(want.skipped)
+    want_counts = dense.slab_counts(pts, want.bases, params.h, spec)
+    assert counts.tobytes() == want_counts.tobytes()
+    return want
 
 
 # slab balls narrower and wider than the tangent bandwidth h
@@ -355,15 +355,15 @@ class TestSharedNeighbours:
     Each block of the search is read once for the local-PCA bases of its
     rows and, with those bases, their slab counts; the skipped rows are read
     again from the same lists once they inherit a basis.  Either way the
-    results are those of the separate stages: the standalone tangents, their
-    completion and the dense slab counts.
+    results are those of the separate stages: the standalone tangents, with
+    their inherited rows, and the dense slab counts.
     """
 
     def test_both_readers_match_own_searches(self):
         for name, spec in itertools.product(sorted(CLOUDS), (NARROW_SLAB, WIDE_SLAB)):
             pts, h, d = CLOUDS[name]
             field = assert_pass_matches_stages(pts, TseParams(h=h, d=d), spec)
-            assert len(field)
+            assert len(field.bases) - len(field.skipped) > 0
 
     def test_lattice_radii_hit_exactly(self):
         # integer squared distances: neighbours on the h-sphere, and slab
@@ -390,8 +390,7 @@ class TestSharedNeighbours:
     def test_nothing_estimable(self):
         # two points: no point has min_neighbors = 3 neighbours
         pts = np.array([[0.0, 0.0], [0.0, 0.5]])
-        field = assert_pass_matches_stages(pts, TseParams(h=1.0, d=1), NARROW_SLAB)
-        assert len(field) == 0
+        assert assert_pass_matches_stages(pts, TseParams(h=1.0, d=1), NARROW_SLAB) is None
 
 
 class TestEstimateTangentsOracle:
@@ -425,9 +424,9 @@ class TestEstimateTangentsOracle:
         field = estimate_tangents(pts, params)
         assert_same_field(field, dense.estimate_tangents(pts, params))
         interior = [j for j, p in enumerate(pts) if 0 < p[0] < 5 and 0 < p[1] < 4]
-        assert field.indices.tolist() == interior
+        assert dense.estimated_rows(field).tolist() == interior
         plane = np.diag([1.0, 1.0, 0.0])
-        for sub in dense.subspaces(field):
+        for sub in dense.subspaces(field.bases):
             assert np.max(np.abs(sub.projector() - plane)) <= PROJECTOR_TOL
 
 
@@ -449,9 +448,9 @@ class TestSlabCountsOracle:
         # on the sphere that bounds the slab
         pts = lattice(range(5), range(-2, 3), range(-2, 3))
         axis = Subspace(np.eye(3)[:, :1])
-        field = constant_field(len(pts), axis.basis)
+        bases = np.repeat(axis.basis[None], len(pts), axis=0)
         spec = SlabSpec(k1=k1, k2=k2, t=1.0)
-        got = dense.slab_counts(pts, field, h, spec)
+        got = dense.slab_counts(pts, bases, h, spec)
         # the reference decides each pair as the slab predicate does
         for j in range(len(pts)):
             assert got[j] == sum(in_slab(pts[j], axis, h, spec, y) for y in pts)
@@ -465,18 +464,23 @@ class TestSlabCountsOracle:
         assert_pass_matches_stages(pts, TseParams(h=h, d=d), SlabSpec(k1=0.6, k2=1.5, t=1.0))
 
 
-def same_basis(a, j, b, k):
-    """The estimates of field a at j and of field b at k have the very same
-    basis: one was copied from the other."""
-    return np.array_equal(a.restrict([j]).bases, b.restrict([k]).bases)
+def inherited_both_ways(points, bases, estimated):
+    """The bases after the library's inheritance and after the dense argmin's."""
+    got, want = bases.copy(), bases.copy()
+    assert _inherit(points, got, estimated).tolist() == np.flatnonzero(~estimated).tolist()
+    dense.complete(points, want, estimated)
+    return got, want
 
 
 class TestCompleteOracle:
+    """The skipped rows inherit as the dense argmin does: nearest first, then first in target order."""
+
     def test_matches_dense(self):
         pts, h, d = CLOUDS["D10-circle"]
-        field = estimate_tangents(pts, TseParams(h=h, d=d))
-        assert len(field.skipped)
-        assert_same_field(field.complete(pts), dense.complete(field, pts))
+        bases, estimated = dense.pca_bases(pts, TseParams(h=h, d=d), np.arange(len(pts)))
+        assert not estimated.all()
+        got, want = inherited_both_ways(pts, bases, estimated)
+        assert np.array_equal(got, want)
 
     def test_exact_ties_go_to_lowest_index(self):
         # cell centres of a unit lattice are equidistant from four lattice
@@ -486,30 +490,25 @@ class TestCompleteOracle:
         centres = lattice(range(-3, 3), range(-3, 3)) + 0.5
         pts = np.vstack([grid, centres])
         rng = np.random.default_rng(10)
-        field = dense.field_of(
-            range(len(grid)),
-            [random_subspace(rng, 2, 1) for _ in grid],
-            skipped=range(len(grid), len(pts)),
-        )
-        full = field.complete(pts)
-        want = dense.complete(field, pts)
+        bases = np.zeros((len(pts), 2, 1))
+        bases[: len(grid)] = [random_subspace(rng, 2, 1).basis for _ in grid]
+        estimated = np.arange(len(pts)) < len(grid)
+        got, want = inherited_both_ways(pts, bases, estimated)
         for j, centre in enumerate(centres, start=len(grid)):
             dist = np.linalg.norm(grid - centre, axis=1)
             lowest = int(np.flatnonzero(dist == dist.min())[0])
-            assert same_basis(full, j, field, lowest)
-            assert same_basis(want, j, field, lowest)
+            assert np.array_equal(got[j], bases[lowest])
+            assert np.array_equal(want[j], bases[lowest])
 
     def test_duplicate_of_an_estimate(self):
+        # row k is the k-th target: the skipped last one coincides with the
+        # estimates at rows 1 and 2, and row 1 comes first in target order
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        field = dense.field_of(
-            [0, 3, 1],
-            [Subspace(np.eye(2)[:, :1]), Subspace(np.eye(2)[:, 1:]),
-             Subspace(np.ones((2, 1)) / np.sqrt(2.0))],
-            skipped=[2],
-        )
-        # points 3 and 1 both coincide with 2; 3 is listed first
-        assert same_basis(field.complete(pts), 2, field, 3)
-        assert same_basis(dense.complete(field, pts), 2, field, 3)
+        bases = np.stack([np.eye(2)[:, :1], np.eye(2)[:, 1:], np.ones((2, 1)) / np.sqrt(2.0)])
+        bases = np.concatenate([bases, np.zeros((1, 2, 1))])
+        got, want = inherited_both_ways(pts, bases, np.array([True, True, True, False]))
+        assert np.array_equal(got[3], bases[1])
+        assert np.array_equal(want[3], bases[1])
 
 
 class TestFarthestPointOracle:
@@ -626,7 +625,7 @@ class TestIterativeDenoiseOracle:
 
     def test_slab_ball_wider_than_h(self):
         cloud, d, kappa, spec = denoise_case("wide-slab")
-        h = schedule(cloud.n, d, 0.8, kappa).h_at(0)
+        h = Schedule(cloud.n, d, 0.8, kappa).h_at(0)
         assert _slab_ball_r2(h, spec) > h * h
         self.assert_matches_dense("wide-slab")
 
@@ -683,7 +682,7 @@ class TestIterativeDenoiseOracle:
         points[:, 0] = np.arange(n)
         cloud = LabeledCloud(points, np.ones(n, dtype=np.int8))
         spec = SlabSpec(k1=0.5, k2=0.5, t=0.6)
-        assert schedule(n, d, 0.8, kappa).h_at(0) < 1.0
+        assert Schedule(n, d, 0.8, kappa).h_at(0) < 1.0
         keep, diags = iterative_denoise(cloud, d, 0.8, kappa, spec, 2)
         assert keep == list(range(cloud.n))
         assert len(diags) == 1 and calls == ["query_pairs"]

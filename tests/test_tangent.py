@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from dense_oracles import Subspace, field_of, local_covariance, principal_angle, subspaces
+from dense_oracles import (
+    Subspace,
+    estimated_rows,
+    local_covariance,
+    principal_angle,
+    subspaces,
+)
 from tdcrecon.geometry import principal_angles
 from tdcrecon.models import Circle, SampleSpec, sample
-from tdcrecon.tangent import (
-    TangentField,
-    TseParams,
-    default_bandwidth,
-    estimate_tangents,
-)
+from tdcrecon.tangent import TseParams, _inherit, default_bandwidth, estimate_tangents
 
 
 def span(*vectors):
@@ -21,8 +22,14 @@ def span(*vectors):
 
 
 def subspace_at(field, j):
-    """The field's estimate at cloud index j, as a ``Subspace``."""
-    return Subspace(field.restrict([j]).bases[0])
+    """The field's basis at row j, as a ``Subspace``."""
+    return Subspace(field.bases[j])
+
+
+def estimates(field):
+    """``(row, Subspace)`` of each estimated row of a field."""
+    rows = estimated_rows(field)
+    return zip(rows, subspaces(field.bases[rows]))
 
 
 class TestLocalCovariance:
@@ -100,7 +107,7 @@ class TestEstimateTangents:
         pts = np.column_stack([x, np.zeros(50), np.zeros(50)])
         field = estimate_tangents(pts, TseParams(h=0.1, d=1, min_neighbors=2))
         assert not len(field.skipped)
-        for sub in subspaces(field):
+        for sub in subspaces(field.bases):
             assert principal_angle(sub, span([1, 0, 0])) < 1e-12
 
     def test_planar_grid(self):
@@ -111,7 +118,7 @@ class TestEstimateTangents:
         field = estimate_tangents(pts, TseParams(h=3 * step, d=2))
         assert not len(field.skipped)
         plane = span([1, 0, 0], [0, 1, 0])
-        for sub in subspaces(field):
+        for sub in subspaces(field.bases):
             assert principal_angle(sub, plane) < 1e-10
 
     def test_affine_exactness(self):
@@ -121,14 +128,17 @@ class TestEstimateTangents:
         pts = coeff @ basis.T + rng.normal(size=5)
         field = estimate_tangents(pts, TseParams(h=10.0, d=2))
         target = Subspace(basis)
-        for sub in subspaces(field):
+        for sub in subspaces(field.bases):
             assert principal_angle(sub, target) < 1e-10
 
     def test_min_neighbors_flags(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [9.0, 9.0]])
         field = estimate_tangents(pts, TseParams(h=0.3, d=1, min_neighbors=2))
         assert field.skipped.tolist() == [3]
-        assert sorted(field.indices.tolist()) == [0, 1, 2]
+        assert estimated_rows(field).tolist() == [0, 1, 2]
+        # the isolated point inherits from the nearest estimate
+        assert np.array_equal(field.bases[3], field.bases[2])
+        assert not field.bases.flags.writeable
 
     def test_nan_bandwidth_raises(self):
         with pytest.raises(ValueError, match="need bandwidth h > 0"):
@@ -149,8 +159,8 @@ class TestEstimateTangents:
         # covariance of that point's closed h-ball
         cloud = sample(Circle(1.0, ambient_dim=4), SampleSpec(n=300, beta=0.9, seed=6))
         field = estimate_tangents(cloud.points, TseParams(h=0.3, d=1))
-        assert len(field) > 250
-        for j, sub in zip(field.indices, subspaces(field)):
+        assert len(field.bases) - len(field.skipped) > 250
+        for j, sub in estimates(field):
             eigvecs = np.linalg.eigh(local_covariance(cloud.points, j, 0.3))[1]
             want = Subspace(eigvecs[:, -1:])
             assert np.max(np.abs(sub.projector() - want.projector())) <= 1e-9
@@ -164,8 +174,8 @@ class TestEstimateTangents:
     def test_dimension_equal_to_ambient(self):
         pts = np.random.default_rng(2).normal(size=(50, 3))
         field = estimate_tangents(pts, TseParams(h=5.0, d=3))
-        assert len(field) == 50
-        for sub in subspaces(field):
+        assert len(field.bases) - len(field.skipped) == 50
+        for sub in subspaces(field.bases):
             assert np.allclose(sub.projector(), np.eye(3), atol=1e-12)
 
     def test_subset_matches_full(self):
@@ -173,8 +183,8 @@ class TestEstimateTangents:
         params = TseParams(h=0.2, d=1)
         full = estimate_tangents(cloud.points, params)
         part = estimate_tangents(cloud.points, params, subset=[5, 17, 100])
-        for j in [5, 17, 100]:
-            assert np.array_equal(part.restrict([j]).bases, full.restrict([j]).bases)
+        for k, j in enumerate([5, 17, 100]):
+            assert np.array_equal(part.bases[k], full.bases[j])
 
     def test_rigid_motion_equivariance(self):
         rng = np.random.default_rng(3)
@@ -188,7 +198,7 @@ class TestEstimateTangents:
         shift = rng.normal(size=2)
         moved = cloud.points @ rot.T + shift
         rotated = estimate_tangents(moved, params)
-        for j, sub in zip(base.indices, subspaces(base)):
+        for j, sub in estimates(base):
             expected = Subspace(rot @ sub.basis)
             assert principal_angle(subspace_at(rotated, j), expected) < 1e-8
 
@@ -197,7 +207,7 @@ class TestEstimateTangents:
         lam = 3.7
         a = estimate_tangents(cloud.points, TseParams(h=0.25, d=1))
         b = estimate_tangents(lam * cloud.points, TseParams(h=lam * 0.25, d=1))
-        for j, sub in zip(a.indices, subspaces(a)):
+        for j, sub in estimates(a):
             assert principal_angle(subspace_at(b, j), sub) < 1e-8
 
     def test_circle_angle_error_shrinks(self):
@@ -209,61 +219,49 @@ class TestEstimateTangents:
                 cloud = sample(Circle(1.0), SampleSpec(n=n, beta=1.0, seed=seed))
                 h = default_bandwidth(n, 1, c=4.0)
                 field = estimate_tangents(cloud.points, TseParams(h=h, d=1))
-                field = field.complete(cloud.points)
                 model = Circle(1.0)
-                true = model.tangent_many(model.project_many(cloud.points[field.indices]))
+                true = model.tangent_many(model.project_many(cloud.points))
                 worst.append(principal_angles(field.bases, true).max())
             medians.append(np.median(worst))
         assert medians[-1] < medians[0]
         assert medians[-1] < 0.35
 
 
+def stack(*subs):
+    """The bases of some ``Subspace`` objects as one (m, D, d) stack."""
+    return np.stack([sub.basis for sub in subs])
+
+
 class TestTangentField:
     def test_complete_inherits_nearest(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [10.5, 0.0]])
-        field = field_of([0, 3], [span([1, 0]), span([0, 1])], skipped=[1, 2])
-        full = field.complete(pts)
-        assert not len(full.skipped)
-        assert principal_angle(subspace_at(full, 1), span([1, 0])) == 0.0
-        assert principal_angle(subspace_at(full, 2), span([0, 1])) == 0.0
+        bases = stack(span([1, 0]), span([1, 1]), span([1, 1]), span([0, 1]))
+        skipped = _inherit(pts, bases, np.array([True, False, False, True]))
+        assert skipped.tolist() == [1, 2]
+        assert principal_angle(Subspace(bases[1]), span([1, 0])) == 0.0
+        assert principal_angle(Subspace(bases[2]), span([0, 1])) == 0.0
 
     def test_complete_from_one_estimate(self):
         # the tree reports the missing second nearest estimate at inf
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
-        field = field_of([1], [span([0, 1])], skipped=[0, 2])
-        full = field.complete(pts)
-        assert full.indices.tolist() == [0, 1, 2]
+        bases = stack(span([1, 0]), span([0, 1]), span([1, 0]))
+        assert _inherit(pts, bases, np.array([False, True, False])).tolist() == [0, 2]
         for j in (0, 1, 2):
-            assert principal_angle(subspace_at(full, j), span([0, 1])) == 0.0
+            assert principal_angle(Subspace(bases[j]), span([0, 1])) == 0.0
 
     def test_complete_empty_field_errors(self):
-        field = field_of([], [], skipped=[0])
-        with pytest.raises(ValueError):
-            field.complete(np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="no tangent estimable"):
+            _inherit(np.zeros((1, 2)), np.zeros((1, 2, 1)), np.array([False]))
+        # no point has a neighbour within h: nothing to inherit from
+        pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
+        with pytest.raises(ValueError, match="no tangent estimable"):
+            estimate_tangents(pts, TseParams(h=1.0, d=1, min_neighbors=1))
 
     def test_restrict_reindexes(self):
-        field = field_of([2, 5, 7], [span([1, 0]), span([0, 1]), span([1, 1])])
-        sub = field.restrict([7, 2])
-        assert sub.indices.tolist() == [0, 1]
-        assert principal_angle(subspace_at(sub, 0), span([1, 1])) == 0.0
-
-    def test_constructor_rejects_float_indices(self):
-        # [1.7, True] used to be stored as the indices [1, 1], skipped [2.9] as [2]
-        bases = [span([1, 0]).basis] * 2
-        with pytest.raises(ValueError, match="must be integers, got dtype float64"):
-            TangentField([1.7, True], bases)
-        with pytest.raises(ValueError, match="must be integers, got dtype float64"):
-            TangentField([0, 1], bases, skipped=[2.9])
-
-    def test_restrict_rejects_boolean_mask(self):
-        # the mask [False, False, True] used to give 3 rows, from indices 0 and 1
-        field = field_of([0, 1, 2], [span([1, 0]), span([0, 1]), span([1, 1])])
-        with pytest.raises(ValueError, match="must be integers, got dtype bool"):
-            field.restrict(np.array([False, False, True]))
-
-    def test_subspace_at_rejects_float_index(self):
-        # 1.9 used to give the estimate at index 1
-        field = field_of([0, 1, 2], [span([1, 0]), span([0, 1]), span([1, 1])])
-        with pytest.raises(ValueError, match="must be integers, got dtype float64"):
-            field.restrict([1.9])
-        assert principal_angle(subspace_at(field, np.int32(1)), span([0, 1])) == 0.0
+        # the field of a subset is re-indexed to it: row k is subset[k]
+        cloud = sample(Circle(1.0), SampleSpec(n=300, beta=1.0, seed=2))
+        params = TseParams(h=0.2, d=1)
+        full = estimate_tangents(cloud.points, params)
+        sub = estimate_tangents(cloud.points, params, subset=[7, 2, 7])
+        assert sub.bases.shape == (3, 2, 1)
+        assert np.array_equal(sub.bases, full.bases[[7, 2, 7]])
