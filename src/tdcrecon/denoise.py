@@ -44,13 +44,13 @@ class SlabSpec:
             raise ValueError("need k1, k2 > 0 and t >= 0")
 
 
-def lemma_slab_constants(
-    d: int, ambient_dim: int, rho: float, angle_constant: float = 2.0
-) -> tuple[float, float, float]:
-    """(k1, k2, k3): admissible slab factors and the inclusion radius factor.
+def default_slab_spec(
+    d: int, ambient_dim: int, rho: float, t: float, angle_constant: float = 2.0
+) -> SlabSpec:
+    """The slab of the paper's lemmas for a d-manifold of reach rho in R^D, threshold t.
 
-    k1 = 3 / (4 d + 8 K sqrt(d)),  k2 = 1 / (4 sqrt(D - d) max(rho, 1)),
-    k3 = min(k2 rho / (2 K), k1 / 2, sqrt(rho k1), sqrt(rho k2)).
+    k1 = 3 / (4 d + 8 K sqrt(d)) and k2 = 1 / (4 sqrt(D - d) max(rho, 1)),
+    with K the tangent angle constant.
     """
     if d < 1:
         raise ValueError("need d >= 1")
@@ -58,17 +58,8 @@ def lemma_slab_constants(
         raise ValueError("need ambient_dim > d")
     if not rho > 0:
         raise ValueError("need reach rho > 0")
-    k = angle_constant
-    k1 = 3.0 / (4.0 * d + 8.0 * k * math.sqrt(d))
+    k1 = 3.0 / (4.0 * d + 8.0 * angle_constant * math.sqrt(d))
     k2 = 1.0 / (4.0 * math.sqrt(ambient_dim - d) * max(rho, 1.0))
-    k3 = min(k2 * rho / (2.0 * k), k1 / 2.0, math.sqrt(rho * k1), math.sqrt(rho * k2))
-    return k1, k2, k3
-
-
-def default_slab_spec(
-    d: int, ambient_dim: int, rho: float, t: float, angle_constant: float = 2.0
-) -> SlabSpec:
-    k1, k2, _ = lemma_slab_constants(d, ambient_dim, rho, angle_constant)
     return SlabSpec(k1=k1, k2=k2, t=t)
 
 
@@ -139,14 +130,13 @@ def _tangents_and_slab_counts(
             chunk, listed, diff, d2 = chunk[ok], listed[ok], diff[ok], d2[ok]
         bases[chunk] = block
         estimated[chunk] = True
-        counts[chunk] += _slab_hits(diff, d2, listed & (d2 <= slab_r2), block, h, spec)
+        counts[chunk] += _slab_hits(diff, d2, listed, block, h, spec)
     if not estimated.any():
         return None, 0, neighbours
     skipped = _inherit(points, bases, estimated)
     for chunk, listed, _, diff, d2 in _neighbours._blocks(points, indptr, cols, skipped):
         rows = skipped[chunk]
-        inside = listed & (d2 <= slab_r2)
-        counts[rows] += _slab_hits(diff, d2, inside, bases[rows], h, spec)
+        counts[rows] += _slab_hits(diff, d2, listed, bases[rows], h, spec)
     return counts, len(skipped), neighbours
 
 
@@ -217,8 +207,8 @@ def _k_delta_bound(d: int, delta: float) -> float:
 # iterative procedure
 
 
-# stop reasons: no point has TseParams.min_neighbors neighbours within h,
-# or the slab counts removed every point
+# stop reasons: no point has the neighbours within h a tangent estimate needs
+# (tangent._MIN_NEIGHBORS), or the slab counts removed every point
 NO_TANGENT = "no tangent estimable"
 NO_SURVIVORS = "no survivors"
 

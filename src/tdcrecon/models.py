@@ -5,7 +5,8 @@ first few coordinates, zero-padded beyond) with a known reach, a uniform
 surface sampler and, for an (m, D) array of points, closed-form nearest points,
 distances and tangent spaces (an (m, D, d) stack of orthonormal bases).  The
 clutter sampler mixes uniform-on-manifold points with uniform ambient outliers
-in a ball around the origin, the centroid of every model.
+in the ball of radius K0 = diameter(M) + reach around the origin, the centroid
+of every model.
 
 Labels: 1 = signal (drawn on the manifold), 0 = outlier.
 """
@@ -311,15 +312,11 @@ def make_model(kind: str, **params) -> ManifoldModel:
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Sample-size, signal fraction, outlier-ball radius, and RNG seed.
-
-    ``k0`` is the radius of the ambient outlier ball; None means the default
-    diameter(M) + reach, validated against that lower bound otherwise.
-    """
+    """Sample size, signal fraction and RNG seed; the outliers' ball is the
+    model's (:func:`default_k0`)."""
 
     n: int
     beta: float = 1.0
-    k0: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -352,6 +349,7 @@ class LabeledCloud:
 
 
 def default_k0(model: ManifoldModel) -> float:
+    """K0, the radius of the outliers' ball: diameter(M) + reach."""
     return model.diameter() + model.reach
 
 
@@ -364,16 +362,13 @@ def _uniform_ball(rng: np.random.Generator, k: int, dim: int, radius: float) -> 
 
 def sample(model: ManifoldModel, spec: SampleSpec) -> LabeledCloud:
     """Draw n points: signal uniform on M with probability beta, else uniform
-    in the ball B(0, k0) around the models' common centroid.  Bit-deterministic
-    given the seed."""
-    k0 = default_k0(model) if spec.k0 is None else spec.k0
-    if not k0 >= default_k0(model):
-        raise ValueError(f"need k0 >= diameter + reach = {default_k0(model)}, got {k0}")
+    in the ball B(0, default_k0(model)) around the models' common centroid.
+    Bit-deterministic given the seed."""
     rng = np.random.default_rng(spec.seed)
     labels = (rng.random(spec.n) < spec.beta).astype(np.int8)
     n_signal = int(labels.sum())
     signal = model.sample_points(rng, n_signal)
-    outliers = _uniform_ball(rng, spec.n - n_signal, model.ambient_dim, k0)
+    outliers = _uniform_ball(rng, spec.n - n_signal, model.ambient_dim, default_k0(model))
     points = np.empty((spec.n, model.ambient_dim))
     points[labels == 1] = signal
     points[labels == 0] = outliers

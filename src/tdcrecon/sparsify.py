@@ -32,10 +32,10 @@ from ._neighbours import ball_lists, check_finite, norms
 _BATCH = 32  # picks a round may find; the fastest of 16, 32, 64 and 128 on a torus at n = 20k
 
 
-def farthest_point_sampling(points: np.ndarray, eps: float, start: int = 0) -> list[int]:
+def farthest_point_sampling(points: np.ndarray, eps: float) -> list[int]:
     """Greedy net extraction.
 
-    Starting from ``start``, repeatedly add the point farthest from the
+    Starting from row 0, repeatedly add the point farthest from the
     current subset while that distance exceeds eps.  The result is eps-sparse
     and covers the input within eps.  Ties in the argmax go to the lowest
     index.  Returns indices in order of addition.
@@ -47,11 +47,9 @@ def farthest_point_sampling(points: np.ndarray, eps: float, start: int = 0) -> l
     if not eps > 0:
         raise ValueError("need eps > 0")
     n = points.shape[0]
-    if not 0 <= start < n:
-        raise ValueError(f"start index {start} out of range")
     tree = cKDTree(points)
-    chosen = [start]
-    dist = norms(points - points[start])
+    chosen = [0]
+    dist = norms(points - points[0])
     k = min(_BATCH, n)
     while True:
         v = np.partition(dist, n - k)[n - k]

@@ -3,9 +3,9 @@
 At each requested point the covariance of the neighbors inside the closed ball
 of radius h (the point itself excluded, scaled by 1/(n-1)) is eigendecomposed
 and the span of the top d eigenvectors is the tangent estimate.  A point with
-fewer than ``min_neighbors`` neighbors is listed as skipped and inherits the
-basis of the nearest estimated point (:func:`_inherit`), so a field has one
-basis per requested point, in the order requested.
+fewer than 3 neighbors within h is listed as skipped and inherits
+the basis of the nearest estimated point (:func:`_inherit`), so a field has
+one basis per requested point, in the order requested.
 Neighbors come from one KD-tree self-join of the cloud (:mod:`._neighbours`),
 which finds each neighbor pair once, so the work grows with the number of
 neighbor pairs, not with n^2.  They are read in padded blocks of a bounded
@@ -22,6 +22,7 @@ loop, such as at the points of a net.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,21 +31,19 @@ from scipy.spatial import cKDTree
 from . import _neighbours
 from ._neighbours import _RADIUS_SLACK, check_finite
 
+_MIN_NEIGHBORS = 3  # neighbors within h a target needs for an estimate of its own
+
 
 @dataclass(frozen=True)
 class TseParams:
     h: float
     d: int
-    min_neighbors: int = 3
 
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError("need bandwidth h > 0")
-        if self.d < 1:
-            raise ValueError("need intrinsic dimension d >= 1")
-        if self.min_neighbors < 1:
-            # an estimate from no neighbour at all would be 0 / 0
-            raise ValueError("need min_neighbors >= 1")
+        if not isinstance(self.d, numbers.Integral) or self.d < 1:
+            raise ValueError(f"need an integer intrinsic dimension d >= 1, got {self.d!r}")
 
 
 def default_bandwidth(n: int, d: int, c: float = 1.0) -> float:
@@ -83,7 +82,9 @@ def _inherit(points: np.ndarray, bases: np.ndarray, estimated: np.ndarray) -> np
         return skipped
     sources = np.flatnonzero(estimated)
     if not len(sources):
-        raise ValueError("no tangent estimable: no target has min_neighbors neighbours within h")
+        raise ValueError(
+            f"no tangent estimable: no target has {_MIN_NEIGHBORS} neighbours within h"
+        )
     tree = cKDTree(points[sources])
     queries = points[skipped]
     # the tree's nearest estimate is the one to inherit from unless the
@@ -115,11 +116,11 @@ def _block_bases(
     ``diff`` is a (rows, width, D) block of neighbor offsets from each row's
     target, in increasing index order, and ``near`` marks the slots inside
     the h-ball; ``n`` is the size of the cloud.  Returns ``ok``, the rows
-    with at least ``params.min_neighbors`` neighbors, and the (rows with ok,
+    with at least ``_MIN_NEIGHBORS`` neighbors, and the (rows with ok,
     D, d) stack of their bases, or None when no row has enough.
     """
     counts = near.sum(axis=1)
-    ok = counts >= params.min_neighbors
+    ok = counts >= _MIN_NEIGHBORS
     if not np.any(ok):
         return ok, None
     # each estimable target's neighbor offsets, zero wherever a slot holds
@@ -147,11 +148,13 @@ def estimate_tangents(
     The neighbor pool is always the full cloud; ``subset``, integer indices
     (repeats allowed), only selects the targets, and their rows are read
     from a search of the whole cloud.  Row k of the field is the k-th
-    target.  A target with fewer than ``params.min_neighbors`` neighbors
+    target.  A target with fewer than 3 neighbors within h
     inherits the basis of the nearest estimated target, the first in target
     order on ties; ValueError when there are targets and none is estimable.
     """
     points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"need an (n, D) point array, got shape {points.shape}")
     check_finite(points, "points")
     n, big_d = points.shape
     if params.d > big_d:

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+import tdcrecon.tangent
 from tdcrecon.denoise import (
     NO_SURVIVORS,
     NO_TANGENT,
@@ -112,7 +113,7 @@ def local_covariance(points: np.ndarray, j: int, h: float) -> np.ndarray:
 
 def pca_bases(points, params, targets):
     """``(bases, estimated)``: the local-PCA basis at each target, set where
-    the target has at least ``params.min_neighbors`` neighbours."""
+    the target has at least ``tdcrecon.tangent._MIN_NEIGHBORS`` neighbours."""
     points = np.asarray(points, dtype=float)
     n, big_d = points.shape
     targets = np.asarray(targets, dtype=int)
@@ -125,7 +126,7 @@ def pca_bases(points, params, targets):
         mask = dist2 <= params.h * params.h
         mask[np.arange(len(idx)), idx] = False
         counts = mask.sum(axis=1)
-        ok = counts >= params.min_neighbors
+        ok = counts >= tdcrecon.tangent._MIN_NEIGHBORS
         if not np.any(ok):
             continue
         w = np.where(mask[:, :, None], diff, 0.0)
@@ -186,10 +187,10 @@ def slab_counts(points, bases, h, spec):
     return counts
 
 
-def farthest_point_sampling(points, eps, start=0):
+def farthest_point_sampling(points, eps):
     points = np.asarray(points, dtype=float)
-    chosen = [start]
-    dist = np.linalg.norm(points - points[start], axis=1)
+    chosen = [0]
+    dist = np.linalg.norm(points - points[0], axis=1)
     while True:
         far = int(np.argmax(dist))  # first occurrence wins ties
         if dist[far] <= eps:

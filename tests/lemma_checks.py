@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from dense_oracles import Subspace, principal_angle
-from tdcrecon.denoise import SlabSpec, _slab_mask, lemma_slab_constants
+from tdcrecon.denoise import SlabSpec, _slab_mask, default_slab_spec
 from tdcrecon.models import Circle, ManifoldModel, Sphere, Torus
 
 # geodesic/Euclidean comparison constant used by the bound verifiers
@@ -298,8 +298,7 @@ def verify_slab_separation(
     rho = model.reach
     d = model.intrinsic_dim
     big_d = model.ambient_dim
-    k1, k2, _ = lemma_slab_constants(d, big_d, rho, angle_constant)
-    spec = SlabSpec(k1=k1, k2=k2, t=0.0)
+    spec = default_slab_spec(d, big_d, rho, t=0.0, angle_constant=angle_constant)
     h_max = min(1.0, rho / math.sqrt(3.0 * d), rho / (12.0 * (1.0 + 0.25 / math.sqrt(2.0))))
     res, grid, tree = _grid_tree(model, grid_resolution)
     violations = 0
@@ -326,6 +325,14 @@ def verify_slab_separation(
     return CheckReport(trials=trials, violations=violations)
 
 
+def inclusion_radius_factor(spec: SlabSpec, rho: float, angle_constant: float = 2.0) -> float:
+    """k3 = min(k2 rho / (2 K), k1 / 2, sqrt(rho k1), sqrt(rho k2)): manifold points
+    within k3 h of x lie in the slab at x along T_x M."""
+    k1, k2 = spec.k1, spec.k2
+    k = angle_constant
+    return min(k2 * rho / (2.0 * k), k1 / 2.0, math.sqrt(rho * k1), math.sqrt(rho * k2))
+
+
 def verify_slab_inclusion(
     model: ManifoldModel,
     trials: int,
@@ -338,8 +345,8 @@ def verify_slab_inclusion(
     rng = np.random.default_rng(seed)
     rho = model.reach
     d = model.intrinsic_dim
-    k1, k2, k3 = lemma_slab_constants(d, model.ambient_dim, rho, angle_constant)
-    spec = SlabSpec(k1=k1, k2=k2, t=0.0)
+    spec = default_slab_spec(d, model.ambient_dim, rho, t=0.0, angle_constant=angle_constant)
+    k3 = inclusion_radius_factor(spec, rho, angle_constant)
     h_max = min(1.0, rho / math.sqrt(3.0 * d))
     _, grid, tree = _grid_tree(model, grid_resolution)
     violations = 0

@@ -1,10 +1,13 @@
-"""The lemma-check module: its close-pair sampler and its boundary with the package.
+"""The lemma-check module (its close-pair sampler, its boundary with the package)
+and the settable surface of the package.
 
 The checks themselves are tested next to the code they are about
 (test_models, test_geometry, test_denoise).
 """
 import ast
+import dataclasses
 import importlib
+import inspect
 import math
 import pkgutil
 from pathlib import Path
@@ -13,7 +16,11 @@ import numpy as np
 
 import tdcrecon
 from lemma_checks import circle_geodesic_distance, geodesic_pairs
-from tdcrecon.models import Circle
+from tdcrecon import denoise
+from tdcrecon.denoise import SlabSpec
+from tdcrecon.models import Circle, SampleSpec
+from tdcrecon.sparsify import farthest_point_sampling
+from tdcrecon.tangent import TseParams
 
 MODULES = ["_neighbours", "denoise", "geometry", "models", "sparsify", "tangent"]
 CHECK_NAMES = {"monte_carlo_reach", "geodesic_pairs", "CheckReport"}
@@ -39,6 +46,19 @@ def test_estimator_modules_hold_no_checks():
                 names |= set(vars(obj))  # methods, such as a model's geodesic_pairs
         leaked = {n for n in names if n.startswith("verify_") or n in CHECK_NAMES}
         assert not leaked, f"tdcrecon.{name} defines {sorted(leaked)}"
+
+
+def test_settable_surface():
+    # each setting is one the paper's estimator has; a new one is argued for here
+    fields = {spec: [f.name for f in dataclasses.fields(spec)]
+              for spec in (TseParams, SampleSpec, SlabSpec)}
+    assert fields == {
+        TseParams: ["h", "d"],
+        SampleSpec: ["n", "beta", "seed"],
+        SlabSpec: ["k1", "k2", "t"],
+    }
+    assert list(inspect.signature(farthest_point_sampling).parameters) == ["points", "eps"]
+    assert not hasattr(denoise, "lemma_slab_constants")
 
 
 class TestCircleGeodesicPairs:

@@ -7,7 +7,7 @@ import pytest
 
 import dense_oracles as dense
 from dense_oracles import Subspace, in_slab
-from lemma_checks import verify_slab_inclusion, verify_slab_separation
+from lemma_checks import inclusion_radius_factor, verify_slab_inclusion, verify_slab_separation
 from tdcrecon import denoise
 from tdcrecon.denoise import (
     IterationDiagnostics,
@@ -17,7 +17,6 @@ from tdcrecon.denoise import (
     diagnostics_to_json,
     iterative_denoise,
     k_delta,
-    lemma_slab_constants,
 )
 from tdcrecon.models import (
     Circle,
@@ -302,10 +301,9 @@ class TestKDelta:
 
 class TestLemmaConstants:
     def test_values(self):
-        k1, k2, k3 = lemma_slab_constants(1, 2, rho=1.0, angle_constant=2.0)
-        assert k1 == pytest.approx(3.0 / 20.0)
-        assert k2 == pytest.approx(0.25)
-        assert k3 == pytest.approx(min(0.25 / 4, 0.075, math.sqrt(0.15), 0.5))
+        spec = default_slab_spec(1, 2, rho=1.0, t=0.0, angle_constant=2.0)
+        assert spec.k1 == pytest.approx(3.0 / 20.0)
+        assert spec.k2 == pytest.approx(0.25)
 
     def test_spec_builder(self):
         spec = default_slab_spec(2, 3, rho=0.5, t=1.0)
@@ -315,12 +313,12 @@ class TestLemmaConstants:
     def test_zero_dimension_raises(self):
         # k1 = 3 / (4 d + 8 K sqrt(d)) used to divide by zero
         with pytest.raises(ValueError, match="need d >= 1"):
-            lemma_slab_constants(0, 3, 1.0)
+            default_slab_spec(0, 3, 1.0, t=0.0)
 
     def test_nan_reach_raises(self):
-        # k2 and k3 used to come back NaN
+        # k2 used to come back NaN
         with pytest.raises(ValueError, match="need reach rho > 0"):
-            lemma_slab_constants(1, 3, rho=float("nan"))
+            default_slab_spec(1, 3, rho=float("nan"), t=0.0)
 
 
 class TestIterativeDenoise:
@@ -416,3 +414,8 @@ class TestLemma4MonteCarla:
         for model in (Circle(1.0), Torus(2.0, 0.5)):
             rep = verify_slab_inclusion(model, trials=300, seed=8)
             assert rep.passed
+
+    def test_inclusion_radius_factor(self):
+        spec = default_slab_spec(1, 2, rho=1.0, t=0.0, angle_constant=2.0)
+        k3 = inclusion_radius_factor(spec, rho=1.0, angle_constant=2.0)
+        assert k3 == pytest.approx(min(0.25 / 4, 0.075, math.sqrt(0.15), 0.5))

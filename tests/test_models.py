@@ -300,17 +300,6 @@ class TestSampling:
             proj = model.project_many(cloud.points)
             assert np.max(np.linalg.norm(proj - cloud.points, axis=1)) <= 1e-10
 
-    def test_k0_validation(self):
-        with pytest.raises(ValueError):
-            sample(Circle(1.0), SampleSpec(n=10, beta=0.5, k0=1.0, seed=0))
-        ok = sample(Circle(1.0), SampleSpec(n=10, beta=0.5, k0=5.0, seed=0))
-        assert ok.n == 10
-
-    def test_nan_k0_raises(self):
-        # a NaN outlier radius used to put NaN outliers into the cloud
-        with pytest.raises(ValueError, match="need k0 >= diameter"):
-            sample(Circle(1.0), SampleSpec(n=50, beta=0.5, k0=float("nan"), seed=0))
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SampleSpec(n=0)

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 import dense_oracles as dense
 from dense_oracles import Subspace, in_slab
 from lemma_checks import random_subspace
-from tdcrecon import _neighbours, sparsify
+from tdcrecon import _neighbours, sparsify, tangent
 from tdcrecon.denoise import (
     NO_SURVIVORS,
     NO_TANGENT,
@@ -365,12 +365,13 @@ class TestSharedNeighbours:
             field = assert_pass_matches_stages(pts, TseParams(h=h, d=d), spec)
             assert len(field.bases) - len(field.skipped) > 0
 
-    def test_lattice_radii_hit_exactly(self):
+    def test_lattice_radii_hit_exactly(self, monkeypatch):
         # integer squared distances: neighbours on the h-sphere, and slab
         # points on both faces of the slab (tangential 1, normal 1)
+        monkeypatch.setattr(tangent, "_MIN_NEIGHBORS", 4)
         pts = lattice(range(5), range(4), range(3))
         for h, spec in [(1.0, SlabSpec(k1=1.0, k2=1.0, t=1.0)), (2.0, SlabSpec(0.5, 0.25, 1.0))]:
-            assert_pass_matches_stages(pts, TseParams(h=h, d=2, min_neighbors=4), spec)
+            assert_pass_matches_stages(pts, TseParams(h=h, d=2), spec)
 
     def test_kept_radius_equal_to_search(self):
         # the slab ball is the search radius and the h-ball lies inside it
@@ -388,7 +389,7 @@ class TestSharedNeighbours:
                 assert_pass_matches_stages(pts, TseParams(h=h, d=d), spec)
 
     def test_nothing_estimable(self):
-        # two points: no point has min_neighbors = 3 neighbours
+        # two points: no point has the 3 neighbours an estimate needs
         pts = np.array([[0.0, 0.0], [0.0, 0.5]])
         assert assert_pass_matches_stages(pts, TseParams(h=1.0, d=1), NARROW_SLAB) is None
 
@@ -416,11 +417,12 @@ class TestEstimateTangentsOracle:
         params = TseParams(h=h, d=d)
         assert_same_field(estimate_tangents(pts, params), dense.estimate_tangents(pts, params))
 
-    def test_lattice_closed_ball(self):
+    def test_lattice_closed_ball(self, monkeypatch):
         # the plane z = 0 in R^3 with h = 1: each interior point has exactly
         # its four axis neighbours, all on the sphere of radius h
+        monkeypatch.setattr(tangent, "_MIN_NEIGHBORS", 4)
         pts = np.column_stack([lattice(range(6), range(5)), np.zeros(30)])
-        params = TseParams(h=1.0, d=2, min_neighbors=4)
+        params = TseParams(h=1.0, d=2)
         field = estimate_tangents(pts, params)
         assert_same_field(field, dense.estimate_tangents(pts, params))
         interior = [j for j, p in enumerate(pts) if 0 < p[0] < 5 and 0 < p[1] < 4]
@@ -519,9 +521,9 @@ class TestFarthestPointOracle:
         assert farthest_point_sampling(pts, eps) == dense.farthest_point_sampling(pts, eps)
 
     def test_start_index(self):
-        pts = CLOUDS["D3-sphere"][0]
-        got = farthest_point_sampling(pts, 0.3, start=77)
-        assert got == dense.farthest_point_sampling(pts, 0.3, start=77)
+        # the net starts at row 0: rolling the cloud starts it elsewhere
+        pts = np.roll(CLOUDS["D3-sphere"][0], -77, axis=0)
+        assert farthest_point_sampling(pts, 0.3) == dense.farthest_point_sampling(pts, 0.3)
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 1.5, 2.0])
     def test_lattice_ties_and_boundaries(self, eps):
@@ -536,15 +538,12 @@ class TestFarthestPointOracle:
         for pts, _, _ in CLOUDS.values():
             for eps in (0.05, 0.7):
                 assert farthest_point_sampling(pts, eps) == dense.farthest_point_sampling(pts, eps)
-        sphere = CLOUDS["D3-sphere"][0]
-        got = farthest_point_sampling(sphere, 0.3, start=77)
-        assert got == dense.farthest_point_sampling(sphere, 0.3, start=77)
+        sphere = np.roll(CLOUDS["D3-sphere"][0], -77, axis=0)
+        assert farthest_point_sampling(sphere, 0.3) == dense.farthest_point_sampling(sphere, 0.3)
         # the largest distance ties with the round's cut on the lattice
-        grid = lattice(range(6), range(5), range(3))
+        grid = np.roll(lattice(range(6), range(5), range(3)), -7, axis=0)
         for eps in (0.5, 1.0, 1.5, 2.0):
-            assert farthest_point_sampling(grid, eps, start=7) == dense.farthest_point_sampling(
-                grid, eps, start=7
-            )
+            assert farthest_point_sampling(grid, eps) == dense.farthest_point_sampling(grid, eps)
 
     def test_one_ball_query_per_round(self, monkeypatch):
         calls = count_searches(monkeypatch, sparsify)

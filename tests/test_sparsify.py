@@ -24,23 +24,23 @@ class TestTraces:
     def test_hand_trace_two_kept(self):
         # farthest from 0 is 1 (dist 1 > 0.1), then residual 0.05 <= 0.1
         pts = np.array([[0.0], [0.05], [1.0]])
-        assert farthest_point_sampling(pts, eps=0.1, start=0) == [0, 2]
+        assert farthest_point_sampling(pts, eps=0.1) == [0, 2]
 
     def test_hand_trace_three_kept(self):
         pts = np.array([[0.0], [1.0], [2.0]])
-        assert farthest_point_sampling(pts, eps=0.5, start=0) == [0, 2, 1]
+        assert farthest_point_sampling(pts, eps=0.5) == [0, 2, 1]
 
     def test_start_index(self):
-        pts = np.array([[0.0], [1.0], [2.0]])
-        assert farthest_point_sampling(pts, eps=0.5, start=1) == [1, 0, 2]
+        # the net starts at row 0; rolled, the cloud 0, 1, 2 starts at 1, and
+        # the tie between 0 and 2 goes to 2, now the lower row
+        pts = np.roll(np.array([[0.0], [1.0], [2.0]]), -1, axis=0)
+        assert farthest_point_sampling(pts, eps=0.5) == [0, 1, 2]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             farthest_point_sampling(np.zeros((0, 2)), 0.5)
         with pytest.raises(ValueError):
             farthest_point_sampling(np.zeros((3, 2)), -1.0)
-        with pytest.raises(ValueError):
-            farthest_point_sampling(np.zeros((3, 2)), 0.5, start=3)
 
     def test_nan_eps_raises(self):
         # a NaN eps never stops the greedy: the loop used to run forever
@@ -49,7 +49,7 @@ class TestTraces:
 
     def test_tie_break_lowest_index(self):
         pts = np.array([[0.0], [1.0], [-1.0]])
-        assert farthest_point_sampling(pts, eps=0.5, start=0) == [0, 1, 2]
+        assert farthest_point_sampling(pts, eps=0.5) == [0, 1, 2]
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ from dense_oracles import (
     principal_angle,
     subspaces,
 )
+from tdcrecon import tangent
 from tdcrecon.geometry import principal_angles
 from tdcrecon.models import Circle, SampleSpec, sample
 from tdcrecon.tangent import TseParams, _inherit, default_bandwidth, estimate_tangents
@@ -102,10 +103,11 @@ class TestDefaultBandwidth:
 
 
 class TestEstimateTangents:
-    def test_collinear_points(self):
+    def test_collinear_points(self, monkeypatch):
+        monkeypatch.setattr(tangent, "_MIN_NEIGHBORS", 2)
         x = np.linspace(0.0, 1.0, 50)
         pts = np.column_stack([x, np.zeros(50), np.zeros(50)])
-        field = estimate_tangents(pts, TseParams(h=0.1, d=1, min_neighbors=2))
+        field = estimate_tangents(pts, TseParams(h=0.1, d=1))
         assert not len(field.skipped)
         for sub in subspaces(field.bases):
             assert principal_angle(sub, span([1, 0, 0])) < 1e-12
@@ -131,28 +133,41 @@ class TestEstimateTangents:
         for sub in subspaces(field.bases):
             assert principal_angle(sub, target) < 1e-10
 
-    def test_min_neighbors_flags(self):
+    def test_min_neighbors_flags(self, monkeypatch):
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [9.0, 9.0]])
-        field = estimate_tangents(pts, TseParams(h=0.3, d=1, min_neighbors=2))
-        assert field.skipped.tolist() == [3]
-        assert estimated_rows(field).tolist() == [0, 1, 2]
-        # the isolated point inherits from the nearest estimate
-        assert np.array_equal(field.bases[3], field.bases[2])
-        assert not field.bases.flags.writeable
+        for min_neighbors in (1, 2):
+            monkeypatch.setattr(tangent, "_MIN_NEIGHBORS", min_neighbors)
+            field = estimate_tangents(pts, TseParams(h=0.3, d=1))
+            assert field.skipped.tolist() == [3]
+            assert estimated_rows(field).tolist() == [0, 1, 2]
+            # the isolated point inherits from the nearest estimate
+            assert np.array_equal(field.bases[3], field.bases[2])
+            assert not field.bases.flags.writeable
+        # an estimate needs 3 neighbours; the collinear points have 2 each
+        monkeypatch.setattr(tangent, "_MIN_NEIGHBORS", 3)
+        with pytest.raises(ValueError, match="no target has 3 neighbours within h"):
+            estimate_tangents(pts, TseParams(h=0.3, d=1))
 
     def test_nan_bandwidth_raises(self):
         with pytest.raises(ValueError, match="need bandwidth h > 0"):
             TseParams(h=float("nan"), d=1)
 
-    @pytest.mark.parametrize("min_neighbors", [0, -1])
-    def test_min_neighbors_below_one_raises(self, min_neighbors):
-        # with none required, the isolated point's estimate was 0 / 0: numpy
-        # warned, then eigh did not converge
-        with pytest.raises(ValueError, match="need min_neighbors >= 1"):
-            TseParams(h=0.3, d=1, min_neighbors=min_neighbors)
-        pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [9.0, 9.0]])
-        field = estimate_tangents(pts, TseParams(h=0.3, d=1, min_neighbors=1))
-        assert field.skipped.tolist() == [3]
+    @pytest.mark.parametrize("d", [1.5, 1.0])
+    def test_non_integer_dimension_raises(self, d):
+        # d = 1.5 used to pass and then fail in np.empty with a TypeError
+        with pytest.raises(ValueError, match="need an integer intrinsic dimension"):
+            TseParams(h=0.5, d=d)
+
+    def test_numpy_integer_dimension(self):
+        pts = np.column_stack([np.linspace(0.0, 1.0, 20), np.zeros(20)])
+        field = estimate_tangents(pts, TseParams(h=0.2, d=np.int64(1)))
+        assert field.bases.shape == (20, 2, 1)
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 5, 2)])
+    def test_points_not_two_dimensional_raise(self, shape):
+        # these used to fail unpacking the shape: not enough / too many values
+        with pytest.raises(ValueError, match=r"need an \(n, D\) point array"):
+            estimate_tangents(np.zeros(shape), TseParams(h=0.5, d=1))
 
     def test_matches_local_covariance_oracle(self):
         # each estimate spans the top d eigenvectors of the scalar oracle's
@@ -249,13 +264,14 @@ class TestTangentField:
         for j in (0, 1, 2):
             assert principal_angle(Subspace(bases[j]), span([0, 1])) == 0.0
 
-    def test_complete_empty_field_errors(self):
+    def test_complete_empty_field_errors(self, monkeypatch):
         with pytest.raises(ValueError, match="no tangent estimable"):
             _inherit(np.zeros((1, 2)), np.zeros((1, 2, 1)), np.array([False]))
         # no point has a neighbour within h: nothing to inherit from
         pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
+        monkeypatch.setattr(tangent, "_MIN_NEIGHBORS", 1)
         with pytest.raises(ValueError, match="no tangent estimable"):
-            estimate_tangents(pts, TseParams(h=1.0, d=1, min_neighbors=1))
+            estimate_tangents(pts, TseParams(h=1.0, d=1))
 
     def test_restrict_reindexes(self):
         # the field of a subset is re-indexed to it: row k is subset[k]
