@@ -30,6 +30,7 @@ skewed the neighbour counts are.
 from __future__ import annotations
 
 import math
+import numbers
 from itertools import chain
 
 import numpy as np
@@ -48,6 +49,13 @@ def check_finite(x: np.ndarray, name: str) -> None:
     """Raise ValueError when ``x`` holds NaN or inf."""
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains NaN or inf")
+
+
+def check_int(value, name: str, low: int) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``low``: a Python or
+    numpy integer, not a bool and not a float of integral value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
 
 
 def check_indices(indices, n: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _neighbours
-from ._neighbours import check_finite
+from ._neighbours import check_finite, check_int
 from .models import LabeledCloud
 from .tangent import TseParams, _block_bases, _inherit
 
@@ -250,8 +250,7 @@ def iterative_denoise(
     or no point survives, the loop stops; that iteration's diagnostics give
     the reason.
     """
-    if k_iters < 0:
-        raise ValueError("need k_iters >= 0")
+    check_int(k_iters, "k_iters", 0)
     points = np.asarray(cloud.points, dtype=float)
     check_finite(points, "points")
     if d >= points.shape[1]:

@@ -3,7 +3,10 @@
 Each model is a closed d-dimensional submanifold of R^D (embedded through its
 first few coordinates, zero-padded beyond) with a known reach, a uniform
 surface sampler and, for an (m, D) array of points, closed-form nearest points,
-distances and tangent spaces (an (m, D, d) stack of orthonormal bases).  The
+distances and tangent spaces (an (m, D, d) stack of orthonormal bases).  There
+are two: :class:`Sphere`, the round d-sphere for d = 1, 2 or 3 (the circle is
+its d = 1 case), and the 2-d :class:`Torus`; :func:`make_model` builds either
+by kind ("circle", "sphere" or "torus").  The
 clutter sampler mixes uniform-on-manifold points with uniform ambient outliers
 in the ball of radius K0 = diameter(M) + reach around the origin, the centroid
 of every model.
@@ -12,12 +15,14 @@ Labels: 1 = signal (drawn on the manifold), 0 = outlier.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._neighbours import check_finite
+from ._neighbours import check_finite, check_int
 
 MEDIAL_TOL = 1e-9
 ON_MANIFOLD_TOL = 1e-9
@@ -87,71 +92,23 @@ def _check_resolution(resolution: float) -> None:
 
 
 @dataclass(frozen=True)
-class Circle(ManifoldModel):
-    radius: float = 1.0
-    ambient_dim: int = 2
-
-    def __post_init__(self):
-        if not self.radius > 0 or self.ambient_dim < 2:
-            raise ValueError("need radius > 0 and ambient_dim >= 2")
-
-    intrinsic_dim = 1
-
-    @property
-    def reach(self) -> float:
-        return self.radius
-
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
-    def point(self, t: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return _pad(
-            self.radius * np.column_stack([np.cos(t), np.sin(t)]), self.ambient_dim
-        )
-
-    def sample_points(self, rng, k):
-        return self.point(rng.uniform(0.0, 2.0 * np.pi, size=k))
-
-    def project_many(self, x):
-        x = self._rows(x)
-        s = np.hypot(x[:, 0], x[:, 1])
-        if np.any(s < MEDIAL_TOL):
-            raise MedialAxisError("projection undefined near the circle axis")
-        out = np.zeros_like(x)
-        out[:, 0] = self.radius * x[:, 0] / s
-        out[:, 1] = self.radius * x[:, 1] / s
-        return out
-
-    def distance_many(self, x):
-        x = self._rows(x)
-        s = np.hypot(x[:, 0], x[:, 1])
-        rest2 = np.einsum("ij,ij->i", x[:, 2:], x[:, 2:])
-        return np.sqrt((s - self.radius) ** 2 + rest2)
-
-    def tangent_many(self, points):
-        p = self._on_manifold(points)
-        out = np.zeros((p.shape[0], self.ambient_dim, 1))
-        out[:, 0, 0], out[:, 1, 0] = -p[:, 1], p[:, 0]
-        out /= np.hypot(p[:, 0], p[:, 1])[:, None, None]
-        return out
-
-    def grid(self, resolution):
-        _check_resolution(resolution)
-        k = max(3, int(np.ceil(2.0 * np.pi * self.radius / resolution)))
-        return self.point(np.linspace(0.0, 2.0 * np.pi, k, endpoint=False))
-
-
-@dataclass(frozen=True)
 class Sphere(ManifoldModel):
+    """The round d-sphere of ``radius`` about the origin of the first d+1
+    coordinates of R^D, d = ``intrinsic_dim`` in {1, 2, 3}: the circle is d=1.
+
+    Only the sampler and the grid depend on d."""
+
     radius: float = 1.0
     ambient_dim: int = 3
+    intrinsic_dim: int = 2
 
     def __post_init__(self):
-        if not self.radius > 0 or self.ambient_dim < 3:
-            raise ValueError("need radius > 0 and ambient_dim >= 3")
-
-    intrinsic_dim = 2
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"need radius > 0 and finite, got {self.radius!r}")
+        check_int(self.intrinsic_dim, "intrinsic_dim", 1)
+        if self.intrinsic_dim > 3:
+            raise ValueError(f"need intrinsic_dim <= 3, got {self.intrinsic_dim}")
+        check_int(self.ambient_dim, "ambient_dim", self.intrinsic_dim + 1)
 
     @property
     def reach(self) -> float:
@@ -160,51 +117,83 @@ class Sphere(ManifoldModel):
     def diameter(self) -> float:
         return 2.0 * self.radius
 
+    def _embed(self, unit: np.ndarray) -> np.ndarray:
+        return _pad(self.radius * unit, self.ambient_dim)
+
+    def _circle(self, t: np.ndarray) -> np.ndarray:
+        return self._embed(np.column_stack([np.cos(t), np.sin(t)]))
+
     def sample_points(self, rng, k):
-        g = rng.standard_normal((k, 3))
+        if self.intrinsic_dim == 1:
+            return self._circle(rng.uniform(0.0, 2.0 * np.pi, size=k))
+        g = rng.standard_normal((k, self.intrinsic_dim + 1))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return _pad(self.radius * g, self.ambient_dim)
+        return self._embed(g)
 
     def project_many(self, x):
-        x = self._rows(x)
-        s = np.linalg.norm(x[:, :3], axis=1)
+        x, k = self._rows(x), self.intrinsic_dim + 1
+        s = np.linalg.norm(x[:, :k], axis=1)
         if np.any(s < MEDIAL_TOL):
-            raise MedialAxisError("projection undefined near the sphere center")
+            raise MedialAxisError("projection undefined near the sphere's centre")
         out = np.zeros_like(x)
-        out[:, :3] = self.radius * x[:, :3] / s[:, None]
+        out[:, :k] = self.radius * x[:, :k] / s[:, None]
         return out
 
     def distance_many(self, x):
-        x = self._rows(x)
-        s = np.linalg.norm(x[:, :3], axis=1)
-        rest2 = np.einsum("ij,ij->i", x[:, 3:], x[:, 3:])
-        return np.sqrt((s - self.radius) ** 2 + rest2)
+        x, k = self._rows(x), self.intrinsic_dim + 1
+        rest2 = np.einsum("ij,ij->i", x[:, k:], x[:, k:])
+        return np.sqrt((np.linalg.norm(x[:, :k], axis=1) - self.radius) ** 2 + rest2)
 
     def tangent_many(self, points):
+        # the first d columns of the Householder reflection H = I - 2 v v^T / v^T v
+        # that swaps e_(d+1) and sigma n, v = e_(d+1) - sigma n and sigma =
+        # -sign(n_(d+1)): v^T v = 2 (1 + |n_(d+1)|) >= 2 at every point
         p = self._on_manifold(points)
-        n = p[:, :3] / np.linalg.norm(p[:, :3], axis=1, keepdims=True)
-        # two orthonormal vectors perpendicular to n inside the first 3 coords,
-        # starting from e2 where n is near +-e1
-        a = np.where((np.abs(n[:, 0]) < 0.9)[:, None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-        u = a - np.einsum("ij,ij->i", a, n)[:, None] * n
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        out = np.zeros((p.shape[0], self.ambient_dim, 2))
-        out[:, :3, 0], out[:, :3, 1] = u, np.cross(n, u)
+        d = self.intrinsic_dim
+        n = p[:, : d + 1] / np.linalg.norm(p[:, : d + 1], axis=1, keepdims=True)
+        sigma = np.where(n[:, d] < 0, 1.0, -1.0)
+        v = -sigma[:, None] * n
+        v[:, d] += 1.0
+        out = np.zeros((p.shape[0], self.ambient_dim, d))
+        scale = sigma[:, None] * n[:, :d] / (1.0 + np.abs(n[:, d:]))
+        out[:, : d + 1] = v[:, :, None] * scale[:, None, :]
+        out[:, np.arange(d), np.arange(d)] += 1.0
         return out
 
     def grid(self, resolution):
         _check_resolution(resolution)
-        # Fibonacci lattice; spacing ~ sqrt(area / k)
-        area = 4.0 * np.pi * self.radius**2
-        k = max(16, int(np.ceil(2.5 * area / resolution**2)))
-        i = np.arange(k) + 0.5
-        phi = np.arccos(1.0 - 2.0 * i / k)
-        golden = np.pi * (1.0 + np.sqrt(5.0))
-        theta = golden * i
-        pts = self.radius * np.column_stack(
-            [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
-        )
-        return _pad(pts, self.ambient_dim)
+        r, d = self.radius, self.intrinsic_dim
+        if d == 1:
+            k = max(3, int(np.ceil(2.0 * np.pi * r / resolution)))
+            return self._circle(np.linspace(0.0, 2.0 * np.pi, k, endpoint=False))
+        if d == 2:
+            # Fibonacci lattice; spacing ~ sqrt(area / k)
+            area = 4.0 * np.pi * r**2
+            k = max(16, int(np.ceil(2.5 * area / resolution**2)))
+            i = np.arange(k) + 0.5
+            phi = np.arccos(1.0 - 2.0 * i / k)
+            theta = np.pi * (1.0 + np.sqrt(5.0)) * i
+            return self._embed(np.column_stack(
+                [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
+            ))
+        # Hopf coordinates: (sin eta e^(i xi1), cos eta e^(i xi2)), one ring of
+        # eta at the midpoint of each of m equal steps, each ring the product of
+        # its circles of radii r sin eta and r cos eta cut into arcs <= step.  A
+        # point is within step/2 of a ring along eta and within sqrt(2) step/2
+        # of a point of that ring on its flat torus, and (1 + sqrt(2)) step/2 <=
+        # resolution; no ring is a pole, so no point repeats
+        step = 0.8 * resolution
+
+        def circle(c):  # the circle |z| = c in arcs <= step once scaled by r
+            k = max(1, math.ceil(2.0 * np.pi * r * c / step))
+            return c * np.exp(2j * np.pi * np.arange(k) / k)
+
+        m = max(1, math.ceil(0.5 * np.pi * r / step))
+        rings = []
+        for eta in (np.arange(m) + 0.5) * (0.5 * np.pi / m):
+            z1, z2 = (z.ravel() for z in np.meshgrid(circle(np.sin(eta)), circle(np.cos(eta))))
+            rings.append(np.column_stack([z1.real, z1.imag, z2.real, z2.imag]))
+        return self._embed(np.vstack(rings))
 
 
 @dataclass(frozen=True)
@@ -214,10 +203,9 @@ class Torus(ManifoldModel):
     ambient_dim: int = 3
 
     def __post_init__(self):
-        if not 0 < self.minor_radius < self.major_radius:
-            raise ValueError("need 0 < minor_radius < major_radius")
-        if self.ambient_dim < 3:
-            raise ValueError("need ambient_dim >= 3")
+        if not 0 < self.minor_radius < self.major_radius < math.inf:
+            raise ValueError("need 0 < minor_radius < major_radius < inf")
+        check_int(self.ambient_dim, "ambient_dim", 3)
 
     intrinsic_dim = 2
 
@@ -300,7 +288,12 @@ class Torus(ManifoldModel):
 
 
 def make_model(kind: str, **params) -> ManifoldModel:
-    kinds = {"circle": Circle, "torus": Torus, "sphere": Sphere}
+    """The model of ``kind``: "circle" is the Sphere of intrinsic_dim 1, in R^2 by default."""
+    kinds = {
+        "circle": functools.partial(Sphere, ambient_dim=2, intrinsic_dim=1),
+        "sphere": Sphere,
+        "torus": Torus,
+    }
     if kind not in kinds:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {sorted(kinds)}")
     return kinds[kind](**params)
@@ -320,8 +313,7 @@ class SampleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need n >= 1")
+        check_int(self.n, "n", 1)
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("need 0 < beta <= 1")
 

@@ -22,14 +22,13 @@ loop, such as at the points of a net.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import _neighbours
-from ._neighbours import _RADIUS_SLACK, check_finite
+from ._neighbours import _RADIUS_SLACK, check_finite, check_int
 
 _MIN_NEIGHBORS = 3  # neighbors within h a target needs for an estimate of its own
 
@@ -42,8 +41,7 @@ class TseParams:
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError("need bandwidth h > 0")
-        if not isinstance(self.d, numbers.Integral) or self.d < 1:
-            raise ValueError(f"need an integer intrinsic dimension d >= 1, got {self.d!r}")
+        check_int(self.d, "intrinsic dimension d", 1)
 
 
 def default_bandwidth(n: int, d: int, c: float = 1.0) -> float:

@@ -29,7 +29,7 @@ from tdcrecon.denoise import (
     _slab_mask,
 )
 from tdcrecon.geometry import _check_bases
-from tdcrecon.models import Circle, Sphere, Torus
+from tdcrecon.models import Sphere, Torus
 from tdcrecon.tangent import TseParams
 
 _CHUNK = 256
@@ -264,11 +264,17 @@ def iterative_denoise(cloud, d, beta, kappa, spec, k_iters):
 def tangent(model, p):
     """The tangent space of ``model`` at one point ``p`` of it, as a ``Subspace``."""
     p = np.asarray(p, dtype=float)
-    if isinstance(model, Circle):
+    d = model.intrinsic_dim
+    if isinstance(model, Sphere) and d == 1:
         v = np.zeros(model.ambient_dim)
         v[0], v[1] = -p[1], p[0]
         return Subspace((v / np.linalg.norm(v))[:, None])
-    basis = np.zeros((model.ambient_dim, 2))
+    basis = np.zeros((model.ambient_dim, d))
+    if isinstance(model, Sphere) and d == 3:
+        # the eigenvectors of I - n n^T of eigenvalue 1
+        n = p[:4] / np.linalg.norm(p[:4])
+        basis[:4] = np.linalg.eigh(np.eye(4) - np.outer(n, n))[1][:, 1:]
+        return Subspace(basis)
     if isinstance(model, Sphere):
         n = p[:3] / np.linalg.norm(p[:3])
         a = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])

@@ -25,7 +25,7 @@ from scipy.spatial import cKDTree
 
 from dense_oracles import Subspace, principal_angle
 from tdcrecon.denoise import SlabSpec, _slab_mask, default_slab_spec
-from tdcrecon.models import Circle, ManifoldModel, Sphere, Torus
+from tdcrecon.models import ManifoldModel, Sphere, Torus
 
 # geodesic/Euclidean comparison constant used by the bound verifiers
 ALPHA = 1.0 + 1.0 / (4.0 * math.sqrt(2.0))
@@ -67,18 +67,27 @@ class StandardnessReport:
 # close pairs with exact geodesic distances
 
 
-def _circle_draw(circle: Circle, rng: np.random.Generator, m: int):
+def circle_points(circle: Sphere, t) -> np.ndarray:
+    """The points of ``circle`` (a Sphere of intrinsic_dim 1) at the angles ``t``."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros((t.size, circle.ambient_dim))
+    out[:, 0], out[:, 1] = circle.radius * np.cos(t), circle.radius * np.sin(t)
+    return out
+
+
+def _circle_draw(circle: Sphere, rng: np.random.Generator, m: int):
     t = rng.uniform(0.0, 2.0 * np.pi, size=2 * m).reshape(-1, 2)
     dt = np.abs(t[:, 0] - t[:, 1])
     dt = np.minimum(dt, 2.0 * np.pi - dt)
-    return circle.point(t[:, 0]), circle.point(t[:, 1]), circle.radius * dt
+    return circle_points(circle, t[:, 0]), circle_points(circle, t[:, 1]), circle.radius * dt
 
 
 def _sphere_draw(sphere: Sphere, rng: np.random.Generator, m: int):
     p = sphere.sample_points(rng, m)
     q = sphere.sample_points(rng, m)
+    k = sphere.intrinsic_dim + 1
     cosang = np.clip(
-        np.einsum("ij,ij->i", p[:, :3], q[:, :3]) / sphere.radius**2, -1.0, 1.0
+        np.einsum("ij,ij->i", p[:, :k], q[:, :k]) / sphere.radius**2, -1.0, 1.0
     )
     return p, q, sphere.radius * np.arccos(cosang)
 
@@ -98,7 +107,12 @@ def _torus_draw(torus: Torus, rng: np.random.Generator, m: int):
     return p, q, np.where(use_meridian, r * dab, (big_r + r) * dab)
 
 
-_GEODESIC_DRAWS = {Circle: _circle_draw, Sphere: _sphere_draw, Torus: _torus_draw}
+_GEODESIC_DRAWS = {
+    (Sphere, 1): _circle_draw,
+    (Sphere, 2): _sphere_draw,
+    (Sphere, 3): _sphere_draw,
+    (Torus, 2): _torus_draw,
+}
 
 
 def geodesic_pairs(
@@ -107,9 +121,9 @@ def geodesic_pairs(
     """k random pairs (x, y) with ||x-y|| <= max_chord and their exact
     geodesic distances: the first k close pairs of the model's stream of
     closed-form draws, m = 2 * (pairs still needed) + 8 candidates at a time."""
-    if type(model) not in _GEODESIC_DRAWS:
-        raise NotImplementedError(f"no closed-form geodesics for {type(model).__name__}")
-    draw = _GEODESIC_DRAWS[type(model)]
+    draw = _GEODESIC_DRAWS.get((type(model), model.intrinsic_dim))
+    if draw is None:
+        raise NotImplementedError(f"no closed-form geodesics for {model!r}")
     xs, ys, ds = [], [], []
     need = k
     while need > 0:
@@ -122,7 +136,7 @@ def geodesic_pairs(
     return np.concatenate(xs)[:k], np.concatenate(ys)[:k], np.concatenate(ds)[:k]
 
 
-def circle_geodesic_distance(circle: Circle, x: np.ndarray, y: np.ndarray) -> float:
+def circle_geodesic_distance(circle: Sphere, x: np.ndarray, y: np.ndarray) -> float:
     """Arc length between two points of ``circle``."""
     dt = abs(float(np.arctan2(x[1], x[0])) - float(np.arctan2(y[1], y[0])))
     dt = min(dt, 2.0 * np.pi - dt)

@@ -19,11 +19,11 @@ from tdcrecon.denoise import (
     k_delta,
 )
 from tdcrecon.models import (
-    Circle,
     LabeledCloud,
     SampleSpec,
     Torus,
     load_cloud_csv,
+    make_model,
     sample,
     save_cloud_csv,
 )
@@ -254,7 +254,7 @@ class TestSchedule:
         # point and stopped with "no tangent estimable"
         with pytest.raises(ValueError, match="invalid schedule parameters"):
             Schedule(n=200, d=1, beta=0.8, kappa=float("nan"))
-        cloud = sample(Circle(1.0), SampleSpec(n=200, beta=0.8, seed=5))
+        cloud = sample(make_model("circle"), SampleSpec(n=200, beta=0.8, seed=5))
         spec = default_slab_spec(1, 2, 1.0, t=0.4)
         with pytest.raises(ValueError, match="invalid schedule parameters"):
             iterative_denoise(cloud, d=1, beta=0.8, kappa=float("nan"), spec=spec, k_iters=2)
@@ -323,7 +323,7 @@ class TestLemmaConstants:
 
 class TestIterativeDenoise:
     def test_noop_configuration(self):
-        cloud = sample(Circle(1.0), SampleSpec(n=50, beta=0.5, seed=4))
+        cloud = sample(make_model("circle"), SampleSpec(n=50, beta=0.5, seed=4))
         spec = SlabSpec(k1=0.5, k2=0.5, t=0.0)
         keep, diags = iterative_denoise(cloud, 1, 0.5, 1.0, spec, k_iters=0)
         assert keep == list(range(50))
@@ -331,7 +331,7 @@ class TestIterativeDenoise:
 
     def test_unlabelled_cloud(self, tmp_path):
         # a cloud read from a file without labels used to fail on construction
-        cloud = sample(Circle(1.0), SampleSpec(n=400, beta=0.8, seed=5))
+        cloud = sample(make_model("circle"), SampleSpec(n=400, beta=0.8, seed=5))
         save_cloud_csv(tmp_path / "cloud.csv", cloud.points)
         points, labels = load_cloud_csv(tmp_path / "cloud.csv")
         assert labels is None
@@ -344,7 +344,7 @@ class TestIterativeDenoise:
         ]
 
     def test_diagnostics_confusion_counts(self):
-        cloud = sample(Circle(1.0), SampleSpec(n=400, beta=0.8, seed=5))
+        cloud = sample(make_model("circle"), SampleSpec(n=400, beta=0.8, seed=5))
         spec = default_slab_spec(1, 2, 1.0, t=0.3)
         keep, diags = iterative_denoise(cloud, 1, 0.8, 4.0, spec, k_iters=1)
         for d in diags:
@@ -353,7 +353,7 @@ class TestIterativeDenoise:
         assert '"k": 0' in payload and '"h_k"' in payload
 
     def test_diagnostics_json_keys_are_fields(self):
-        cloud = sample(Circle(1.0), SampleSpec(n=400, beta=0.8, seed=5))
+        cloud = sample(make_model("circle"), SampleSpec(n=400, beta=0.8, seed=5))
         spec = default_slab_spec(1, 2, 1.0, t=0.3)
         _, diags = iterative_denoise(cloud, 1, 0.8, 4.0, spec, k_iters=1)
         names = [f.name for f in dataclasses.fields(IterationDiagnostics)]
@@ -364,7 +364,7 @@ class TestIterativeDenoise:
 
     def test_diagnostics_json_text(self):
         # the record of a fixed run, key order and float digits included
-        cloud = sample(Circle(1.0), SampleSpec(n=400, beta=0.8, seed=5))
+        cloud = sample(make_model("circle"), SampleSpec(n=400, beta=0.8, seed=5))
         spec = default_slab_spec(1, 2, 1.0, t=0.3)
         _, diags = iterative_denoise(cloud, 1, 0.8, 4.0, spec, k_iters=1)
         assert diagnostics_to_json(diags) == (
@@ -378,19 +378,32 @@ class TestIterativeDenoise:
             '"slab_p50": 4.0, "neighbours_mean": 18.36774193548387}]'
         )
 
+    @pytest.mark.parametrize("k_iters", [-1, True, 1.5, 2.0, None], ids=repr)
+    def test_iteration_count_is_a_non_negative_integer(self, k_iters):
+        # True ran two iterations, 1.5 raised a TypeError from range()
+        cloud = sample(make_model("circle"), SampleSpec(n=50, beta=0.8, seed=4))
+        with pytest.raises(ValueError, match="need an integer k_iters >= 0"):
+            iterative_denoise(cloud, 1, 0.8, 1.0, SlabSpec(0.5, 0.5, 1.0), k_iters=k_iters)
+
+    def test_iteration_count_takes_numpy_integers(self):
+        cloud = sample(make_model("circle"), SampleSpec(n=300, beta=0.8, seed=4))
+        spec = SlabSpec(0.5, 0.5, 1.0)
+        want = iterative_denoise(cloud, 1, 0.8, 4.0, spec, k_iters=1)
+        assert iterative_denoise(cloud, 1, 0.8, 4.0, spec, k_iters=np.int64(1)) == want
+
     def test_dimension_above_ambient_raises(self):
-        cloud = sample(Circle(1.0), SampleSpec(n=50, beta=0.8, seed=4))
+        cloud = sample(make_model("circle"), SampleSpec(n=50, beta=0.8, seed=4))
         with pytest.raises(ValueError, match="need d < ambient dimension, got d=3 in R\\^2"):
             iterative_denoise(cloud, 3, 0.8, 1.0, SlabSpec(0.5, 0.5, 1.0), k_iters=0)
 
     def test_dimension_equal_to_ambient_raises(self):
         # a circle in R^2 denoised as a 2-manifold used to run and keep 254 of 300 points
-        cloud = sample(Circle(1.0), SampleSpec(n=300, beta=0.8, seed=4))
+        cloud = sample(make_model("circle"), SampleSpec(n=300, beta=0.8, seed=4))
         with pytest.raises(ValueError, match="need d < ambient dimension, got d=2 in R\\^2"):
             iterative_denoise(cloud, 2, 0.8, 8.0, SlabSpec(0.5, 0.5, 0.3), k_iters=2)
 
     def test_removes_far_outliers_keeps_signal(self):
-        cloud = sample(Circle(1.0), SampleSpec(n=2000, beta=0.8, seed=6))
+        cloud = sample(make_model("circle"), SampleSpec(n=2000, beta=0.8, seed=6))
         spec = default_slab_spec(1, 2, 1.0, t=0.4, angle_constant=0.5)
         keep, diags = iterative_denoise(cloud, 1, 0.8, 8.0, spec, k_iters=2)
         keep = np.array(keep)
@@ -399,19 +412,19 @@ class TestIterativeDenoise:
         # all signal survives and the far outliers are gone
         assert len(kept_signal) == len(signal)
         far_cut = Schedule(2000, 1, 0.8, 8.0).h_at(2) ** 2 / 1.0
-        dists = Circle(1.0).distance_many(cloud.points[keep])
+        dists = make_model("circle").distance_many(cloud.points[keep])
         labels = cloud.labels[keep]
         assert np.all(dists[labels == 0] <= far_cut)
 
 
 class TestLemma4MonteCarla:
     def test_separation_small(self):
-        for model in (Circle(1.0), Torus(2.0, 0.5)):
+        for model in (make_model("circle"), Torus(2.0, 0.5)):
             rep = verify_slab_separation(model, trials=300, seed=7)
             assert rep.passed
 
     def test_inclusion_small(self):
-        for model in (Circle(1.0), Torus(2.0, 0.5)):
+        for model in (make_model("circle"), Torus(2.0, 0.5)):
             rep = verify_slab_inclusion(model, trials=300, seed=8)
             assert rep.passed
 

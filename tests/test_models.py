@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import dense_oracles as dense
 from dense_oracles import Subspace, principal_angle
 from lemma_checks import (
     circle_geodesic_distance,
+    circle_points,
     monte_carlo_reach,
     verify_ball_projection,
     verify_geodesic_bounds,
@@ -15,7 +17,6 @@ from lemma_checks import (
 )
 from tdcrecon.geometry import principal_angles
 from tdcrecon.models import (
-    Circle,
     LabeledCloud,
     MedialAxisError,
     SampleSpec,
@@ -28,23 +29,38 @@ from tdcrecon.models import (
     save_cloud_csv,
 )
 
-MODELS = [Circle(radius=1.0), Torus(2.0, 0.5), Sphere(radius=1.0)]
+MODELS = [make_model("circle"), Torus(2.0, 0.5), Sphere(radius=1.0), Sphere(1.0, 5, 3)]
+CIRCLE = make_model("circle")
+
+
+def _kind(model):
+    """"circle", "sphere", "3sphere" or "torus"."""
+    if isinstance(model, Torus):
+        return "torus"
+    return ["circle", "sphere", "3sphere"][model.intrinsic_dim - 1]
+
+
+def _model_id(model):
+    return f"{_kind(model)}{model.ambient_dim}"
 
 
 class TestBasics:
     def test_diameters(self):
-        assert Circle(1.0).diameter() == 2.0
+        assert CIRCLE.diameter() == 2.0
         assert Torus(2.0, 0.5).diameter() == 5.0
         assert Sphere(3.0).diameter() == 6.0
+        assert Sphere(3.0) == Sphere(3.0, ambient_dim=3, intrinsic_dim=2)  # not S^3
 
     def test_reaches(self):
-        assert Circle(1.0).reach == 1.0
+        assert CIRCLE.reach == 1.0
         assert Torus(2.0, 0.5).reach == 0.5
         assert Torus(2.0, 1.5).reach == 0.5
         assert Sphere(2.0).reach == 2.0
 
     def test_make_model(self):
         assert make_model("circle", radius=2.0).reach == 2.0
+        assert make_model("circle", ambient_dim=10) == Sphere(1.0, 10, 1)
+        assert make_model("sphere", ambient_dim=5) == Sphere(1.0, 5, 2)
         with pytest.raises(ValueError):
             make_model("klein_bottle")
 
@@ -52,22 +68,72 @@ class TestBasics:
         with pytest.raises(ValueError):
             Torus(1.0, 1.0)
         with pytest.raises(ValueError):
-            Circle(-1.0)
+            make_model("circle", radius=-1.0)
 
-    @pytest.mark.parametrize("model", [Circle, Sphere])
-    def test_nan_radius_raises(self, model):
+    @pytest.mark.parametrize("kind", ["circle", "sphere"], ids=["Circle", "Sphere"])
+    def test_nan_radius_raises(self, kind):
         with pytest.raises(ValueError, match="need radius > 0"):
-            model(float("nan"))
+            make_model(kind, radius=float("nan"))
+
+    @pytest.mark.parametrize(
+        "cls, kwargs, match",
+        [
+            (Sphere, dict(radius=np.inf, intrinsic_dim=1), "need radius > 0"),  # sampled inf
+            (Sphere, dict(radius=-0.0), "need radius > 0"),
+            (Sphere, dict(ambient_dim=np.nan), "integer ambient_dim >= 3"),  # was built
+            (Sphere, dict(ambient_dim=3.0), "integer ambient_dim >= 3"),  # failed in _pad
+            (Sphere, dict(ambient_dim=2.5, intrinsic_dim=1), "integer ambient_dim >= 2"),
+            (Sphere, dict(ambient_dim=True, intrinsic_dim=1), "integer ambient_dim >= 2"),
+            (Sphere, dict(ambient_dim=3, intrinsic_dim=3), "integer ambient_dim >= 4"),
+            (Sphere, dict(intrinsic_dim=0), "integer intrinsic_dim >= 1"),
+            (Sphere, dict(intrinsic_dim=2.0), "integer intrinsic_dim >= 1"),
+            (Sphere, dict(ambient_dim=6, intrinsic_dim=4), "need intrinsic_dim <= 3"),
+            (Torus, dict(major_radius=np.inf), "major_radius < inf"),  # was built
+            (Torus, dict(minor_radius=np.nan), "0 < minor_radius"),
+            (Torus, dict(ambient_dim=3.0), "integer ambient_dim >= 3"),
+            (Torus, dict(ambient_dim=np.float64(4)), "integer ambient_dim >= 3"),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else repr(v) if isinstance(v, dict) else None,
+    )
+    def test_sizes_and_radii_raise_where_they_enter(self, cls, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            cls(**kwargs)
+
+    def test_numpy_integer_sizes_are_taken(self):
+        model = Sphere(1.0, np.int64(6), np.int32(3))
+        assert model.grid(0.5).shape[1] == 6
+        torus = Torus(ambient_dim=np.uint8(4))
+        assert torus.sample_points(np.random.default_rng(0), 2).shape == (2, 4)
 
 
 class TestGrid:
     @pytest.mark.parametrize("resolution", [-0.1, 0.0, float("nan")])
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: _kind(m).capitalize())
     def test_resolution_must_be_positive(self, model, resolution):
         # a negative resolution used to give a few points or the grid of
         # its absolute value, 0 a ZeroDivisionError and NaN an int error
         with pytest.raises(ValueError, match="need resolution > 0"):
             model.grid(resolution)
+
+    @pytest.mark.parametrize("resolution", [0.5, 0.2, 0.1])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            make_model("circle", ambient_dim=4),
+            Sphere(1.5, ambient_dim=5),
+            Sphere(0.8, ambient_dim=6, intrinsic_dim=3),
+            Torus(ambient_dim=5),
+        ],
+        ids=_model_id,
+    )
+    def test_spacing_within_resolution(self, model, resolution):
+        # grid's promise: every point of M within resolution of a grid point,
+        # each of which is on M, none twice
+        grid = model.grid(resolution)
+        pts = model.sample_points(np.random.default_rng(31), 20_000)
+        assert cKDTree(grid).query(pts)[0].max() <= resolution
+        assert model.distance_many(grid).max() <= 1e-12
+        assert len(np.unique(grid, axis=0)) == len(grid)
 
 
 class TestProjection:
@@ -77,7 +143,7 @@ class TestProjection:
             assert np.max(np.linalg.norm(model.project_many(pts) - pts, axis=1)) < 1e-10
 
     def test_circle_radial(self):
-        assert np.allclose(Circle(1.0).project_many([[2.0, 0.0]])[0], [1.0, 0.0])
+        assert np.allclose(CIRCLE.project_many([[2.0, 0.0]])[0], [1.0, 0.0])
 
     def test_torus_closed_form(self):
         torus = Torus(2.0, 0.5)
@@ -112,7 +178,7 @@ class TestProjection:
 
     def test_medial_axis_errors(self):
         with pytest.raises(MedialAxisError):
-            Circle(1.0).project_many([[0.0, 0.0]])
+            CIRCLE.project_many([[0.0, 0.0]])
         with pytest.raises(MedialAxisError):
             Torus(2.0, 0.5).project_many([[0.0, 0.0, 1.0]])
         with pytest.raises(MedialAxisError):
@@ -121,7 +187,7 @@ class TestProjection:
             Sphere(1.0).project_many([[0.0, 0.0, 0.0]])
 
     def test_padding_extra_coords(self):
-        circle = Circle(1.0, ambient_dim=4)
+        circle = make_model("circle", ambient_dim=4)
         q = circle.project_many([[0.0, 2.0, 0.7, -0.3]])[0]
         assert np.allclose(q, [0.0, 1.0, 0.0, 0.0])
         assert circle.distance_many([[0.0, 2.0, 0.7, -0.3]])[0] == pytest.approx(
@@ -138,8 +204,8 @@ class TestMalformedPoints:
     @pytest.mark.parametrize(
         "model, x",
         [
-            (Circle(1.0, ambient_dim=10), np.ones((1, 3))),  # was zero-padded to 10-D
-            (Circle(1.0), np.ones((1, 3))),
+            (make_model("circle", ambient_dim=10), np.ones((1, 3))),  # was zero-padded to 10-D
+            (CIRCLE, np.ones((1, 3))),
             (Torus(), np.ones((1, 5))),  # failed inside numpy's broadcasting
             (Sphere(1.0, ambient_dim=4), np.ones((2, 3))),
         ],
@@ -153,7 +219,7 @@ class TestMalformedPoints:
     @pytest.mark.parametrize(
         "model, x",
         [
-            (Circle(1.0), [[np.nan, 1.0]]),  # distance was nan, the projection [nan, nan]
+            (CIRCLE, [[np.nan, 1.0]]),  # distance was nan, the projection [nan, nan]
             (Sphere(1.0), [[np.inf, 0.0, 0.0]]),  # distance was inf
             (Torus(), [[3.0, 0.0, 0.0], [2.5, 0.0, -np.inf]]),
         ],
@@ -170,7 +236,7 @@ def _tangent_at(model, p):
 
 class TestTangent:
     def test_circle(self):
-        sub = _tangent_at(Circle(1.0), [1.0, 0.0])
+        sub = _tangent_at(CIRCLE, [1.0, 0.0])
         assert principal_angle(sub, _span([0.0, 1.0])) < 1e-12
 
     def test_sphere_pole(self):
@@ -183,7 +249,7 @@ class TestTangent:
 
     def test_off_manifold_rejected(self):
         with pytest.raises(ValueError):
-            Circle(1.0).tangent_many([[1.5, 0.0]])
+            CIRCLE.tangent_many([[1.5, 0.0]])
 
     def test_reach_criterion_monte_carlo(self):
         for model in MODELS:
@@ -192,30 +258,33 @@ class TestTangent:
 
 
 STACK_MODELS = [
-    model(ambient_dim=big_d) for model in (Circle, Sphere, Torus) for big_d in (3, 10)
+    make_model(kind, ambient_dim=big_d)
+    for kind in ("circle", "sphere", "torus")
+    for big_d in (3, 10)
 ]
-
-
-def _model_id(model):
-    return f"{type(model).__name__.lower()}{model.ambient_dim}"
+STACK_MODELS += [Sphere(1.0, big_d, 3) for big_d in (4, 10)]
 
 
 def _special_points(model):
     """Points of M on the axes of the closed forms' case splits."""
-    quarter = np.arange(4) * np.pi / 2
-    if isinstance(model, Circle):
-        return model.point(quarter)  # (1, 0), (0, 1), (-1, 0), (0, -1)
     if isinstance(model, Torus):
+        quarter = np.arange(4) * np.pi / 2
         u, v = np.meshgrid(quarter, quarter)
         return model.point(u.ravel(), v.ravel())
-    # the sphere's basis starts from e2 where |n_0| >= 0.9
-    c, s = 0.9, np.sqrt(1.0 - 0.81)
-    pts = np.array(
-        [[1, 0, 0], [-1, 0, 0], [c, s, 0], [-c, 0, s], [0.95, 0, -np.sqrt(0.0975)],
-         [0, 0, 1], [0, 0, -1], [0, 1, 0]]
-    )
+    # the sphere's Householder basis flips across n_(d+1) = 0 and meets the
+    # poles +-e_(d+1) among the axis points
+    k = model.intrinsic_dim + 1
+    pts = [*np.eye(k), *-np.eye(k)]
+    for last in (1e-9, 0.0, -0.0, -1e-9, 0.5, -0.5):
+        row = np.ones(k)
+        row[-1] = last
+        pts.append(row / np.linalg.norm(row))
+    if k == 3:
+        # the reference basis of S^2 starts from e2 where |n_0| >= 0.9
+        c, s = 0.9, np.sqrt(1.0 - 0.81)
+        pts += [[c, s, 0], [-c, 0, s], [0.95, 0, -np.sqrt(0.0975)]]
     out = np.zeros((len(pts), model.ambient_dim))
-    out[:, :3] = pts
+    out[:, :k] = model.radius * np.array(pts)
     return out
 
 
@@ -273,12 +342,12 @@ class TestSampling:
             assert np.max(model.distance_many(cloud.points)) <= 1e-10
 
     def test_circle_symmetry(self):
-        cloud = sample(Circle(1.0), SampleSpec(n=100_000, beta=1.0, seed=5))
+        cloud = sample(CIRCLE, SampleSpec(n=100_000, beta=1.0, seed=5))
         frac = np.mean(cloud.points[:, 0] > 0)
         assert abs(frac - 0.5) < 0.01
 
     def test_signal_fraction(self):
-        cloud = sample(Circle(1.0), SampleSpec(n=100_000, beta=0.8, seed=6))
+        cloud = sample(CIRCLE, SampleSpec(n=100_000, beta=0.8, seed=6))
         assert abs(np.mean(cloud.labels) - 0.8) < 0.01
 
     def test_outliers_in_ball(self):
@@ -299,6 +368,18 @@ class TestSampling:
             cloud = sample(model, SampleSpec(n=300, beta=1.0, seed=9))
             proj = model.project_many(cloud.points)
             assert np.max(np.linalg.norm(proj - cloud.points, axis=1)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "n", [0, -3, 2.5, 3.0, True, np.float64(5), None], ids=repr
+    )
+    def test_sample_size_is_a_positive_integer(self, n):
+        # 2.5 and True used to fail inside numpy, in sample()
+        with pytest.raises(ValueError, match="need an integer n >= 1"):
+            SampleSpec(n=n)
+
+    def test_sample_size_takes_numpy_integers(self):
+        cloud = sample(CIRCLE, SampleSpec(n=np.int64(7), beta=0.5, seed=1))
+        assert cloud.n == 7
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -418,7 +499,7 @@ class TestCsv:
 
 class TestGeodesicBounds:
     def test_circle(self):
-        rep = verify_geodesic_bounds(Circle(1.0), trials=2000, seed=13)
+        rep = verify_geodesic_bounds(CIRCLE, trials=2000, seed=13)
         assert rep.passed
         assert rep.max_ratio_upper <= 1.0
 
@@ -426,25 +507,28 @@ class TestGeodesicBounds:
         rep = verify_geodesic_bounds(Sphere(1.0), trials=2000, seed=14)
         assert rep.passed
 
+    def test_3sphere(self):
+        rep = verify_geodesic_bounds(Sphere(1.0, 5, 3), trials=2000, seed=23)
+        assert rep.passed
+
     def test_torus(self):
         rep = verify_geodesic_bounds(Torus(2.0, 0.5), trials=2000, seed=15)
         assert rep.passed
 
     def test_coincident_pair_is_degenerate_zero(self):
-        circle = Circle(1.0)
-        x = circle.point(0.3)
-        assert circle_geodesic_distance(circle, x[0], x[0]) == 0.0
+        x = circle_points(CIRCLE, 0.3)
+        assert circle_geodesic_distance(CIRCLE, x[0], x[0]) == 0.0
 
 
 class TestStandardness:
     def test_circle_arc_oracle(self):
-        rep = verify_standardness(Circle(1.0), [0.1], trials=200_000, seed=16)
+        rep = verify_standardness(CIRCLE, [0.1], trials=200_000, seed=16)
         expected = 2.0 * np.arcsin(0.05) / np.pi
         assert rep.estimates[0] == pytest.approx(expected, rel=0.05)
 
     def test_circle_small_radius_ratio_stabilizes(self):
         rep = verify_standardness(
-            Circle(1.0), [0.02, 0.05, 0.1], trials=400_000, seed=17
+            CIRCLE, [0.02, 0.05, 0.1], trials=400_000, seed=17
         )
         assert rep.passed
         # d=1 scaling: Q(B)/r approaches 1/pi
@@ -459,12 +543,13 @@ class TestStandardness:
 
 
 class TestInclusionVerifiers:
+    # on S^3 (the last of MODELS) each check takes about 45 s
     def test_ball_projection_small(self):
-        for model in MODELS:
+        for model in MODELS[:-1]:
             rep = verify_ball_projection(model, trials=300, seed=19)
             assert rep.passed
 
     def test_normal_offset_small(self):
-        for model in MODELS:
+        for model in MODELS[:-1]:
             rep = verify_normal_offset(model, trials=300, seed=20)
             assert rep.passed

@@ -33,7 +33,7 @@ from tdcrecon.denoise import (
     iterative_denoise,
 )
 from tdcrecon.geometry import directed_hausdorff
-from tdcrecon.models import Circle, LabeledCloud, SampleSpec, Sphere, Torus, sample
+from tdcrecon.models import LabeledCloud, SampleSpec, Sphere, Torus, make_model, sample
 from tdcrecon.sparsify import farthest_point_sampling
 from tdcrecon.tangent import TseParams, _inherit, estimate_tangents
 
@@ -50,7 +50,7 @@ def clouds():
     rng = np.random.default_rng(101)
     line = rng.uniform(0.0, 4.0, size=(300, 1))
     sphere = sample(Sphere(1.0, ambient_dim=3), SampleSpec(n=500, beta=0.8, seed=102))
-    circle = sample(Circle(1.0, ambient_dim=10), SampleSpec(n=600, beta=0.8, seed=103))
+    circle = sample(make_model("circle", ambient_dim=10), SampleSpec(n=600, beta=0.8, seed=103))
     return {
         "D1-line": (line, 0.05, 1),
         "D3-sphere": (sphere.points, 0.3, 2),
@@ -274,7 +274,7 @@ class TestBlockCuts:
     @staticmethod
     def outputs():
         # signal and outliers interleaved: rows of many widths side by side
-        cloud = sample(Circle(1.0, ambient_dim=3), SampleSpec(n=600, beta=0.7, seed=305))
+        cloud = sample(make_model("circle", ambient_dim=3), SampleSpec(n=600, beta=0.7, seed=305))
         pts, h = cloud.points, 0.25
         spec = SlabSpec(k1=0.6, k2=1.5, t=1.0)
         params = TseParams(h=h, d=1)
@@ -573,16 +573,16 @@ class TestHausdorffOracle:
 def denoise_case(name):
     """(cloud, d, kappa, spec) of a fixed-seed denoising run, beta = 0.8."""
     if name == "circle-D2":
-        cloud = sample(Circle(1.0, ambient_dim=2), SampleSpec(n=600, beta=0.8, seed=301))
+        cloud = sample(make_model("circle", ambient_dim=2), SampleSpec(n=600, beta=0.8, seed=301))
         return cloud, 1, 8.0, default_slab_spec(1, 2, 1.0, t=0.4, angle_constant=0.5)
     if name == "circle-D10":
-        cloud = sample(Circle(1.0, ambient_dim=10), SampleSpec(n=600, beta=0.8, seed=302))
+        cloud = sample(make_model("circle", ambient_dim=10), SampleSpec(n=600, beta=0.8, seed=302))
         return cloud, 1, 8.0, default_slab_spec(1, 10, 1.0, t=0.4, angle_constant=0.5)
     if name == "sphere-D3":
         cloud = sample(Sphere(1.0, ambient_dim=3), SampleSpec(n=800, beta=0.8, seed=303))
         return cloud, 2, 30.0, default_slab_spec(2, 3, 1.0, t=0.15, angle_constant=0.5)
     # k1 > 1: the ball around each slab is wider than the tangent bandwidth
-    cloud = sample(Circle(1.0, ambient_dim=3), SampleSpec(n=600, beta=0.8, seed=304))
+    cloud = sample(make_model("circle", ambient_dim=3), SampleSpec(n=600, beta=0.8, seed=304))
     return cloud, 1, 8.0, SlabSpec(k1=1.5, k2=0.5, t=0.6)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdcrecon.geometry import directed_hausdorff
-from tdcrecon.models import Circle, SampleSpec, sample
+from tdcrecon.models import SampleSpec, make_model, sample
 from tdcrecon.sparsify import farthest_point_sampling
 
 
@@ -82,7 +82,7 @@ def test_idempotence(seed, eps):
 
 def test_net_property_on_manifold():
     # if the input is eps-dense in M then the output is a (eps, 2 eps)-net
-    model = Circle(1.0)
+    model = make_model("circle")
     cloud = sample(model, SampleSpec(n=3000, beta=1.0, seed=9))
     reference = model.grid(0.002)
     eps = directed_hausdorff(reference, cloud.points) * 1.05  # cloud density scale
