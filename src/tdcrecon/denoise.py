@@ -10,11 +10,12 @@ is 1/d.
 The slab at bandwidth h lies in the ball of radius sqrt((k1 h)^2 + (k2 h^2)^2),
 so each iteration runs one neighbour search of the surviving cloud, a KD-tree
 self-join at the larger of that radius and the tangent bandwidth, and reads
-its neighbour blocks in one pass: each block gives the local-PCA bases of its
-rows and, with those bases, the rows' slab counts.  Only the points whose
-tangent is inherited from the nearest estimate are read a second time, from
-the same lists, once :func:`.tangent._inherit` has filled them in.  The
-lists are dropped before the next iteration searches.
+its neighbour blocks in one pass: each block gives a local-PCA basis for
+every row and, with those bases, the slab counts of the rows with enough
+neighbours for an estimate.  The other rows hold a placeholder basis; once
+:func:`.tangent._inherit` has overwritten it with the nearest estimate, only
+those rows are read a second time, from the same lists, and count their
+slabs.  The lists are dropped before the next iteration searches.
 
 That pass is the package's only slab counter.  Tangents alone, say at the
 points of a net, come from :func:`.tangent.estimate_tangents`.
@@ -52,10 +53,8 @@ def default_slab_spec(
     k1 = 3 / (4 d + 8 K sqrt(d)) and k2 = 1 / (4 sqrt(D - d) max(rho, 1)),
     with K the tangent angle constant.
     """
-    if d < 1:
-        raise ValueError("need d >= 1")
-    if ambient_dim <= d:
-        raise ValueError("need ambient_dim > d")
+    check_int(d, "d", 1)
+    check_int(ambient_dim, "ambient_dim", d + 1)
     if not rho > 0:
         raise ValueError("need reach rho > 0")
     k1 = 3.0 / (4.0 * d + 8.0 * angle_constant * math.sqrt(d))
@@ -106,10 +105,11 @@ def _tangents_and_slab_counts(
     is estimable), the number of points whose tangent was inherited from the
     nearest estimate, and the number of (point, neighbour) pairs within h,
     each point left out of its own.  One self-join at the wider of h and the
-    slab ball is read once: each block gives the bases of its estimable
-    rows, and those rows count their slabs with the bases just computed, on
-    the same differences.  The skipped rows are read again from the same
-    lists once they have inherited a basis.
+    slab ball is read once: each block gives a basis for every row, and the
+    rows with an estimate of their own count their slabs with the bases
+    just computed, on the same differences.  The other rows, whose
+    placeholder bases :func:`.tangent._inherit` overwrites, are read again
+    from the same lists and counted then.
     """
     n, big_d = points.shape
     h = params.h
@@ -124,13 +124,9 @@ def _tangents_and_slab_counts(
         near = listed & (d2 <= h2)
         neighbours += int(np.count_nonzero(near))
         ok, block = _block_bases(diff, near, params, n)
-        if block is None:
-            continue
-        if not ok.all():
-            chunk, listed, diff, d2 = chunk[ok], listed[ok], diff[ok], d2[ok]
-        bases[chunk] = block
-        estimated[chunk] = True
-        counts[chunk] += _slab_hits(diff, d2, listed, block, h, spec)
+        bases[chunk], estimated[chunk] = block, ok
+        # a row without an estimate of its own counts its slab once it has inherited
+        counts[chunk] += _slab_hits(diff, d2, listed & ok[:, None], block, h, spec)
     if not estimated.any():
         return None, 0, neighbours
     skipped = _inherit(points, bases, estimated)
@@ -155,9 +151,9 @@ class Schedule:
     kappa: float
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("need n >= 3")
-        if not (0 < self.beta <= 1 and self.kappa > 0) or self.d < 1:
+        check_int(self.n, "n", 3)
+        check_int(self.d, "d", 1)
+        if not (0 < self.beta <= 1 and self.kappa > 0):
             raise ValueError("invalid schedule parameters")
 
     @property
@@ -184,8 +180,7 @@ def _gamma(d: int, k: int) -> float:
 
 def k_delta(d: int, delta: float) -> int:
     """Smallest k with gamma_k >= 1/d - delta."""
-    if d < 1:
-        raise ValueError("need d >= 1")
+    check_int(d, "d", 1)
     if not 0.0 < delta < 1.0 / (d * (d + 1)):
         raise ValueError(f"need 0 < delta < 1/(d(d+1)) = {1.0 / (d * (d + 1)):.6g}")
     k = 0

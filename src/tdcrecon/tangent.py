@@ -10,14 +10,16 @@ Neighbors come from one KD-tree self-join of the cloud (:mod:`._neighbours`),
 which finds each neighbor pair once, so the work grows with the number of
 neighbor pairs, not with n^2.  They are read in padded blocks of a bounded
 size, targets of similar neighbor counts together, and the covariances of a
-block are formed together; each block's eigenvectors go straight into the
-field's (m, D, d) array of bases.  The block arithmetic is
-:func:`_block_bases`; a denoising iteration runs it on the blocks of its own
-single pass, which also count the slabs (:mod:`.denoise`), so there is one
-read of each block per iteration, and it fills the skipped rows with
-:func:`_inherit` as well.  :func:`estimate_tangents` is the standalone call,
-with a search of its own: the one to use for tangents outside the denoising
-loop, such as at the points of a net.
+block are formed together.  The block arithmetic is :func:`_block_bases`:
+it gives every row of a block a basis, and a row with too few neighbors a
+finite placeholder, so each block's eigenvectors go straight into the
+field's (m, D, d) array of bases, and :func:`_inherit` then overwrites the
+placeholders.  A denoising iteration runs it on the blocks of its own single
+pass, which also count the slabs (:mod:`.denoise`), so there is one read of
+each block per iteration, and it overwrites the placeholders the same way.
+:func:`estimate_tangents` is the standalone call, with a search of its own:
+the one to use for tangents outside the denoising loop, such as at the
+points of a net.
 """
 from __future__ import annotations
 
@@ -46,10 +48,8 @@ class TseParams:
 
 def default_bandwidth(n: int, d: int, c: float = 1.0) -> float:
     """(c * log(n) / (n - 1)) ** (1/d)."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if d < 1:
-        raise ValueError("need d >= 1")
+    check_int(n, "n", 3)
+    check_int(d, "d", 1)
     if not c > 0:
         raise ValueError("need c > 0")
     return (c * math.log(n) / (n - 1)) ** (1.0 / d)
@@ -108,34 +108,35 @@ def _inherit(points: np.ndarray, bases: np.ndarray, estimated: np.ndarray) -> np
 
 def _block_bases(
     diff: np.ndarray, near: np.ndarray, params: TseParams, n: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Local-PCA bases of the rows of one padded neighbor block.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local-PCA bases of every row of one padded neighbor block.
 
     ``diff`` is a (rows, width, D) block of neighbor offsets from each row's
     target, in increasing index order, and ``near`` marks the slots inside
     the h-ball; ``n`` is the size of the cloud.  Returns ``ok``, the rows
-    with at least ``_MIN_NEIGHBORS`` neighbors, and the (rows with ok,
-    D, d) stack of their bases, or None when no row has enough.
+    with at least ``_MIN_NEIGHBORS`` neighbors, and the (rows, D, d) stack
+    of the bases of all rows.  A row that is not ok gets a finite
+    placeholder, from the covariance of its fewer neighbors (none at all
+    gives the zero matrix), which the caller overwrites with
+    :func:`_inherit`; each ok row's basis is the one it gets in a block of
+    its own.
     """
     counts = near.sum(axis=1)
-    ok = counts >= _MIN_NEIGHBORS
-    if not np.any(ok):
-        return ok, None
-    # each estimable target's neighbor offsets, zero wherever a slot holds
-    # no neighbor
-    if ok.all():
-        w = diff.copy()
-    else:
-        w, near, counts = diff[ok], near[ok], counts[ok]
+    # each row's neighbor offsets, zero wherever a slot holds no neighbor
+    w = diff.copy()
     w[~near] = 0.0
-    means = np.einsum("cwi->ci", w) / counts[:, None]
+    # a row without neighbors has the zero mean
+    means = np.einsum("cwi->ci", w) / np.maximum(counts, 1)[:, None]
     # sum of outer products minus the rank-one mean correction
     scatter = np.matmul(w.transpose(0, 2, 1), w)
     scatter -= counts[:, None, None] * np.einsum("ca,cb->cab", means, means)
-    cov = scatter / (n - 1)
-    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    # in place, as a narrow block's (rows, D, D) stacks outweigh its offsets;
+    # a cloud of one point has only the zero scatter
+    scatter /= max(n - 1, 1)
+    cov = scatter + scatter.transpose(0, 2, 1)
+    cov *= 0.5
     _, eigvecs = np.linalg.eigh(cov)
-    return ok, eigvecs[:, :, ::-1][:, :, : params.d]
+    return counts >= _MIN_NEIGHBORS, eigvecs[:, :, ::-1][:, :, : params.d]
 
 
 def estimate_tangents(
@@ -164,10 +165,7 @@ def estimate_tangents(
     h2 = params.h * params.h
     indptr, cols = _neighbours._candidates(points, h2)
     for chunk, listed, _, diff, d2 in _neighbours._blocks(points, indptr, cols, targets):
-        ok, block = _block_bases(diff, listed & (d2 <= h2), params, n)
-        if block is not None:
-            bases[chunk[ok]] = block
-            estimated[chunk[ok]] = True
+        estimated[chunk], bases[chunk] = _block_bases(diff, listed & (d2 <= h2), params, n)
     skipped = _inherit(points[targets], bases, estimated)
     bases.setflags(write=False)
     return TangentField(bases=bases, skipped=skipped)

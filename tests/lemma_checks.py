@@ -225,15 +225,39 @@ def _grid_tree(
     return res, grid, cKDTree(grid)
 
 
-def verify_ball_projection(
-    model: ManifoldModel, trials: int, seed: int, grid_resolution: float | None = None
-) -> CheckReport:
+# points per axis of the lattice around one trial, and its square the most
+# points in all, whatever d (so S^3 gets 25 per axis): the spacing scales with
+# the trial's radius, and on the circle, S^2 and the torus it stays finer than
+# the reach / 100 of :func:`_grid_tree` for every radius the checks below draw
+_LATTICE_SIDE = 128
+
+
+def _unit_lattice(d: int) -> np.ndarray:
+    """The points of a square lattice on [-1, 1]^d that lie in the unit ball,
+    ``_LATTICE_SIDE`` per axis for d <= 2 and fewer above."""
+    side = np.linspace(-1.0, 1.0, min(_LATTICE_SIDE, int(_LATTICE_SIDE ** (2.0 / d))))
+    cube = np.stack(np.meshgrid(*[side] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    return cube[np.einsum("ij,ij->i", cube, cube) <= 1.0]
+
+
+def _local_grid(
+    model: ManifoldModel, lattice: np.ndarray, p: np.ndarray, radius: float
+) -> np.ndarray:
+    """Points of M around ``p``: the unit ``lattice`` of :func:`_unit_lattice`
+    scaled to a quarter more than ``radius`` in the tangent chart at ``p`` and
+    projected onto M; they cover the ball of ``radius`` about ``p``."""
+    chart = (1.25 * radius) * lattice
+    return model.project_many(p + chart @ model.tangent_many(p)[0].T)
+
+
+def verify_ball_projection(model: ManifoldModel, trials: int, seed: int) -> CheckReport:
     """Projection sandwich for balls centered off the manifold:
     B(pi(x), r_h^-) cap M  inside  B(x, h) cap M  inside  B(pi(x), r_h^+) cap M
-    with r_h^2 = h^2 - Delta^2 and r_h^pm = (1 +- alpha^2 Delta / rho) r_h."""
+    with r_h^2 = h^2 - Delta^2 and r_h^pm = (1 +- alpha^2 Delta / rho) r_h,
+    on a lattice of M around each trial's pi(x)."""
     rng = np.random.default_rng(seed)
     rho = model.reach
-    _, grid, tree = _grid_tree(model, grid_resolution)
+    lattice = _unit_lattice(model.intrinsic_dim)
     slack = 1e-9 * rho
     violations = 0
     for _ in range(trials):
@@ -244,9 +268,8 @@ def verify_ball_projection(
         r_h = math.sqrt(max(h**2 - delta**2, 0.0))
         r_plus = (1.0 + ALPHA**2 * delta / rho) * r_h
         r_minus = (1.0 - ALPHA**2 * delta / rho) * r_h
-        near = grid[tree.query_ball_point(p, r_plus + h + slack)]
-        if near.shape[0] == 0:
-            continue
+        # B(x, h) cap M lies within h + delta <= 2 h of p, B(p, r_minus) within h
+        near = _local_grid(model, lattice, p, 2.0 * h)
         d_x = np.linalg.norm(near - x, axis=1)
         d_p = np.linalg.norm(near - p, axis=1)
         violations += int(np.sum((d_x <= h) & (d_p > r_plus + slack)))
@@ -254,14 +277,13 @@ def verify_ball_projection(
     return CheckReport(trials=trials, violations=violations)
 
 
-def verify_normal_offset(
-    model: ManifoldModel, trials: int, seed: int, grid_resolution: float | None = None
-) -> CheckReport:
+def verify_normal_offset(model: ManifoldModel, trials: int, seed: int) -> CheckReport:
     """Normal-coordinate bound: points z near x (both near M) have normal
-    component over pi(x) at most 10 h_k^2 / rho."""
+    component over pi(x) at most 10 h_k^2 / rho, for z drawn off a lattice
+    of M around each trial's pi(x)."""
     rng = np.random.default_rng(seed)
     rho = model.reach
-    _, grid, tree = _grid_tree(model, grid_resolution)
+    lattice = _unit_lattice(model.intrinsic_dim)
     violations = 0
     done = 0
     while done < trials:
@@ -269,10 +291,11 @@ def verify_normal_offset(
         basis = model.tangent_many(p)[0]
         h_k = rng.uniform(0.3, 1.0) * rho / (12.0 * ALPHA)
         h = rng.uniform(h_k**2 / rho, h_k)
-        x = p + rng.uniform(0.0, h / math.sqrt(2.0)) * _unit_normal(basis, rng)
-        cand = tree.query_ball_point(x, 0.95 * h)
-        if not cand:
-            continue
+        u = rng.uniform(0.0, h / math.sqrt(2.0))
+        x = p + u * _unit_normal(basis, rng)
+        grid = _local_grid(model, lattice, p, 0.95 * h + u)
+        # never empty: the lattice points nearest p lie within 0.72 h of x
+        cand = np.flatnonzero(np.linalg.norm(grid - x, axis=1) <= 0.95 * h)
         q = grid[cand[int(rng.integers(0, len(cand)))]]
         w = rng.uniform(0.0, h_k**2 / rho)
         z = q + w * _unit_normal(model.tangent_many(q)[0], rng)

@@ -182,7 +182,7 @@ class TestSdStep:
     def test_degenerate_sample_size(self, n_total):
         # log(n - 1) is 0 at n = 2, so every point would pass whatever t
         pts = np.random.default_rng(4).normal(size=(20, 2))[:n_total]
-        with pytest.raises(ValueError, match="need n >= 3"):
+        with pytest.raises(ValueError, match="need an integer n >= 3"):
             one_step(pts, 1, 1.0, SlabSpec(0.5, 0.5, 5.0))
 
 
@@ -238,9 +238,9 @@ class TestSchedule:
         "n, d, beta, kappa, message",
         [
             # n - 1 = 0: h_at(0) divided by zero
-            (1, 1, 1.0, 1.0, "need n >= 3"),
-            # a negative bandwidth, -0.0465
-            (100, 0, 1.0, -1.0, "invalid schedule parameters"),
+            (1, 1, 1.0, 1.0, "need an integer n >= 3"),
+            # d = 0, and with kappa = -1 a negative bandwidth, -0.0465
+            (100, 0, 1.0, -1.0, "need an integer d >= 1"),
             # beta is a fraction of signal points
             (100, 1, 2.0, 1.0, "invalid schedule parameters"),
         ],
@@ -248,6 +248,23 @@ class TestSchedule:
     def test_direct_construction_validates(self, n, d, beta, kappa, message):
         with pytest.raises(ValueError, match=message):
             Schedule(n=n, d=d, beta=beta, kappa=kappa)
+
+    @pytest.mark.parametrize(
+        "n, d, message",
+        [
+            (100.5, 1, "need an integer n >= 3, got 100.5"),
+            (100, 1.5, "need an integer d >= 1, got 1.5"),
+            (100, True, "need an integer d >= 1, got True"),
+        ],
+    )
+    def test_non_integer_sizes_raise(self, n, d, message):
+        # each of these used to build
+        with pytest.raises(ValueError, match=message):
+            Schedule(n=n, d=d, beta=0.8, kappa=1.0)
+
+    def test_numpy_integer_sizes(self):
+        s = Schedule(n=np.int64(100), d=np.int32(1), beta=0.8, kappa=1.0)
+        assert s.h_at(1) == Schedule(n=100, d=1, beta=0.8, kappa=1.0).h_at(1)
 
     def test_nan_kappa_raises(self):
         # a NaN kappa made every bandwidth NaN: iterative_denoise kept every
@@ -280,8 +297,17 @@ class TestKDelta:
     @pytest.mark.parametrize("d", [0, -1])
     def test_zero_dimension_raises(self, d):
         # the bound 1/(d(d+1)) used to divide by zero
-        with pytest.raises(ValueError, match="need d >= 1"):
+        with pytest.raises(ValueError, match="need an integer d >= 1"):
             k_delta(d, 0.1)
+
+    @pytest.mark.parametrize("d", [True, 1.5, 2.0])
+    def test_non_integer_dimension_raises(self, d):
+        # k_delta(True, 0.1) used to return 4
+        with pytest.raises(ValueError, match="need an integer d >= 1"):
+            k_delta(d, 0.1)
+
+    def test_numpy_integer_dimension(self):
+        assert k_delta(np.int64(2), 0.05) == 2
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -312,8 +338,26 @@ class TestLemmaConstants:
 
     def test_zero_dimension_raises(self):
         # k1 = 3 / (4 d + 8 K sqrt(d)) used to divide by zero
-        with pytest.raises(ValueError, match="need d >= 1"):
+        with pytest.raises(ValueError, match="need an integer d >= 1"):
             default_slab_spec(0, 3, 1.0, t=0.0)
+
+    @pytest.mark.parametrize(
+        "d, ambient_dim, message",
+        [
+            (True, 10, "need an integer d >= 1, got True"),
+            (1.5, 10, "need an integer d >= 1, got 1.5"),
+            (1, 10.5, "need an integer ambient_dim >= 2, got 10.5"),
+            (2, 2, "need an integer ambient_dim >= 3, got 2"),
+        ],
+    )
+    def test_non_integer_sizes_raise(self, d, ambient_dim, message):
+        # the first three used to return a spec
+        with pytest.raises(ValueError, match=message):
+            default_slab_spec(d, ambient_dim, 1.0, t=0.0)
+
+    def test_numpy_integer_sizes(self):
+        spec = default_slab_spec(np.int64(2), np.int32(3), rho=0.5, t=1.0)
+        assert spec == default_slab_spec(2, 3, rho=0.5, t=1.0)
 
     def test_nan_reach_raises(self):
         # k2 used to come back NaN

@@ -543,13 +543,12 @@ class TestStandardness:
 
 
 class TestInclusionVerifiers:
-    # on S^3 (the last of MODELS) each check takes about 45 s
     def test_ball_projection_small(self):
-        for model in MODELS[:-1]:
+        for model in MODELS:
             rep = verify_ball_projection(model, trials=300, seed=19)
             assert rep.passed
 
     def test_normal_offset_small(self):
-        for model in MODELS[:-1]:
+        for model in MODELS:
             rep = verify_normal_offset(model, trials=300, seed=20)
             assert rep.passed

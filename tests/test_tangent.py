@@ -98,8 +98,72 @@ class TestDefaultBandwidth:
 
     def test_zero_dimension_raises(self):
         # the exponent 1/d used to raise ZeroDivisionError
-        with pytest.raises(ValueError, match="need d >= 1"):
+        with pytest.raises(ValueError, match="need an integer d >= 1"):
             default_bandwidth(100, 0)
+
+    @pytest.mark.parametrize(
+        "n, d, message",
+        [
+            (100.5, 1, "need an integer n >= 3, got 100.5"),
+            (100, 1.5, "need an integer d >= 1, got 1.5"),
+            (100, True, "need an integer d >= 1, got True"),
+            (True, 1, "need an integer n >= 3, got True"),
+        ],
+    )
+    def test_non_integer_sizes_raise(self, n, d, message):
+        # each of these used to return a bandwidth
+        with pytest.raises(ValueError, match=message):
+            default_bandwidth(n, d)
+
+    def test_numpy_integer_sizes(self):
+        assert default_bandwidth(np.int64(100), np.int32(2)) == default_bandwidth(100, 2)
+
+
+class TestBlockBases:
+    """The contract of ``_block_bases``: one finite basis for every row of a
+    block, without a warning (pytest turns warnings into errors)."""
+
+    @staticmethod
+    def _block(points, nbrs, h):
+        # row r: the offsets of the neighbours nbrs[r] from point r, padded
+        # with zeros as _neighbours._blocks pads them
+        diff = np.zeros((len(nbrs), max(map(len, nbrs)), points.shape[1]))
+        listed = np.zeros(diff.shape[:2], dtype=bool)
+        for r, cols in enumerate(nbrs):
+            diff[r, : len(cols)] = points[cols] - points[r]
+            listed[r, : len(cols)] = True
+        d2 = np.einsum("rwi,rwi->rw", diff, diff)
+        return diff, listed & (d2 <= h * h)
+
+    def test_every_row_has_a_basis(self):
+        points = np.random.default_rng(3).normal(size=(12, 4))
+        far = 11
+        points[far] = 100.0
+        # 0, 1, 2, 3 and 6 neighbours within h, and one listed outside it
+        nbrs = [[far], [0, far], [0, 1, far], [0, 1, 2, far], [0, 1, 2, 3, 5, 6]]
+        diff, near = self._block(points, nbrs, h=50.0)
+        params = TseParams(h=50.0, d=2)
+        ok, bases = tangent._block_bases(diff, near, params, 12)
+        counts = near.sum(axis=1)
+        assert counts.tolist() == [0, 1, 2, 3, 6]
+        assert np.array_equal(ok, counts >= 3)
+        assert bases.shape == (5, 4, 2) and np.isfinite(bases).all()
+        for r in np.flatnonzero(ok):
+            alone_ok, alone = tangent._block_bases(diff[r : r + 1], near[r : r + 1], params, 12)
+            assert alone_ok.tolist() == [True]
+            assert alone[0].tobytes() == bases[r].tobytes()
+
+    def test_isolated_rows(self):
+        # a block of zero width: no row has a neighbour at all
+        diff, near = np.zeros((3, 0, 5)), np.zeros((3, 0), dtype=bool)
+        ok, bases = tangent._block_bases(diff, near, TseParams(h=0.1, d=3), 40)
+        assert not ok.any()
+        assert bases.shape == (3, 5, 3) and np.isfinite(bases).all()
+
+    def test_single_point_cloud(self):
+        # its one row reaches the covariance, whose divisor n - 1 is 0
+        with pytest.raises(ValueError, match="no tangent estimable"):
+            estimate_tangents(np.zeros((1, 3)), TseParams(h=0.1, d=1))
 
 
 class TestEstimateTangents:
