@@ -1,6 +1,9 @@
-"""The neighbour queries behind every local computation of the package.
+"""The neighbour queries behind every local computation of the package, and
+the input checks of every entry point: :func:`check_points` for a cloud,
+:func:`check_positive` for a scale, :func:`check_int` for a size and
+:func:`check_indices` for a list of indices.
 
-Each asks which points of a cloud lie in a closed ball: a
+Each query asks which points of a cloud lie in a closed ball: a
 ``scipy.spatial.cKDTree`` search proposes candidates and the ball is then
 decided exactly, as a dense scan decides it.  The primitives:
 
@@ -22,10 +25,10 @@ and its oracle test compares its ``einsum`` distances bit for bit.
 A block covers targets in stable order of width, the number of candidates
 the self-join lists for each, one row each; it is as wide as its last row,
 and a shorter row is padded with the target's own index.  Blocks are cut so
-that the block of differences (rows x widest row x D float64 values) stays
-within ``_BLOCK_BYTES``, a size that fits in a core's L2 cache, unless one
-row alone is wider; so every array of a block has a hard bound, however
-skewed the neighbour counts are.
+that rows x max(widest row, D) x D float64 values stay within
+``_BLOCK_BYTES``, a size that fits in a core's L2 cache, unless one row
+alone is wider; so the block of differences and the local PCA's (rows, D, D)
+stacks have a hard bound, however skewed the neighbour counts are.
 """
 from __future__ import annotations
 
@@ -45,10 +48,20 @@ _BLOCK_BYTES = 1 << 19
 _RADIUS_SLACK = 1e-12
 
 
-def check_finite(x: np.ndarray, name: str) -> None:
-    """Raise ValueError when ``x`` holds NaN or inf."""
+def check_points(x, name: str = "points") -> np.ndarray:
+    """``x`` as (m, D) floats, m >= 0; ValueError unless D >= 1 and every entry is finite."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or not x.shape[1]:
+        raise ValueError(f"need an (n, D) point array with D >= 1 as {name}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains NaN or inf")
+    return x
+
+
+def check_positive(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is a real number, not a bool, in (0, inf)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"need {name} > 0 and finite, got {value!r}")
 
 
 def check_int(value, name: str, low: int) -> None:
@@ -103,16 +116,17 @@ def _candidates(points: np.ndarray, r2: float) -> tuple[np.ndarray, np.ndarray]:
 def _chunks(widths: np.ndarray, big_d: int):
     """Slices of rows, in increasing ``widths``, whose block fits in ``_BLOCK_BYTES``.
 
-    A block holds rows x (its last row's width) x ``big_d`` float64 values;
-    no slice needs more, except one that holds a single wider row.
+    A block holds rows x max(its last row's width, ``big_d``) x ``big_d``
+    float64 values, for its differences and the local PCA's (rows, D, D)
+    stacks; no slice needs more, except one that holds a single wider row.
     """
     slots = max(1, _BLOCK_BYTES // (8 * big_d))
     lo = 0
     while lo < len(widths):
         # the first row caps how many rows can fit; within them, the last
         # row decides
-        window = widths[lo : lo + slots // max(1, int(widths[lo]))]
-        need = np.arange(1, len(window) + 1) * window
+        window = widths[lo : lo + slots // max(big_d, int(widths[lo]))]
+        need = np.arange(1, len(window) + 1) * np.maximum(window, big_d)
         hi = lo + max(1, int(np.searchsorted(need, slots, side="right")))
         yield slice(lo, hi)
         lo = hi

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _neighbours
-from ._neighbours import check_finite, check_int
+from ._neighbours import check_int, check_points, check_positive
 from .models import LabeledCloud
 from .tangent import TseParams, _block_bases, _inherit
 
@@ -41,8 +41,10 @@ class SlabSpec:
     t: float  # survival threshold factor (times log(n-1))
 
     def __post_init__(self):
-        if not (self.k1 > 0 and self.k2 > 0 and self.t >= 0):
-            raise ValueError("need k1, k2 > 0 and t >= 0")
+        check_positive(self.k1, "k1")
+        check_positive(self.k2, "k2")
+        if isinstance(self.t, bool) or not 0 <= self.t < math.inf:
+            raise ValueError(f"need t >= 0 and finite, got {self.t!r}")
 
 
 def default_slab_spec(
@@ -55,8 +57,7 @@ def default_slab_spec(
     """
     check_int(d, "d", 1)
     check_int(ambient_dim, "ambient_dim", d + 1)
-    if not rho > 0:
-        raise ValueError("need reach rho > 0")
+    check_positive(rho, "reach rho")
     k1 = 3.0 / (4.0 * d + 8.0 * angle_constant * math.sqrt(d))
     k2 = 1.0 / (4.0 * math.sqrt(ambient_dim - d) * max(rho, 1.0))
     return SlabSpec(k1=k1, k2=k2, t=t)
@@ -153,8 +154,9 @@ class Schedule:
     def __post_init__(self):
         check_int(self.n, "n", 3)
         check_int(self.d, "d", 1)
-        if not (0 < self.beta <= 1 and self.kappa > 0):
-            raise ValueError("invalid schedule parameters")
+        if not 0 < self.beta <= 1:
+            raise ValueError(f"need 0 < beta <= 1, got {self.beta!r}")
+        check_positive(self.kappa, "kappa")
 
     @property
     def base(self) -> float:
@@ -246,8 +248,7 @@ def iterative_denoise(
     the reason.
     """
     check_int(k_iters, "k_iters", 0)
-    points = np.asarray(cloud.points, dtype=float)
-    check_finite(points, "points")
+    points = check_points(cloud.points)
     if d >= points.shape[1]:
         raise ValueError(f"need d < ambient dimension, got d={d} in R^{points.shape[1]}")
     n_total = cloud.n

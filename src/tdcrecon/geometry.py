@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._neighbours import check_finite
+from ._neighbours import check_points
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -52,19 +52,16 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    """sup_{x in a} d(x, b) for finite point sets.
+    """sup_{x in a} d(x, b) for two nonempty (m, D) arrays of finite points.
 
     A KD-tree on ``b`` finds each nearest point; the distance to it is then
     recomputed from the coordinates, so the value matches an all-pairs scan.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a, b = check_points(a, "a"), check_points(b, "b")
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("hausdorff distance of an empty set is undefined")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"ambient dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    check_finite(a, "a")
-    check_finite(b, "b")
     _, nearest = cKDTree(b).query(a)
     diff = a - b[nearest]
     return float(np.sqrt(np.einsum("ij,ij->i", diff, diff).max()))

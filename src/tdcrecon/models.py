@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._neighbours import check_finite, check_int
+from ._neighbours import check_int, check_points, check_positive
 
 MEDIAL_TOL = 1e-9
 ON_MANIFOLD_TOL = 1e-9
@@ -67,10 +67,9 @@ class ManifoldModel:
 
     def _rows(self, x) -> np.ndarray:
         """``x`` as (m, D) floats; ValueError unless each row is D finite coordinates."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.ndim != 2 or x.shape[1] != self.ambient_dim:
+        x = check_points(np.atleast_2d(x))
+        if x.shape[1] != self.ambient_dim:
             raise ValueError(f"need points of {self.ambient_dim} coordinates, got shape {x.shape}")
-        check_finite(x, "points")
         return x
 
     def _on_manifold(self, points) -> np.ndarray:
@@ -86,11 +85,6 @@ class ManifoldModel:
         raise NotImplementedError
 
 
-def _check_resolution(resolution: float) -> None:
-    if not resolution > 0:
-        raise ValueError("need resolution > 0")
-
-
 @dataclass(frozen=True)
 class Sphere(ManifoldModel):
     """The round d-sphere of ``radius`` about the origin of the first d+1
@@ -103,8 +97,7 @@ class Sphere(ManifoldModel):
     intrinsic_dim: int = 2
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"need radius > 0 and finite, got {self.radius!r}")
+        check_positive(self.radius, "radius")
         check_int(self.intrinsic_dim, "intrinsic_dim", 1)
         if self.intrinsic_dim > 3:
             raise ValueError(f"need intrinsic_dim <= 3, got {self.intrinsic_dim}")
@@ -161,7 +154,7 @@ class Sphere(ManifoldModel):
         return out
 
     def grid(self, resolution):
-        _check_resolution(resolution)
+        check_positive(resolution, "resolution")
         r, d = self.radius, self.intrinsic_dim
         if d == 1:
             k = max(3, int(np.ceil(2.0 * np.pi * r / resolution)))
@@ -278,7 +271,7 @@ class Torus(ManifoldModel):
         return out
 
     def grid(self, resolution):
-        _check_resolution(resolution)
+        check_positive(resolution, "resolution")
         nu = max(3, int(np.ceil(2 * np.pi * (self.major_radius + self.minor_radius) / resolution)))
         nv = max(3, int(np.ceil(2 * np.pi * self.minor_radius / resolution)))
         u = np.linspace(0.0, 2 * np.pi, nu, endpoint=False)
@@ -314,6 +307,7 @@ class SampleSpec:
 
     def __post_init__(self):
         check_int(self.n, "n", 1)
+        check_int(self.seed, "seed", 0)
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("need 0 < beta <= 1")
 

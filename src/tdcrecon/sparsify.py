@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._neighbours import ball_lists, check_finite, norms
+from ._neighbours import ball_lists, check_points, check_positive, norms
 
 _BATCH = 32  # picks a round may find; the fastest of 16, 32, 64 and 128 on a torus at n = 20k
 
@@ -40,12 +40,10 @@ def farthest_point_sampling(points: np.ndarray, eps: float) -> list[int]:
     and covers the input within eps.  Ties in the argmax go to the lowest
     index.  Returns indices in order of addition.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError("need a nonempty 2-d point array")
-    check_finite(points, "points")
-    if not eps > 0:
-        raise ValueError("need eps > 0")
+    points = check_points(points)
+    if not len(points):
+        raise ValueError("need a nonempty point array")
+    check_positive(eps, "eps")
     n = points.shape[0]
     tree = cKDTree(points)
     chosen = [0]

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import _neighbours
-from ._neighbours import _RADIUS_SLACK, check_finite, check_int
+from ._neighbours import _RADIUS_SLACK, check_int, check_points, check_positive
 
 _MIN_NEIGHBORS = 3  # neighbors within h a target needs for an estimate of its own
 
@@ -41,8 +41,7 @@ class TseParams:
     d: int
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("need bandwidth h > 0")
+        check_positive(self.h, "bandwidth h")
         check_int(self.d, "intrinsic dimension d", 1)
 
 
@@ -50,8 +49,7 @@ def default_bandwidth(n: int, d: int, c: float = 1.0) -> float:
     """(c * log(n) / (n - 1)) ** (1/d)."""
     check_int(n, "n", 3)
     check_int(d, "d", 1)
-    if not c > 0:
-        raise ValueError("need c > 0")
+    check_positive(c, "c")
     return (c * math.log(n) / (n - 1)) ** (1.0 / d)
 
 
@@ -151,13 +149,10 @@ def estimate_tangents(
     inherits the basis of the nearest estimated target, the first in target
     order on ties; ValueError when there are targets and none is estimable.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError(f"need an (n, D) point array, got shape {points.shape}")
-    check_finite(points, "points")
+    points = check_points(points)
     n, big_d = points.shape
-    if params.d > big_d:
-        raise ValueError(f"need d <= ambient dimension, got d={params.d} in R^{big_d}")
+    if params.d >= big_d:
+        raise ValueError(f"need d < ambient dimension, got d={params.d} in R^{big_d}")
     targets = np.arange(n) if subset is None else _neighbours.check_indices(subset, n)
     # row k of bases holds the estimate at targets[k] once estimated[k] is set
     bases = np.empty((len(targets), big_d, params.d))

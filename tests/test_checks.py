@@ -1,5 +1,5 @@
-"""The lemma-check module (its close-pair sampler, its boundary with the package)
-and the settable surface of the package.
+"""The lemma-check module (its close-pair sampler, its boundary with the package),
+and the settable surface and the input contract of the package.
 
 The checks themselves are tested next to the code they are about
 (test_models, test_geometry, test_denoise).
@@ -19,10 +19,11 @@ import lemma_checks
 import tdcrecon
 from lemma_checks import circle_geodesic_distance, circle_points, geodesic_pairs
 from tdcrecon import denoise, models
-from tdcrecon.denoise import SlabSpec
-from tdcrecon.models import SampleSpec, Sphere, Torus, make_model
+from tdcrecon.denoise import Schedule, SlabSpec, default_slab_spec, iterative_denoise
+from tdcrecon.geometry import directed_hausdorff
+from tdcrecon.models import LabeledCloud, SampleSpec, Sphere, Torus, make_model
 from tdcrecon.sparsify import farthest_point_sampling
-from tdcrecon.tangent import TseParams
+from tdcrecon.tangent import TseParams, default_bandwidth, estimate_tangents
 
 MODULES = ["_neighbours", "denoise", "geometry", "models", "sparsify", "tangent"]
 CHECK_NAMES = {"monte_carlo_reach", "geodesic_pairs", "CheckReport"}
@@ -106,3 +107,54 @@ class TestCircleGeodesicPairs:
         assert np.array_equal(x, p[close]) and np.array_equal(y, q[close])
         arcs = [circle_geodesic_distance(circle, a, b) for a, b in zip(x, y)]
         assert np.allclose(geo, arcs, rtol=0.0, atol=1e-12)
+
+
+
+# The input contract of every entry point (tdcrecon._neighbours): a cloud is
+# (m, D) finite floats with D >= 1, a scale a real number in (0, inf) and not
+# a bool.  The table holds the cases that an entry point took, or failed on
+# inside scipy, before it took its input through check_points or
+# check_positive; the other cases are tested next to each entry point.
+CLOUD = np.random.default_rng(0).normal(size=(30, 3))
+SCALES = {
+    "TseParams.h": lambda v: TseParams(h=v, d=1),
+    "default_bandwidth.c": lambda v: default_bandwidth(100, 1, v),
+    "SlabSpec.k1": lambda v: SlabSpec(v, 0.5, 1.0),
+    "SlabSpec.k2": lambda v: SlabSpec(0.5, v, 1.0),
+    "SlabSpec.t": lambda v: SlabSpec(0.5, 0.5, v),  # in [0, inf)
+    "default_slab_spec.rho": lambda v: default_slab_spec(1, 3, v, 1.0),
+    "Schedule.kappa": lambda v: Schedule(100, 1, 0.8, v),
+    "farthest_point_sampling.eps": lambda v: farthest_point_sampling(CLOUD, v),
+    "Sphere.grid": lambda v: Sphere().grid(v),
+    "Torus.grid": lambda v: Torus().grid(v),
+    "Sphere.radius": lambda v: Sphere(radius=v),
+}
+CALLS = {
+    "farthest_point_sampling": lambda x: farthest_point_sampling(x, 0.1),
+    "directed_hausdorff-a": lambda x: directed_hausdorff(x, CLOUD),
+    "directed_hausdorff-b": lambda x: directed_hausdorff(CLOUD, x),
+    **SCALES,
+}
+BAD = {"1-d": CLOUD[0], "no-columns": np.zeros((30, 0)), "inf": math.inf, "bool": True}
+CASES = [
+    ("farthest_point_sampling", "no-columns"),  # scipy's IndexError
+    ("directed_hausdorff-a", "1-d"),  # read as one point
+    ("directed_hausdorff-b", "1-d"),
+    # an infinite h listed all n^2 pairs, an infinite eps gave the net [0]
+    # and an infinite resolution a grid of 3 points; an infinite reach or
+    # radius raised already
+    *((scale, "inf") for scale in SCALES if scale not in ("default_slab_spec.rho", "Sphere.radius")),
+    *((scale, "bool") for scale in SCALES),
+]
+
+
+@pytest.mark.parametrize("entry, kind", CASES, ids=[f"{e}-{k}" for e, k in CASES])
+def test_bad_input_raises(entry, kind):
+    with pytest.raises(ValueError):
+        CALLS[entry](BAD[kind])
+
+
+def test_hausdorff_names_a_stack_of_clouds():
+    # it used to report "ambient dimension mismatch: 2 vs 3"
+    with pytest.raises(ValueError, match=r"point array with D >= 1 as a, got shape \(2, 2, 3\)"):
+        directed_hausdorff(np.zeros((2, 2, 3)), np.zeros((2, 3)))

@@ -80,7 +80,8 @@ class TestInSlab:
     @pytest.mark.parametrize("factor", ["k1", "k2", "t"])
     def test_nan_factor_raises(self, factor):
         factors = {"k1": 0.5, "k2": 0.25, "t": 1.0, factor: float("nan")}
-        with pytest.raises(ValueError, match="need k1, k2 > 0 and t >= 0"):
+        message = "need t >= 0 and finite" if factor == "t" else f"need {factor} > 0 and finite"
+        with pytest.raises(ValueError, match=message):
             SlabSpec(**factors)
 
 
@@ -242,7 +243,7 @@ class TestSchedule:
             # d = 0, and with kappa = -1 a negative bandwidth, -0.0465
             (100, 0, 1.0, -1.0, "need an integer d >= 1"),
             # beta is a fraction of signal points
-            (100, 1, 2.0, 1.0, "invalid schedule parameters"),
+            (100, 1, 2.0, 1.0, "need 0 < beta <= 1, got 2.0"),
         ],
     )
     def test_direct_construction_validates(self, n, d, beta, kappa, message):
@@ -269,11 +270,11 @@ class TestSchedule:
     def test_nan_kappa_raises(self):
         # a NaN kappa made every bandwidth NaN: iterative_denoise kept every
         # point and stopped with "no tangent estimable"
-        with pytest.raises(ValueError, match="invalid schedule parameters"):
+        with pytest.raises(ValueError, match="need kappa > 0 and finite, got nan"):
             Schedule(n=200, d=1, beta=0.8, kappa=float("nan"))
         cloud = sample(make_model("circle"), SampleSpec(n=200, beta=0.8, seed=5))
         spec = default_slab_spec(1, 2, 1.0, t=0.4)
-        with pytest.raises(ValueError, match="invalid schedule parameters"):
+        with pytest.raises(ValueError, match="need kappa > 0 and finite, got nan"):
             iterative_denoise(cloud, d=1, beta=0.8, kappa=float("nan"), spec=spec, k_iters=2)
 
 

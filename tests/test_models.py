@@ -381,6 +381,16 @@ class TestSampling:
         cloud = sample(CIRCLE, SampleSpec(n=np.int64(7), beta=0.5, seed=1))
         assert cloud.n == 7
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None], ids=repr)
+    def test_seed_is_a_non_negative_integer(self, seed):
+        # -1 and 1.5 used to fail inside numpy, once sample() drew
+        with pytest.raises(ValueError, match="need an integer seed >= 0"):
+            SampleSpec(n=5, seed=seed)
+
+    def test_seed_takes_numpy_integers(self):
+        cloud = sample(CIRCLE, SampleSpec(n=7, seed=np.uint32(3)))
+        assert np.array_equal(cloud.points, sample(CIRCLE, SampleSpec(n=7, seed=3)).points)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SampleSpec(n=0)

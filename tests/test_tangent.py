@@ -247,15 +247,14 @@ class TestEstimateTangents:
     def test_dimension_above_ambient_raises(self):
         # d > D used to return D-dimensional "tangents" without complaint
         pts = np.random.default_rng(2).normal(size=(50, 3))
-        with pytest.raises(ValueError, match="d <= ambient dimension"):
+        with pytest.raises(ValueError, match="d < ambient dimension"):
             estimate_tangents(pts, TseParams(h=5.0, d=4))
 
     def test_dimension_equal_to_ambient(self):
+        # d = D used to return R^D itself as every "tangent"
         pts = np.random.default_rng(2).normal(size=(50, 3))
-        field = estimate_tangents(pts, TseParams(h=5.0, d=3))
-        assert len(field.bases) - len(field.skipped) == 50
-        for sub in subspaces(field.bases):
-            assert np.allclose(sub.projector(), np.eye(3), atol=1e-12)
+        with pytest.raises(ValueError, match="need d < ambient dimension, got d=3 in R\\^3"):
+            estimate_tangents(pts, TseParams(h=5.0, d=3))
 
     def test_subset_matches_full(self):
         cloud = sample(make_model("circle"), SampleSpec(n=300, beta=1.0, seed=2))
