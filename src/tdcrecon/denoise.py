@@ -88,15 +88,6 @@ def _slab_hits(diff, d2, inside, bases, h: float, spec: SlabSpec) -> np.ndarray:
     return np.count_nonzero(inside & _slab_mask(diff, bases, h, spec, d2), axis=1)
 
 
-def _slab_ball_r2(h: float, spec: SlabSpec) -> float:
-    """Squared radius of a ball around the slab centre that holds the slab.
-
-    The slab lies in the ball of squared radius (k1 h)^2 + (k2 h^2)^2; the
-    margin of ``_RADIUS_SLACK`` keeps every point the rounded slab test admits.
-    """
-    return ((spec.k1 * h) ** 2 + (spec.k2 * h * h) ** 2) * (1.0 + _neighbours._RADIUS_SLACK)
-
-
 def _tangents_and_slab_counts(
     points: np.ndarray, params: TseParams, spec: SlabSpec
 ) -> tuple[np.ndarray | None, int, int]:
@@ -114,7 +105,9 @@ def _tangents_and_slab_counts(
     """
     n, big_d = points.shape
     h = params.h
-    h2, slab_r2 = h * h, _slab_ball_r2(h, spec)
+    # the slab lies in the ball of squared radius slab_r2; the search's own
+    # slack covers the rounding of the slab test
+    h2, slab_r2 = h * h, (spec.k1 * h) ** 2 + (spec.k2 * h * h) ** 2
     indptr, cols = _neighbours._candidates(points, max(h2, slab_r2))
     bases = np.empty((n, big_d, params.d))
     estimated = np.zeros(n, dtype=bool)
@@ -154,7 +147,8 @@ class Schedule:
     def __post_init__(self):
         check_int(self.n, "n", 3)
         check_int(self.d, "d", 1)
-        if not 0 < self.beta <= 1:
+        check_positive(self.beta, "beta")
+        if self.beta > 1:
             raise ValueError(f"need 0 < beta <= 1, got {self.beta!r}")
         check_positive(self.kappa, "kappa")
 
@@ -289,4 +283,4 @@ def iterative_denoise(
         )
         if stop_reason is not None:
             break
-    return [int(j) for j in alive], diags
+    return alive.tolist(), diags

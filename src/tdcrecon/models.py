@@ -6,7 +6,8 @@ surface sampler and, for an (m, D) array of points, closed-form nearest points,
 distances and tangent spaces (an (m, D, d) stack of orthonormal bases).  There
 are two: :class:`Sphere`, the round d-sphere for d = 1, 2 or 3 (the circle is
 its d = 1 case), and the 2-d :class:`Torus`; :func:`make_model` builds either
-by kind ("circle", "sphere" or "torus").  The
+by kind ("circle", "sphere" or "torus").  Both grids cut circles by one arc
+rule, :func:`_angles`; the d-sphere's is a stack of (d-1)-sphere rings.  The
 clutter sampler mixes uniform-on-manifold points with uniform ambient outliers
 in the ball of radius K0 = diameter(M) + reach around the origin, the centroid
 of every model.
@@ -36,6 +37,34 @@ def _pad(coords: np.ndarray, ambient_dim: int) -> np.ndarray:
     out = np.zeros((coords.shape[0], ambient_dim))
     out[:, : coords.shape[1]] = coords
     return out
+
+
+def _angles(radius: float, spacing: float) -> np.ndarray:
+    """k >= 3 equal steps of angle from 0 cutting a circle of ``radius`` in arcs <= ``spacing``."""
+    k = max(3, math.ceil(2.0 * np.pi * radius / spacing))
+    return np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
+
+
+def _sphere_grid(d: int, radius: float, spacing: float) -> np.ndarray:
+    """Distinct points of the d-sphere of ``radius`` about the origin of R^(d+1),
+    every point of the sphere within d * spacing / 2 of one.
+
+    The circle is cut at :func:`_angles`, each point within half an arc of an
+    end.  For d >= 2, ring i is the (d-1)-sphere grid of radius radius sin phi_i
+    at height radius cos phi_i, the phi_i the midpoints of m = ceil(pi radius /
+    spacing) equal polar steps.  A point's meridian meets the nearest ring's
+    sphere within radius pi / (2 m) <= spacing / 2: spacing / 2 more cover per
+    dimension.  The rings sit at distinct heights and none is a pole, so no
+    point repeats."""
+    if d == 1:
+        t = _angles(radius, spacing)
+        return radius * np.column_stack([np.cos(t), np.sin(t)])
+    m = math.ceil(np.pi * radius / spacing)
+    rings = []
+    for phi in (np.arange(m) + 0.5) * (np.pi / m):
+        ring = _sphere_grid(d - 1, radius * np.sin(phi), spacing)
+        rings.append(np.column_stack([ring, np.full(len(ring), radius * np.cos(phi))]))
+    return np.vstack(rings)
 
 
 class ManifoldModel:
@@ -81,7 +110,8 @@ class ManifoldModel:
         return points
 
     def grid(self, resolution: float) -> np.ndarray:
-        """Deterministic point grid on the manifold with spacing <= resolution."""
+        """Distinct points of M, the same on every call, with every point of M
+        within ``resolution`` of one."""
         raise NotImplementedError
 
 
@@ -90,7 +120,7 @@ class Sphere(ManifoldModel):
     """The round d-sphere of ``radius`` about the origin of the first d+1
     coordinates of R^D, d = ``intrinsic_dim`` in {1, 2, 3}: the circle is d=1.
 
-    Only the sampler and the grid depend on d."""
+    Only the sampler treats the circle on its own."""
 
     radius: float = 1.0
     ambient_dim: int = 3
@@ -110,18 +140,14 @@ class Sphere(ManifoldModel):
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def _embed(self, unit: np.ndarray) -> np.ndarray:
-        return _pad(self.radius * unit, self.ambient_dim)
-
-    def _circle(self, t: np.ndarray) -> np.ndarray:
-        return self._embed(np.column_stack([np.cos(t), np.sin(t)]))
-
     def sample_points(self, rng, k):
         if self.intrinsic_dim == 1:
-            return self._circle(rng.uniform(0.0, 2.0 * np.pi, size=k))
-        g = rng.standard_normal((k, self.intrinsic_dim + 1))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return self._embed(g)
+            t = rng.uniform(0.0, 2.0 * np.pi, size=k)
+            unit = np.column_stack([np.cos(t), np.sin(t)])
+        else:
+            unit = rng.standard_normal((k, self.intrinsic_dim + 1))
+            unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        return _pad(self.radius * unit, self.ambient_dim)
 
     def project_many(self, x):
         x, k = self._rows(x), self.intrinsic_dim + 1
@@ -155,38 +181,8 @@ class Sphere(ManifoldModel):
 
     def grid(self, resolution):
         check_positive(resolution, "resolution")
-        r, d = self.radius, self.intrinsic_dim
-        if d == 1:
-            k = max(3, int(np.ceil(2.0 * np.pi * r / resolution)))
-            return self._circle(np.linspace(0.0, 2.0 * np.pi, k, endpoint=False))
-        if d == 2:
-            # Fibonacci lattice; spacing ~ sqrt(area / k)
-            area = 4.0 * np.pi * r**2
-            k = max(16, int(np.ceil(2.5 * area / resolution**2)))
-            i = np.arange(k) + 0.5
-            phi = np.arccos(1.0 - 2.0 * i / k)
-            theta = np.pi * (1.0 + np.sqrt(5.0)) * i
-            return self._embed(np.column_stack(
-                [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
-            ))
-        # Hopf coordinates: (sin eta e^(i xi1), cos eta e^(i xi2)), one ring of
-        # eta at the midpoint of each of m equal steps, each ring the product of
-        # its circles of radii r sin eta and r cos eta cut into arcs <= step.  A
-        # point is within step/2 of a ring along eta and within sqrt(2) step/2
-        # of a point of that ring on its flat torus, and (1 + sqrt(2)) step/2 <=
-        # resolution; no ring is a pole, so no point repeats
-        step = 0.8 * resolution
-
-        def circle(c):  # the circle |z| = c in arcs <= step once scaled by r
-            k = max(1, math.ceil(2.0 * np.pi * r * c / step))
-            return c * np.exp(2j * np.pi * np.arange(k) / k)
-
-        m = max(1, math.ceil(0.5 * np.pi * r / step))
-        rings = []
-        for eta in (np.arange(m) + 0.5) * (0.5 * np.pi / m):
-            z1, z2 = (z.ravel() for z in np.meshgrid(circle(np.sin(eta)), circle(np.cos(eta))))
-            rings.append(np.column_stack([z1.real, z1.imag, z2.real, z2.imag]))
-        return self._embed(np.vstack(rings))
+        d = self.intrinsic_dim  # a cover of d spacing / 2 <= resolution
+        return _pad(_sphere_grid(d, self.radius, resolution * min(1.0, 2.0 / d)), self.ambient_dim)
 
 
 @dataclass(frozen=True)
@@ -198,6 +194,9 @@ class Torus(ManifoldModel):
     def __post_init__(self):
         if not 0 < self.minor_radius < self.major_radius < math.inf:
             raise ValueError("need 0 < minor_radius < major_radius < inf")
+        # what the comparisons let through, a bool
+        check_positive(self.major_radius, "major_radius")
+        check_positive(self.minor_radius, "minor_radius")
         check_int(self.ambient_dim, "ambient_dim", 3)
 
     intrinsic_dim = 2
@@ -272,10 +271,9 @@ class Torus(ManifoldModel):
 
     def grid(self, resolution):
         check_positive(resolution, "resolution")
-        nu = max(3, int(np.ceil(2 * np.pi * (self.major_radius + self.minor_radius) / resolution)))
-        nv = max(3, int(np.ceil(2 * np.pi * self.minor_radius / resolution)))
-        u = np.linspace(0.0, 2 * np.pi, nu, endpoint=False)
-        v = np.linspace(0.0, 2 * np.pi, nv, endpoint=False)
+        # a point is within half a v-arc and half a u-arc (radius <= R + r) of one
+        u = _angles(self.major_radius + self.minor_radius, resolution)
+        v = _angles(self.minor_radius, resolution)
         uu, vv = np.meshgrid(u, v, indexing="ij")
         return self.point(uu.ravel(), vv.ravel())
 
@@ -308,7 +306,8 @@ class SampleSpec:
     def __post_init__(self):
         check_int(self.n, "n", 1)
         check_int(self.seed, "seed", 0)
-        if not 0.0 < self.beta <= 1.0:
+        check_positive(self.beta, "beta")
+        if self.beta > 1.0:
             raise ValueError("need 0 < beta <= 1")
 
 

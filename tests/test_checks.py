@@ -128,6 +128,10 @@ SCALES = {
     "Sphere.grid": lambda v: Sphere().grid(v),
     "Torus.grid": lambda v: Torus().grid(v),
     "Sphere.radius": lambda v: Sphere(radius=v),
+    "Torus.major_radius": lambda v: Torus(major_radius=v, minor_radius=0.5),
+    "Torus.minor_radius": lambda v: Torus(major_radius=2.0, minor_radius=v),
+    "SampleSpec.beta": lambda v: SampleSpec(n=5, beta=v),
+    "Schedule.beta": lambda v: Schedule(100, 1, v, 1.0),
 }
 CALLS = {
     "farthest_point_sampling": lambda x: farthest_point_sampling(x, 0.1),
@@ -142,7 +146,8 @@ CASES = [
     ("directed_hausdorff-b", "1-d"),
     # an infinite h listed all n^2 pairs, an infinite eps gave the net [0]
     # and an infinite resolution a grid of 3 points; an infinite reach or
-    # radius raised already
+    # sphere radius raised already (the torus radii and the betas did too,
+    # through checks this contract now reorders)
     *((scale, "inf") for scale in SCALES if scale not in ("default_slab_spec.rho", "Sphere.radius")),
     *((scale, "bool") for scale in SCALES),
 ]

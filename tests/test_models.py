@@ -121,7 +121,9 @@ class TestGrid:
         [
             make_model("circle", ambient_dim=4),
             Sphere(1.5, ambient_dim=5),
+            Sphere(1.0),
             Sphere(0.8, ambient_dim=6, intrinsic_dim=3),
+            Sphere(1.0, ambient_dim=4, intrinsic_dim=3),
             Torus(ambient_dim=5),
         ],
         ids=_model_id,
@@ -134,6 +136,27 @@ class TestGrid:
         assert cKDTree(grid).query(pts)[0].max() <= resolution
         assert model.distance_many(grid).max() <= 1e-12
         assert len(np.unique(grid, axis=0)) == len(grid)
+
+    def test_circle_and_torus_are_angle_lattices(self):
+        # the benchmark scores its nets against these two grids, so they stay
+        # fixed to the last bit: k equal steps of angle, ceil(2 pi radius / res)
+        t = np.linspace(0.0, 2.0 * np.pi, 629, endpoint=False)
+        circle = np.zeros((629, 10))
+        circle[:, :2] = np.column_stack([np.cos(t), np.sin(t)])
+        u, v = np.meshgrid(
+            np.linspace(0.0, 2.0 * np.pi, 315, endpoint=False),
+            np.linspace(0.0, 2.0 * np.pi, 63, endpoint=False),
+            indexing="ij",
+        )
+        u, v = u.ravel(), v.ravel()
+        ring = 2.0 + 0.5 * np.cos(v)
+        torus = np.column_stack([ring * np.cos(u), ring * np.sin(u), 0.5 * np.sin(v)])
+        for grid, lattice in [
+            (make_model("circle", ambient_dim=10).grid(0.01), circle),
+            (Torus(2.0, 0.5).grid(0.05), torus),
+        ]:
+            assert grid.shape == lattice.shape
+            assert grid.tobytes() == lattice.tobytes()
 
 
 class TestProjection:

@@ -26,7 +26,6 @@ from tdcrecon.denoise import (
     NO_TANGENT,
     Schedule,
     SlabSpec,
-    _slab_ball_r2,
     _tangents_and_slab_counts,
     default_slab_spec,
     diagnostics_to_json,
@@ -364,6 +363,11 @@ NARROW_SLAB = SlabSpec(k1=0.5, k2=0.5, t=1.0)
 WIDE_SLAB = SlabSpec(k1=1.5, k2=0.5, t=1.0)
 
 
+def slab_ball_r2(h, spec):
+    """Squared radius of the ball about a slab's centre that holds the slab."""
+    return (spec.k1 * h) ** 2 + (spec.k2 * h * h) ** 2
+
+
 class TestSharedNeighbours:
     """One neighbour search per denoising iteration, shared by tangents and slab counts.
 
@@ -391,7 +395,7 @@ class TestSharedNeighbours:
     def test_kept_radius_equal_to_search(self):
         # the slab ball is the search radius and the h-ball lies inside it
         pts, h, d = CLOUDS["D10-circle"]
-        assert _slab_ball_r2(h, WIDE_SLAB) > h * h
+        assert slab_ball_r2(h, WIDE_SLAB) > h * h
         field = assert_pass_matches_stages(pts, TseParams(h=h, d=d), WIDE_SLAB)
         assert len(field.skipped)
 
@@ -640,7 +644,7 @@ class TestIterativeDenoiseOracle:
     def test_slab_ball_wider_than_h(self):
         cloud, d, kappa, spec = denoise_case("wide-slab")
         h = Schedule(cloud.n, d, 0.8, kappa).h_at(0)
-        assert _slab_ball_r2(h, spec) > h * h
+        assert slab_ball_r2(h, spec) > h * h
         self.assert_matches_dense("wide-slab")
 
     def test_small_chunks(self, monkeypatch):
