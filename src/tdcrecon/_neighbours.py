@@ -1,5 +1,6 @@
 """The neighbour queries behind every local computation of the package, and
-the input checks of every entry point: :func:`check_points` for a cloud,
+the input checks of every entry point: :func:`check_points` for a cloud (every
+:class:`.models.LabeledCloud`, sampled or read, is built through it),
 :func:`check_positive` for a scale, :func:`check_int` for a size and
 :func:`check_indices` for a list of indices.
 

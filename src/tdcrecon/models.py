@@ -12,11 +12,14 @@ clutter sampler mixes uniform-on-manifold points with uniform ambient outliers
 in the ball of radius K0 = diameter(M) + reach around the origin, the centroid
 of every model.
 
-Labels: 1 = signal (drawn on the manifold), 0 = outlier.
+Every cloud, sampled or read, is a :class:`LabeledCloud`: (n, D) finite floats,
+D >= 1 (:func:`._neighbours.check_points`), and none or n int8 labels, 1 =
+signal (drawn on the manifold), 0 = outlier.  Its CSV file has the header
+``x0,...,x{D-1}``, then ``,label`` if labelled, and a row per point of every
+column: coordinates at 17 significant digits (exact round trip), int labels.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -280,8 +283,8 @@ class Torus(ManifoldModel):
 
 def make_model(kind: str, **params) -> ManifoldModel:
     """The model of ``kind``: "circle" is the Sphere of intrinsic_dim 1, in R^2 by default."""
-    kinds = {
-        "circle": functools.partial(Sphere, ambient_dim=2, intrinsic_dim=1),
+    kinds = {  # the circle's d is fixed: intrinsic_dim=2 is a TypeError, as for the torus
+        "circle": lambda radius=1.0, ambient_dim=2: Sphere(radius, ambient_dim, 1),
         "sphere": Sphere,
         "torus": Torus,
     }
@@ -313,20 +316,23 @@ class SampleSpec:
 
 @dataclass
 class LabeledCloud:
-    """(n, D) float points and n int8 labels, from array-likes; ValueError on other shapes."""
+    """(n, D) finite float points, D >= 1, and n int8 labels or None, from
+    array-likes; ValueError on anything else."""
 
     points: np.ndarray
     labels: np.ndarray | None = None  # 1 = signal, 0 = outlier; None when unlabelled
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2:
-            raise ValueError(f"need an (n, D) point array, got shape {self.points.shape}")
-        if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.shape != (self.n,):
-                raise ValueError("labels length must equal point count")
-            self.labels = _check_labels(labels)
+        self.points = check_points(self.points)
+        if self.labels is None:
+            return
+        labels, n = np.asarray(self.labels), self.n
+        if labels.shape != (n,):
+            raise ValueError(f"need one label per point, got {labels.size} labels for {n} points")
+        bad = np.flatnonzero((labels != 0) & (labels != 1))
+        if bad.size:
+            raise ValueError(f"labels must be 0 or 1, row {bad[0]} has {labels[bad[0]]}")
+        self.labels = labels.astype(np.int8)
 
     @property
     def n(self) -> int:
@@ -364,47 +370,36 @@ def sample(model: ManifoldModel, spec: SampleSpec) -> LabeledCloud:
 # CSV serialization (round-trip exact at 17 significant digits)
 
 
-def save_cloud_csv(path, points: np.ndarray, labels: np.ndarray | None = None) -> None:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    # the loader's rules, before the file is opened
-    if points.size == 0:
+def save_cloud_csv(path, cloud: LabeledCloud) -> None:
+    """Write ``cloud`` as the module docstring says; ValueError if it has no points."""
+    if not cloud.n:
         raise ValueError(f"no points in {path}")
-    if not np.all(np.isfinite(points)):
-        raise ValueError(f"non-finite coordinates in {path}")
-    d = points.shape[1]
-    header = ",".join(f"x{i}" for i in range(d))
-    fmt = ["%.17g"] * d
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (points.shape[0],):
-            raise ValueError(
-                f"need one label per point, got {labels.size} labels for {points.shape[0]} points"
-            )
-        _check_labels(labels)
-        header += ",label"
-        fmt.append("%d")
-        points = np.column_stack([points, labels])
-    np.savetxt(path, points, fmt=fmt, delimiter=",", header=header, comments="")
+    columns = [f"x{i}" for i in range(cloud.points.shape[1])]
+    data, fmt = cloud.points, ["%.17g"] * len(columns)
+    if cloud.labels is not None:
+        columns.append("label")
+        data, fmt = np.column_stack([data, cloud.labels]), fmt + ["%d"]
+    np.savetxt(path, data, fmt=fmt, delimiter=",", header=",".join(columns), comments="")
 
 
-def load_cloud_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
+def load_cloud_csv(path) -> LabeledCloud:
+    """The cloud in ``path``; ValueError naming the file unless it has a row and the
+    header x0,...,x{D-1}[,label], D >= 1, names every column of every row."""
     with open(path) as f:
-        has_labels = f.readline().strip().split(",")[-1] == "label"
+        columns = f.readline().strip().split(",")
+        labelled = columns[-1] == "label"
+        coords = columns[:-1] if labelled else columns
         # a file of no rows fails here, before numpy warns that it read nothing
         first = next((line for line in f if line.strip()), None)
-        if first is None:
-            raise ValueError(f"no points in {path}")
-        data = np.loadtxt(itertools.chain([first], f), delimiter=",", ndmin=2)
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"non-finite coordinates in {path}")
-    if has_labels:
-        return data[:, :-1], _check_labels(data[:, -1])
-    return data, None
+        try:
+            if not coords or coords != [f"x{i}" for i in range(len(coords))]:
+                raise ValueError(f"need a header x0,...,x{{D-1}}[,label], got {columns}")
+            if first is None:
+                raise ValueError("no points")
+            data = np.loadtxt(itertools.chain([first], f), delimiter=",", ndmin=2)
+            if data.shape[1] != len(columns):
+                raise ValueError(f"header of {len(columns)} columns, rows of {data.shape[1]}")
+            return LabeledCloud(data[:, : len(coords)], data[:, -1] if labelled else None)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
-
-def _check_labels(labels: np.ndarray) -> np.ndarray:
-    """``labels`` as int8; ValueError names the first row whose label is not 0 or 1."""
-    bad = np.flatnonzero((labels != 0) & (labels != 1))
-    if bad.size:
-        raise ValueError(f"labels must be 0 or 1, row {bad[0]} has {labels[bad[0]]}")
-    return labels.astype(np.int8)

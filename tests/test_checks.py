@@ -21,7 +21,15 @@ from lemma_checks import circle_geodesic_distance, circle_points, geodesic_pairs
 from tdcrecon import denoise, models
 from tdcrecon.denoise import Schedule, SlabSpec, default_slab_spec, iterative_denoise
 from tdcrecon.geometry import directed_hausdorff
-from tdcrecon.models import LabeledCloud, SampleSpec, Sphere, Torus, make_model
+from tdcrecon.models import (
+    LabeledCloud,
+    SampleSpec,
+    Sphere,
+    Torus,
+    load_cloud_csv,
+    make_model,
+    save_cloud_csv,
+)
 from tdcrecon.sparsify import farthest_point_sampling
 from tdcrecon.tangent import TseParams, default_bandwidth, estimate_tangents
 
@@ -63,6 +71,9 @@ def test_settable_surface():
         Torus: ["major_radius", "minor_radius", "ambient_dim"],
     }
     assert list(inspect.signature(farthest_point_sampling).parameters) == ["points", "eps"]
+    # a cloud is written and read whole: its checks are LabeledCloud's
+    assert list(inspect.signature(save_cloud_csv).parameters) == ["path", "cloud"]
+    assert list(inspect.signature(load_cloud_csv).parameters) == ["path"]
     assert not hasattr(denoise, "lemma_slab_constants")
     # the circle is the sphere of intrinsic_dim 1, not a class of its own
     kinds = {kind: make_model(kind) for kind in ("circle", "sphere", "torus")}
@@ -137,13 +148,25 @@ CALLS = {
     "farthest_point_sampling": lambda x: farthest_point_sampling(x, 0.1),
     "directed_hausdorff-a": lambda x: directed_hausdorff(x, CLOUD),
     "directed_hausdorff-b": lambda x: directed_hausdorff(CLOUD, x),
+    "LabeledCloud": LabeledCloud,
     **SCALES,
 }
-BAD = {"1-d": CLOUD[0], "no-columns": np.zeros((30, 0)), "inf": math.inf, "bool": True}
+NAN_CLOUD, INF_CLOUD = CLOUD.copy(), CLOUD.copy()
+NAN_CLOUD[3, 0], INF_CLOUD[3, 0] = math.nan, -math.inf
+BAD = {
+    "1-d": CLOUD[0],
+    "no-columns": np.zeros((30, 0)),
+    "nan-point": NAN_CLOUD,
+    "inf-point": INF_CLOUD,
+    "inf": math.inf,
+    "bool": True,
+}
 CASES = [
     ("farthest_point_sampling", "no-columns"),  # scipy's IndexError
     ("directed_hausdorff-a", "1-d"),  # read as one point
     ("directed_hausdorff-b", "1-d"),
+    # a cloud took NaN, inf and no columns; it rejected a 1-d array already
+    *(("LabeledCloud", kind) for kind in ("1-d", "no-columns", "nan-point", "inf-point")),
     # an infinite h listed all n^2 pairs, an infinite eps gave the net [0]
     # and an infinite resolution a grid of 3 points; an infinite reach or
     # sphere radius raised already (the torus radii and the betas did too,

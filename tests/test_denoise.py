@@ -377,12 +377,12 @@ class TestIterativeDenoise:
     def test_unlabelled_cloud(self, tmp_path):
         # a cloud read from a file without labels used to fail on construction
         cloud = sample(make_model("circle"), SampleSpec(n=400, beta=0.8, seed=5))
-        save_cloud_csv(tmp_path / "cloud.csv", cloud.points)
-        points, labels = load_cloud_csv(tmp_path / "cloud.csv")
-        assert labels is None
+        save_cloud_csv(tmp_path / "cloud.csv", LabeledCloud(cloud.points))
+        read = load_cloud_csv(tmp_path / "cloud.csv")
+        assert read.labels is None
         spec = default_slab_spec(1, 2, 1.0, t=0.3)
         want, labelled = iterative_denoise(cloud, 1, 0.8, 4.0, spec, k_iters=1)
-        keep, diags = iterative_denoise(LabeledCloud(points, labels), 1, 0.8, 4.0, spec, k_iters=1)
+        keep, diags = iterative_denoise(read, 1, 0.8, 4.0, spec, k_iters=1)
         assert keep == want and len(keep) < cloud.n
         assert diags == [
             dataclasses.replace(d, true_positives=None, false_positives=None) for d in labelled

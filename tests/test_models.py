@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -63,6 +64,11 @@ class TestBasics:
         assert make_model("sphere", ambient_dim=5) == Sphere(1.0, 5, 2)
         with pytest.raises(ValueError):
             make_model("klein_bottle")
+        # the circle's d is fixed, as the torus's is: intrinsic_dim=2 used to
+        # override it and give the 2-sphere under the circle's name
+        for kind in ("circle", "torus"):
+            with pytest.raises(TypeError, match="intrinsic_dim"):
+                make_model(kind, intrinsic_dim=2, ambient_dim=3)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -454,31 +460,42 @@ class TestCsv:
         pts = rng.standard_normal((50, 3)) * np.pi
         labels = (rng.random(50) < 0.5).astype(np.int8)
         path = tmp_path / "cloud.csv"
-        save_cloud_csv(path, pts, labels)
-        got_pts, got_labels = load_cloud_csv(path)
-        assert np.array_equal(got_pts, pts)
-        assert np.array_equal(got_labels, labels)
+        save_cloud_csv(path, LabeledCloud(pts, labels))
+        got = load_cloud_csv(path)
+        assert np.array_equal(got.points, pts)
+        assert np.array_equal(got.labels, labels)
 
     def test_no_labels(self, tmp_path):
         pts = np.array([[1.0, 2.0], [3.0, 4.0]])
         path = tmp_path / "cloud.csv"
-        save_cloud_csv(path, pts)
-        got_pts, got_labels = load_cloud_csv(path)
-        assert np.array_equal(got_pts, pts)
-        assert got_labels is None
+        save_cloud_csv(path, LabeledCloud(pts))
+        got = load_cloud_csv(path)
+        assert np.array_equal(got.points, pts)
+        assert got.labels is None
 
     def test_header(self, tmp_path):
         path = tmp_path / "cloud.csv"
-        save_cloud_csv(path, np.zeros((1, 3)), np.zeros(1, dtype=np.int8))
+        save_cloud_csv(path, LabeledCloud(np.zeros((1, 3)), np.zeros(1, dtype=np.int8)))
         assert path.read_text().splitlines()[0] == "x0,x1,x2,label"
 
     def test_one_row_round_trip(self, tmp_path):
         path = tmp_path / "cloud.csv"
         pts = np.array([[0.1, -2.5, 1e-300]])
-        save_cloud_csv(path, pts, np.ones(1, dtype=np.int8))
-        got_pts, got_labels = load_cloud_csv(path)
-        assert np.array_equal(got_pts, pts)
-        assert np.array_equal(got_labels, [1])
+        save_cloud_csv(path, LabeledCloud(pts, np.ones(1, dtype=np.int8)))
+        got = load_cloud_csv(path)
+        assert np.array_equal(got.points, pts)
+        assert np.array_equal(got.labels, [1])
+
+    def test_file_format(self, tmp_path):
+        # the format every earlier writer wrote, byte for byte, read bit for bit
+        text = "x0,x1,label\n0.10000000000000001,-2.5,1\n3.1415926535897931,1e-300,0\n"
+        path = tmp_path / "cloud.csv"
+        path.write_text(text)
+        got = load_cloud_csv(path)
+        assert np.array_equal(got.points, [[0.1, -2.5], [np.pi, 1e-300]])
+        assert got.labels.dtype == np.int8 and got.labels.tolist() == [1, 0]
+        save_cloud_csv(tmp_path / "again.csv", got)
+        assert (tmp_path / "again.csv").read_text() == text
 
     @pytest.mark.parametrize("rest", ["", "\n\n"])
     def test_header_only_raises_without_warning(self, tmp_path, rest):
@@ -490,12 +507,49 @@ class TestCsv:
             with pytest.raises(ValueError, match="no points"):
                 load_cloud_csv(path)
 
-    @pytest.mark.parametrize("label", ["2.7", "-1", "300", "0.5"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0.5,1.0\n2.0,3.0\n4.0,5.0\n",  # no header: the first row was dropped
+            "x0,x1\n0.5,1.0,2.0\n2.0,3.0,4.0\n",  # read as an unlabelled 3-D cloud
+            "x0,x1,x2\n0.5,1.0\n2.0,3.0\n",  # read as a 2-D cloud
+            "x0,x1,label\n0.5,1.0\n2.0,3.0\n",  # the x1 column read as labels
+            "label\n1\n0\n",  # read as (2, 0) points
+            "x1,x0\n0.5,1.0\n",
+            "x0,label,x1\n0.5,1,1.0\n",
+            "",
+        ],
+        ids=["no-header", "narrow", "wide", "labels-missing", "label-only", "order", "label-first",
+             "empty"],
+    )
+    def test_load_rejects_header_not_naming_the_columns(self, tmp_path, text):
+        path = tmp_path / "cloud.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*(header|columns)"):
+            load_cloud_csv(path)
+
+    def test_load_rejects_ragged_rows(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("x0,x1\n0.5,1.0\n2.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_cloud_csv(path)
+
+    @pytest.mark.parametrize("label", ["2.7", "-1", "300", "0.5", "nan"])
     def test_load_rejects_label_not_0_or_1(self, tmp_path, label):
-        # 2.7 was read as 2, -1 kept, 300 wrapped to 44 and 0.5 read as 0
+        # 2.7 was read as 2, -1 kept, 300 wrapped to 44, 0.5 read as 0, and
+        # nan reported as a non-finite coordinate
         path = tmp_path / "cloud.csv"
         path.write_text(f"x0,x1,label\n0.5,1.0,1\n2.0,3.0,0\n1.0,1.0,{label}\n4.0,4.0,7\n")
-        with pytest.raises(ValueError, match="row 2 has"):
+        want = f"^{re.escape(str(path))}: labels must be 0 or 1, row 2 has {label}"
+        with pytest.raises(ValueError, match=want):
+            load_cloud_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_load_rejects_non_finite(self, tmp_path, value):
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"x0,x1\n0.5,1.0\n2.0,{value}\n")
+        want = f"^{re.escape(str(path))}: points contains NaN or inf"
+        with pytest.raises(ValueError, match=want):
             load_cloud_csv(path)
 
     @pytest.mark.parametrize("labels", [[0, 1, 2], [-1, 0, 1], [1, 0.5, 0]], ids=["2", "-1", "0.5"])
@@ -503,22 +557,23 @@ class TestCsv:
         path = tmp_path / "cloud.csv"
         bad = next(i for i, v in enumerate(labels) if v not in (0, 1))
         with pytest.raises(ValueError, match=f"row {bad} has"):
-            save_cloud_csv(path, np.zeros((3, 2)), np.array(labels))
+            save_cloud_csv(path, LabeledCloud(np.zeros((3, 2)), np.array(labels)))
         assert not path.exists()
 
     def test_save_rejects_non_finite(self, tmp_path):
         # the writer used to write nan and inf, which the reader rejects
         path = tmp_path / "cloud.csv"
-        with pytest.raises(ValueError, match="non-finite coordinates"):
-            save_cloud_csv(path, np.array([[np.nan, 1.0], [0.0, np.inf]]), np.array([1, 0]))
+        with pytest.raises(ValueError, match="NaN or inf"):
+            save_cloud_csv(path, LabeledCloud(np.array([[np.nan, 1.0], [0.0, np.inf]]), [1, 0]))
         assert not path.exists()
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
     def test_save_rejects_no_points(self, tmp_path, shape):
-        # the writer used to write a header or blank lines, which the reader rejects
+        # the writer used to write a header or blank lines, which the reader
+        # rejects; a cloud of no columns is not built at all
         path = tmp_path / "cloud.csv"
-        with pytest.raises(ValueError, match="no points"):
-            save_cloud_csv(path, np.zeros(shape))
+        with pytest.raises(ValueError, match="no points" if shape[0] == 0 else "D >= 1"):
+            save_cloud_csv(path, LabeledCloud(np.zeros(shape)))
         assert not path.exists()
 
     @pytest.mark.parametrize("n_labels", [2, 5])
@@ -526,7 +581,7 @@ class TestCsv:
         # 5 labels for 3 points used to write 3 rows and drop 2 labels
         path = tmp_path / "cloud.csv"
         with pytest.raises(ValueError, match=f"got {n_labels} labels for 3 points"):
-            save_cloud_csv(path, np.zeros((3, 2)), np.zeros(n_labels, dtype=np.int8))
+            save_cloud_csv(path, LabeledCloud(np.zeros((3, 2)), np.zeros(n_labels, dtype=np.int8)))
         assert not path.exists()
 
 

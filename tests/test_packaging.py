@@ -1,5 +1,6 @@
-"""pyproject.toml against the package it describes."""
+"""pyproject.toml against the package it describes and the CI that installs it."""
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,9 @@ import tdcrecon
 
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 def load():
@@ -32,3 +35,18 @@ def test_description_matches_package():
     # the description used to advertise a complex the package does not build
     summary = tdcrecon.__doc__.splitlines()[0].rstrip(".")
     assert load()["project"]["description"].startswith(summary)
+
+
+def test_ci_installs_the_declared_dependencies():
+    # the workflow names its packages by hand; read as plain text, since CI
+    # installs no YAML reader
+    project = load()["project"]
+    declared = project["dependencies"] + project["optional-dependencies"]["test"]
+    names = {re.match(r"[A-Za-z0-9._-]+", req).group().lower() for req in declared}
+    installs = [
+        line.split("pip install", 1)[1].split()
+        for line in WORKFLOW.read_text().splitlines()
+        if "pip install" in line
+    ]
+    assert len(installs) == 1, installs
+    assert {word.lower() for word in installs[0] if not word.startswith("-")} == names
