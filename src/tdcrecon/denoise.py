@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _neighbours
-from ._neighbours import check_int, check_points, check_positive
+from ._neighbours import check_int, check_positive
 from .models import LabeledCloud
 from .tangent import TseParams, _block_bases, _inherit
 
@@ -242,7 +242,7 @@ def iterative_denoise(
     the reason.
     """
     check_int(k_iters, "k_iters", 0)
-    points = check_points(cloud.points)
+    points = cloud.points
     if d >= points.shape[1]:
         raise ValueError(f"need d < ambient dimension, got d={d} in R^{points.shape[1]}")
     n_total = cloud.n

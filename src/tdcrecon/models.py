@@ -13,10 +13,12 @@ in the ball of radius K0 = diameter(M) + reach around the origin, the centroid
 of every model.
 
 Every cloud, sampled or read, is a :class:`LabeledCloud`: (n, D) finite floats,
-D >= 1 (:func:`._neighbours.check_points`), and none or n int8 labels, 1 =
-signal (drawn on the manifold), 0 = outlier.  Its CSV file has the header
-``x0,...,x{D-1}``, then ``,label`` if labelled, and a row per point of every
-column: coordinates at 17 significant digits (exact round trip), int labels.
+D >= 1 (:func:`._neighbours.check_points`), no two rows equal, and none or n
+int8 labels, 1 = signal (drawn on the manifold), 0 = outlier.  A cloud is
+immutable: it holds read-only copies of its arrays, never the caller's.  Its
+CSV file has the header ``x0,...,x{D-1}``, then ``,label`` if labelled, and a
+row per point of every column: coordinates at 17 significant digits (exact
+round trip), int labels.
 """
 from __future__ import annotations
 
@@ -71,31 +73,17 @@ def _sphere_grid(d: int, radius: float, spacing: float) -> np.ndarray:
 
 
 class ManifoldModel:
-    """Shared interface; concrete models implement what raises NotImplementedError."""
+    """The code :class:`Sphere` and :class:`Torus` share.
+
+    Each model also has ``reach``, ``diameter()``, ``sample_points(rng, k)``,
+    ``project_many(x)``, ``distance_many(x)``, ``tangent_many(points)`` and
+    ``grid(resolution)``.  The ValueError of ``tangent_many`` names the first
+    row farther than ON_MANIFOLD_TOL from M; ``grid`` gives distinct points of
+    M, the same on every call, with every point of M within ``resolution`` of
+    one."""
 
     ambient_dim: int
     intrinsic_dim: int
-
-    @property
-    def reach(self) -> float:
-        raise NotImplementedError
-
-    def diameter(self) -> float:
-        raise NotImplementedError
-
-    def sample_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def project_many(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def distance_many(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def tangent_many(self, points: np.ndarray) -> np.ndarray:
-        """(m, D, d) orthonormal bases of the tangent spaces at m points of M;
-        ValueError names the first row farther than ON_MANIFOLD_TOL from M."""
-        raise NotImplementedError
 
     def _rows(self, x) -> np.ndarray:
         """``x`` as (m, D) floats; ValueError unless each row is D finite coordinates."""
@@ -111,11 +99,6 @@ class ManifoldModel:
         if far.size:
             raise ValueError(f"row {far[0]} is not on the manifold")
         return points
-
-    def grid(self, resolution: float) -> np.ndarray:
-        """Distinct points of M, the same on every call, with every point of M
-        within ``resolution`` of one."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -314,16 +297,26 @@ class SampleSpec:
             raise ValueError("need 0 < beta <= 1")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LabeledCloud:
-    """(n, D) finite float points, D >= 1, and n int8 labels or None, from
-    array-likes; ValueError on anything else."""
+    """(n, D) finite float points, D >= 1, no two equal, and n int8 labels or
+    None, from array-likes; ValueError on anything else.  Both are read-only
+    copies, so a cloud holds what its checks passed for as long as it lives."""
 
     points: np.ndarray
     labels: np.ndarray | None = None  # 1 = signal, 0 = outlier; None when unlabelled
 
     def __post_init__(self):
-        self.points = check_points(self.points)
+        points = check_points(np.array(self.points, dtype=float))
+        # equal rows sort next to each other, the lower index first
+        order = np.lexsort(points.T)
+        rows = points[order]
+        same = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+        if same.size:
+            i = same[0]
+            raise ValueError(f"rows {order[i]} and {order[i + 1]} are the same point")
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
         if self.labels is None:
             return
         labels, n = np.asarray(self.labels), self.n
@@ -332,7 +325,9 @@ class LabeledCloud:
         bad = np.flatnonzero((labels != 0) & (labels != 1))
         if bad.size:
             raise ValueError(f"labels must be 0 or 1, row {bad[0]} has {labels[bad[0]]}")
-        self.labels = labels.astype(np.int8)
+        labels = labels.astype(np.int8)
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:

@@ -1,5 +1,6 @@
 """The lemma-check module (its close-pair sampler, its boundary with the package),
-and the settable surface and the input contract of the package.
+and the public names, the settable surface, the docstring references and the
+input contract of the package.
 
 The checks themselves are tested next to the code they are about
 (test_models, test_geometry, test_denoise).
@@ -10,6 +11,8 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,7 @@ import tdcrecon
 from lemma_checks import circle_geodesic_distance, circle_points, geodesic_pairs
 from tdcrecon import denoise, models
 from tdcrecon.denoise import Schedule, SlabSpec, default_slab_spec, iterative_denoise
-from tdcrecon.geometry import directed_hausdorff
+from tdcrecon.geometry import directed_hausdorff, principal_angles
 from tdcrecon.models import (
     LabeledCloud,
     SampleSpec,
@@ -28,6 +31,7 @@ from tdcrecon.models import (
     Torus,
     load_cloud_csv,
     make_model,
+    sample,
     save_cloud_csv,
 )
 from tdcrecon.sparsify import farthest_point_sampling
@@ -57,6 +61,72 @@ def test_estimator_modules_hold_no_checks():
                 names |= set(vars(obj))  # methods, such as a model's geodesic_pairs
         leaked = {n for n in names if n.startswith("verify_") or n in CHECK_NAMES}
         assert not leaked, f"tdcrecon.{name} defines {sorted(leaked)}"
+
+
+def module_trees():
+    """(name, module, parsed source) of every module of the package, each imported."""
+    modules = [(name, importlib.import_module(f"tdcrecon.{name}")) for name in MODULES]
+    return [(name, module, ast.parse(inspect.getsource(module))) for name, module in modules]
+
+
+def test_public_names():
+    # the names each module defines at its top level without a leading
+    # underscore; a new one is argued for here
+    public = {}
+    for name, _, tree in module_trees():
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        public[name] = sorted(n for n in defined if not n.startswith("_"))
+    assert public == {
+        "_neighbours": [
+            "ball_lists", "check_indices", "check_int", "check_points", "check_positive", "norms",
+        ],
+        "denoise": [
+            "IterationDiagnostics", "NO_SURVIVORS", "NO_TANGENT", "Schedule", "SlabSpec",
+            "default_slab_spec", "diagnostics_to_json", "iterative_denoise", "k_delta",
+        ],
+        "geometry": ["ORTHONORMALITY_TOL", "directed_hausdorff", "principal_angles"],
+        "models": [
+            "LabeledCloud", "MEDIAL_TOL", "ManifoldModel", "MedialAxisError", "ON_MANIFOLD_TOL",
+            "SampleSpec", "Sphere", "Torus", "default_k0", "load_cloud_csv", "make_model",
+            "sample", "save_cloud_csv",
+        ],
+        "sparsify": ["farthest_point_sampling"],
+        "tangent": ["TangentField", "TseParams", "default_bandwidth", "estimate_tangents"],
+    }
+
+
+ROLES = {
+    "mod": lambda obj: isinstance(obj, types.ModuleType),
+    "class": lambda obj: isinstance(obj, type),
+    "func": callable,
+    "meth": callable,
+}
+
+
+def test_docstring_references_resolve():
+    # a rename used to leave docs naming what no longer exists: each
+    # :role:`target` names an attribute of its own module, or of the package
+    # when it starts with a dot, of the kind its role says
+    refs = []
+    for _, module, tree in module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node) or ""
+                refs += [(module, *ref) for ref in re.findall(r":(\w+):`([^`]*)`", doc)]
+    assert len(refs) > 20
+    for module, role, target in refs:
+        where = f"{module.__name__}: :{role}:`{target}`"
+        obj = tdcrecon if target.startswith(".") else module
+        for attr in target.lstrip(".").split("."):
+            assert hasattr(obj, attr), where
+            obj = getattr(obj, attr)
+        assert ROLES[role](obj), where
 
 
 def test_settable_surface():
@@ -186,3 +256,53 @@ def test_hausdorff_names_a_stack_of_clouds():
     # it used to report "ambient dimension mismatch: 2 vs 3"
     with pytest.raises(ValueError, match=r"point array with D >= 1 as a, got shape \(2, 2, 3\)"):
         directed_hausdorff(np.zeros((2, 2, 3)), np.zeros((2, 3)))
+
+
+# Every entry point reads its arrays and never writes them: a cloud's arrays
+# are read-only copies (test_models), and every estimator path copies before
+# it writes.
+def frozen(x):
+    """A read-only copy of ``x``: a write to it raises."""
+    x = np.array(x)
+    x.setflags(write=False)
+    return x
+
+
+_rng = np.random.default_rng(11)
+CIRCLE3, TORUS = make_model("circle", ambient_dim=3), Torus()
+ON_CIRCLE = frozen(CIRCLE3.sample_points(_rng, 200))
+ON_TORUS = frozen(TORUS.sample_points(_rng, 200))
+NEAR_CIRCLE = frozen(ON_CIRCLE + 0.05 * _rng.standard_normal(ON_CIRCLE.shape))
+NEAR_TORUS = frozen(ON_TORUS + 0.05 * _rng.standard_normal(ON_TORUS.shape))
+BASES = frozen(CIRCLE3.tangent_many(ON_CIRCLE))
+READ_MODELS = {"Sphere": (CIRCLE3, ON_CIRCLE, NEAR_CIRCLE), "Torus": (TORUS, ON_TORUS, NEAR_TORUS)}
+READS = {
+    "estimate_tangents": (
+        lambda x, subset: estimate_tangents(x, TseParams(h=0.3, d=1), subset),
+        (NEAR_CIRCLE, frozen(np.arange(0, 200, 7))),
+    ),
+    "iterative_denoise": (
+        lambda cloud: iterative_denoise(cloud, 1, 0.8, 8.0, default_slab_spec(1, 3, 1.0, 0.4), 2),
+        (sample(CIRCLE3, SampleSpec(n=300, beta=0.8, seed=11)),),
+    ),
+    "farthest_point_sampling": (lambda x: farthest_point_sampling(x, 0.2), (NEAR_CIRCLE,)),
+    "directed_hausdorff": (directed_hausdorff, (NEAR_CIRCLE, ON_CIRCLE)),
+    "principal_angles": (principal_angles, (BASES, frozen(BASES[::-1]))),
+    **{
+        f"{kind}.{method}": (getattr(model, method), (on if method == "tangent_many" else near,))
+        for kind, (model, on, near) in READ_MODELS.items()
+        for method in ("project_many", "distance_many", "tangent_many")
+    },
+}
+
+
+@pytest.mark.parametrize("entry", READS)
+def test_entry_point_leaves_its_input_as_it_was(entry):
+    call, args = READS[entry]
+    # a cloud's arrays are its input
+    arrays = [a for arg in args
+              for a in ((arg.points, arg.labels) if isinstance(arg, LabeledCloud) else (arg,))]
+    assert all(not a.flags.writeable for a in arrays)
+    before = [a.tobytes() for a in arrays]
+    call(*args)
+    assert [a.tobytes() for a in arrays] == before

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -32,6 +33,8 @@ from tdcrecon.models import (
 
 MODELS = [make_model("circle"), Torus(2.0, 0.5), Sphere(radius=1.0), Sphere(1.0, 5, 3)]
 CIRCLE = make_model("circle")
+# three distinct points: a cloud rejects a repeated row
+THREE = np.arange(6.0).reshape(3, 2)
 
 
 def _kind(model):
@@ -425,14 +428,14 @@ class TestSampling:
             SampleSpec(n=0)
         with pytest.raises(ValueError):
             SampleSpec(n=5, beta=0.0)
-        with pytest.raises(ValueError):
-            LabeledCloud(np.zeros((3, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="got 2 labels for 3 points"):
+            LabeledCloud(THREE, np.zeros(2))
         with pytest.raises(ValueError, match="row 1 has 2"):
-            LabeledCloud(np.zeros((3, 2)), np.array([0, 2, 1]))
+            LabeledCloud(THREE, np.array([0, 2, 1]))
 
     def test_cloud_takes_array_likes(self):
         # lists of labels or of points used to fail on ``.shape``
-        labelled = LabeledCloud(np.zeros((3, 2)), [0, 1, 1])
+        labelled = LabeledCloud(THREE, [0, 1, 1])
         assert labelled.labels.dtype == np.int8 and labelled.labels.tolist() == [0, 1, 1]
         unlabelled = LabeledCloud([[0, 0], [1, 1], [2, 2]])
         assert unlabelled.points.dtype == float and unlabelled.points.shape == (3, 2)
@@ -442,6 +445,38 @@ class TestSampling:
     def test_cloud_points_must_be_2d(self, points):
         with pytest.raises(ValueError, match="need an \\(n, D\\) point array"):
             LabeledCloud(points)
+
+    def test_cloud_owns_read_only_copies(self):
+        # a cloud used to share the caller's arrays, and a write to either
+        # changed both after the cloud's checks had passed
+        x, labels = THREE.copy(), np.array([0, 1, 1], dtype=np.int8)
+        cloud = LabeledCloud(x, labels)
+        assert not np.shares_memory(cloud.points, x)
+        assert not np.shares_memory(cloud.labels, labels)
+        with pytest.raises(ValueError, match="read-only"):
+            cloud.points[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cloud.labels[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cloud.points = x
+        x[0, 0], labels[0] = np.nan, 1
+        assert np.array_equal(cloud.points, THREE) and cloud.labels.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize(
+        "points, want",
+        [
+            (np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0], [2.0, 3.0]]),
+             "rows 1 and 4"),
+            (np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]), "rows 0 and 2"),
+            (np.array([[0.0, 1.0], [-0.0, 1.0]]), "rows 0 and 1"),  # one point, two signs of 0
+        ],
+        ids=["pair", "three", "signed-zero"],
+    )
+    def test_cloud_rejects_repeated_row(self, points, want):
+        # equal rows used to be neighbours at distance 0: an outlier k times
+        # over had a slab count of at least k
+        with pytest.raises(ValueError, match=f"^{want} are the same point$"):
+            LabeledCloud(points, np.ones(len(points), dtype=np.int8))
 
     def test_torus_sampler_uniform_in_v(self):
         # area element ~ (R + r cos v): the outer half carries more mass
@@ -552,12 +587,18 @@ class TestCsv:
         with pytest.raises(ValueError, match=want):
             load_cloud_csv(path)
 
+    def test_load_rejects_repeated_row(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("x0,x1,label\n0.5,1.0,1\n2.0,3.0,0\n0.5,1.0,0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: rows 0 and 2 are the same"):
+            load_cloud_csv(path)
+
     @pytest.mark.parametrize("labels", [[0, 1, 2], [-1, 0, 1], [1, 0.5, 0]], ids=["2", "-1", "0.5"])
     def test_save_rejects_label_not_0_or_1(self, tmp_path, labels):
         path = tmp_path / "cloud.csv"
         bad = next(i for i, v in enumerate(labels) if v not in (0, 1))
         with pytest.raises(ValueError, match=f"row {bad} has"):
-            save_cloud_csv(path, LabeledCloud(np.zeros((3, 2)), np.array(labels)))
+            save_cloud_csv(path, LabeledCloud(THREE, np.array(labels)))
         assert not path.exists()
 
     def test_save_rejects_non_finite(self, tmp_path):
@@ -581,7 +622,7 @@ class TestCsv:
         # 5 labels for 3 points used to write 3 rows and drop 2 labels
         path = tmp_path / "cloud.csv"
         with pytest.raises(ValueError, match=f"got {n_labels} labels for 3 points"):
-            save_cloud_csv(path, LabeledCloud(np.zeros((3, 2)), np.zeros(n_labels, dtype=np.int8)))
+            save_cloud_csv(path, LabeledCloud(THREE, np.zeros(n_labels, dtype=np.int8)))
         assert not path.exists()
 
 

@@ -756,12 +756,15 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("value", BAD)
     def test_slab_counts(self, value):
-        # the slab counts come from iterative_denoise alone, which checks the
-        # points: a cloud's arrays can change after its own check
-        cloud = LabeledCloud(self.pts.copy(), np.ones(len(self.pts), dtype=np.int8))
-        cloud.points[3, 0] = value
+        # the slab counts come from iterative_denoise alone, which reads a
+        # LabeledCloud: the value is rejected when the cloud is built, and a
+        # built cloud's read-only copy of its points cannot take it later
         with pytest.raises(ValueError, match="NaN or inf"):
-            iterative_denoise(cloud, 2, 1.0, 1.0, SlabSpec(0.5, 0.5, 1.0), k_iters=0)
+            LabeledCloud(with_bad(self.pts, value))
+        cloud = LabeledCloud(self.pts, np.ones(len(self.pts), dtype=np.int8))
+        with pytest.raises(ValueError, match="read-only"):
+            cloud.points[3, 0] = value
+        assert np.array_equal(cloud.points, self.pts)
 
     @pytest.mark.parametrize("value", BAD)
     def test_farthest_point_sampling(self, value):
