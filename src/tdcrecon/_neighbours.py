@@ -13,10 +13,10 @@ decided exactly, as a dense scan decides it.  The primitives:
   blocks of differences; local-PCA tangents (:func:`.tangent.estimate_tangents`)
   and the denoise pass of :mod:`.denoise`, the package's only slab counter,
   read them.  A subset of the points reads its rows from the whole search.
-- :func:`ball_lists`, the flattened lists of balls around some centres, and
-  :func:`norms`, the exact norms of their candidates: the farthest-point
-  net's round update and the tie gather of the tangent inheritance
-  (:func:`.tangent._inherit`).
+- :func:`ball_lists`, the flattened lists of balls around some centres,
+  whose candidates the caller decides on exact ``np.linalg.norm`` norms:
+  the farthest-point net's round update and the tie gather of the tangent
+  inheritance (:func:`.tangent._inherit`).
 
 Every search runs a relative ``_RADIUS_SLACK`` wider than its ball, since
 the tree rounds distances its own way.  Only :mod:`.geometry`'s Hausdorff
@@ -73,13 +73,15 @@ def check_int(value, name: str, low: int) -> None:
 
 
 def check_indices(indices, n: int) -> np.ndarray:
-    """``indices`` as an index array; ValueError unless they are integers in [0, n).
+    """``indices`` as an index array; ValueError unless they are 1-d integers in [0, n).
 
     A boolean mask or a float would otherwise be read as the indices 0 and 1,
     or rounded towards zero.  An empty sequence is taken whatever its dtype.
-    The error names one index outside [0, n).
+    The error names the shape of indices not 1-d, or one index outside [0, n).
     """
     indices = np.asarray(indices)
+    if indices.ndim != 1:
+        raise ValueError(f"need a 1-d array of indices, got shape {indices.shape}")
     if indices.size and not np.issubdtype(indices.dtype, np.integer):
         raise ValueError(f"indices must be integers, got dtype {indices.dtype}")
     indices = indices.astype(np.intp, copy=False)
@@ -172,8 +174,3 @@ def ball_lists(tree, centres: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray
     lengths = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
     cols = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=int(lengths.sum()))
     return lengths, cols
-
-
-def norms(diff: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis: ``np.linalg.norm``'s own expression for real input."""
-    return np.sqrt(np.add.reduce(diff * diff, axis=-1))

@@ -19,19 +19,28 @@ slabs.  The lists are dropped before the next iteration searches.
 
 That pass is the package's only slab counter.  Tangents alone, say at the
 points of a net, come from :func:`.tangent.estimate_tangents`.
+
+Each entry point checks its input once: :func:`bandwidths` takes n, d and
+k_iters through ``check_int`` and beta (at most 1) and kappa through
+``check_positive``; :func:`iterative_denoise` calls it first, so every
+scale is checked before it is used, then needs d below the cloud's D (the
+cloud itself was checked when it was built); :func:`default_slab_spec`
+takes d and D through ``check_int`` and the reach and the angle constant K
+through ``check_positive``; :func:`k_delta` takes d through ``check_int``.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import _neighbours
 from ._neighbours import check_int, check_positive
 from .models import LabeledCloud
-from .tangent import TseParams, _block_bases, _inherit
+from .tangent import _block_bases, _inherit
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,7 @@ def default_slab_spec(
     check_int(d, "d", 1)
     check_int(ambient_dim, "ambient_dim", d + 1)
     check_positive(rho, "reach rho")
+    check_positive(angle_constant, "angle constant K")
     k1 = 3.0 / (4.0 * d + 8.0 * angle_constant * math.sqrt(d))
     k2 = 1.0 / (4.0 * math.sqrt(ambient_dim - d) * max(rho, 1.0))
     return SlabSpec(k1=k1, k2=k2, t=t)
@@ -89,7 +99,7 @@ def _slab_hits(diff, d2, inside, bases, h: float, spec: SlabSpec) -> np.ndarray:
 
 
 def _tangents_and_slab_counts(
-    points: np.ndarray, params: TseParams, spec: SlabSpec
+    points: np.ndarray, h: float, d: int, spec: SlabSpec
 ) -> tuple[np.ndarray | None, int, int]:
     """Slab counts of every point along its local-PCA tangent, from one neighbour search.
 
@@ -104,12 +114,11 @@ def _tangents_and_slab_counts(
     from the same lists and counted then.
     """
     n, big_d = points.shape
-    h = params.h
     # the slab lies in the ball of squared radius slab_r2; the search's own
     # slack covers the rounding of the slab test
     h2, slab_r2 = h * h, (spec.k1 * h) ** 2 + (spec.k2 * h * h) ** 2
     indptr, cols = _neighbours._candidates(points, max(h2, slab_r2))
-    bases = np.empty((n, big_d, params.d))
+    bases = np.empty((n, big_d, d))
     estimated = np.zeros(n, dtype=bool)
     # every point lies in its own slab
     counts = np.ones(n, dtype=int)
@@ -117,7 +126,7 @@ def _tangents_and_slab_counts(
     for chunk, listed, _, diff, d2 in _neighbours._blocks(points, indptr, cols, np.arange(n)):
         near = listed & (d2 <= h2)
         neighbours += int(np.count_nonzero(near))
-        ok, block = _block_bases(diff, near, params, n)
+        ok, block = _block_bases(diff, near, d, n)
         bases[chunk], estimated[chunk] = block, ok
         # a row without an estimate of its own counts its slab once it has inherited
         counts[chunk] += _slab_hits(diff, d2, listed & ok[:, None], block, h, spec)
@@ -134,44 +143,25 @@ def _tangents_and_slab_counts(
 # bandwidth schedule
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Exponents gamma_k and bandwidths h_k = base ** gamma_k with
-    base = kappa * log(n) / (beta * (n - 1))."""
-
-    n: int
-    d: int
-    beta: float
-    kappa: float
-
-    def __post_init__(self):
-        check_int(self.n, "n", 3)
-        check_int(self.d, "d", 1)
-        check_positive(self.beta, "beta")
-        if self.beta > 1:
-            raise ValueError(f"need 0 < beta <= 1, got {self.beta!r}")
-        check_positive(self.kappa, "kappa")
-
-    @property
-    def base(self) -> float:
-        return self.kappa * math.log(self.n) / (self.beta * (self.n - 1))
-
-    def gamma_at(self, k: int) -> float:
-        return _gamma(self.d, k)
-
-    def h_at(self, k: int) -> float:
-        return self.base ** self.gamma_at(k)
-
-
-def _gamma(d: int, k: int) -> float:
-    """gamma_k of the recurrence gamma_{k+1} = (2 gamma_k + 1) / (d + 2),
-    walked from gamma_0 = 1/(d+1)."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+def _exponents(d: int):
+    """gamma_0 = 1/(d+1), gamma_1, ... of gamma_{k+1} = (2 gamma_k + 1) / (d + 2)."""
     g = 1.0 / (d + 1)
-    for _ in range(k):
+    while True:
+        yield g
         g = (2.0 * g + 1.0) / (d + 2.0)
-    return g
+
+
+def bandwidths(n: int, d: int, beta: float, kappa: float, k_iters: int) -> list[float]:
+    """h_0, ..., h_{k_iters}: h_k = (kappa log(n) / (beta (n - 1))) ** gamma_k."""
+    check_int(n, "n", 3)
+    check_int(d, "d", 1)
+    check_positive(beta, "beta")
+    if beta > 1:
+        raise ValueError(f"need 0 < beta <= 1, got {beta!r}")
+    check_positive(kappa, "kappa")
+    check_int(k_iters, "k_iters", 0)
+    base = kappa * math.log(n) / (beta * (n - 1))
+    return [base**g for g in islice(_exponents(d), k_iters + 1)]
 
 
 def k_delta(d: int, delta: float) -> int:
@@ -179,19 +169,7 @@ def k_delta(d: int, delta: float) -> int:
     check_int(d, "d", 1)
     if not 0.0 < delta < 1.0 / (d * (d + 1)):
         raise ValueError(f"need 0 < delta < 1/(d(d+1)) = {1.0 / (d * (d + 1)):.6g}")
-    k = 0
-    while _gamma(d, k) < 1.0 / d - delta:
-        k += 1
-    if k > math.ceil(_k_delta_bound(d, delta)) + 1:
-        raise RuntimeError(f"k_delta({d}, {delta}) = {k} exceeds its closed-form bound")
-    return k
-
-
-def _k_delta_bound(d: int, delta: float) -> float:
-    """Closed form of k_delta before rounding up: gamma_k = 1/d - (2/(d+2))^k / (d(d+1))."""
-    return (math.log(1.0 / delta) - math.log(d * (d + 1))) / (
-        math.log(d + 2.0) - math.log(2.0)
-    )
+    return next(k for k, g in enumerate(_exponents(d)) if g >= 1.0 / d - delta)
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +219,16 @@ def iterative_denoise(
     or no point survives, the loop stops; that iteration's diagnostics give
     the reason.
     """
-    check_int(k_iters, "k_iters", 0)
-    points = cloud.points
+    n_total, points = cloud.n, cloud.points
+    hs = bandwidths(n_total, d, beta, kappa, k_iters)
     if d >= points.shape[1]:
         raise ValueError(f"need d < ambient dimension, got d={d} in R^{points.shape[1]}")
-    n_total = cloud.n
-    sched = Schedule(n_total, d, beta, kappa)
     threshold = spec.t * math.log(n_total - 1)
     alive = np.arange(n_total)
     diags: list[IterationDiagnostics] = []
-    for k in range(k_iters + 1):
-        h = sched.h_at(k)
+    for k, h in enumerate(hs):
         pts = points[alive]
-        counts, inherited, neighbours = _tangents_and_slab_counts(pts, TseParams(h=h, d=d), spec)
+        counts, inherited, neighbours = _tangents_and_slab_counts(pts, h, d, spec)
         stop_reason = slab_p05 = slab_p50 = None
         if counts is None:
             stop_reason = NO_TANGENT

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._neighbours import ball_lists, check_points, check_positive, norms
+from ._neighbours import ball_lists, check_points, check_positive
 
 _BATCH = 32  # picks a round may find; the fastest of 16, 32, 64 and 128 on a torus at n = 20k
 
@@ -47,7 +47,7 @@ def farthest_point_sampling(points: np.ndarray, eps: float) -> list[int]:
     n = points.shape[0]
     tree = cKDTree(points)
     chosen = [0]
-    dist = norms(points - points[0])
+    dist = np.linalg.norm(points - points[0], axis=-1)
     k = min(_BATCH, n)
     while True:
         v = np.partition(dist, n - k)[n - k]
@@ -57,7 +57,7 @@ def farthest_point_sampling(points: np.ndarray, eps: float) -> list[int]:
             # pick of the round
             candidates, v = np.argmax(dist, keepdims=True), -np.inf
         sub = points[candidates]
-        gaps = norms(sub[None, :, :] - sub[:, None, :])  # row j: distances to sub[j]
+        gaps = np.linalg.norm(sub[None, :, :] - sub[:, None, :], axis=-1)  # row j: to sub[j]
         value = dist[candidates]
         rows, reach = [], []
         while True:
@@ -75,4 +75,6 @@ def farthest_point_sampling(points: np.ndarray, eps: float) -> list[int]:
         # only points within that of the pick can move closer
         centres = points[picked]
         lengths, cols = ball_lists(tree, centres, np.array(reach))
-        np.minimum.at(dist, cols, norms(points[cols] - np.repeat(centres, lengths, axis=0)))
+        np.minimum.at(
+            dist, cols, np.linalg.norm(points[cols] - np.repeat(centres, lengths, axis=0), axis=-1)
+        )

@@ -20,6 +20,13 @@ each block per iteration, and it overwrites the placeholders the same way.
 :func:`estimate_tangents` is the standalone call, with a search of its own:
 the one to use for tangents outside the denoising loop, such as at the
 points of a net.
+
+Each entry point checks its input once, with the checks of
+:mod:`._neighbours`: :func:`estimate_tangents` takes the cloud through
+``check_points``, the bandwidth h through ``check_positive``, the dimension
+d through ``check_int`` (and d below the cloud's D), and ``subset`` through
+``check_indices``; :func:`default_bandwidth` takes n and d through
+``check_int`` and c through ``check_positive``.
 """
 from __future__ import annotations
 
@@ -33,16 +40,6 @@ from . import _neighbours
 from ._neighbours import _RADIUS_SLACK, check_int, check_points, check_positive
 
 _MIN_NEIGHBORS = 3  # neighbors within h a target needs for an estimate of its own
-
-
-@dataclass(frozen=True)
-class TseParams:
-    h: float
-    d: int
-
-    def __post_init__(self):
-        check_positive(self.h, "bandwidth h")
-        check_int(self.d, "intrinsic dimension d", 1)
 
 
 def default_bandwidth(n: int, d: int, c: float = 1.0) -> float:
@@ -94,7 +91,7 @@ def _inherit(points: np.ndarray, bases: np.ndarray, estimated: np.ndarray) -> np
         # the first at the least norm
         lengths, cols = _neighbours.ball_lists(tree, queries[tied], nearest_dist[tied, 0])
         rows = np.repeat(tied, lengths)
-        dist = _neighbours.norms(tree.data[cols] - queries[rows])
+        dist = np.linalg.norm(tree.data[cols] - queries[rows], axis=-1)
         # per query: least norm first, then the earliest estimate
         order = np.lexsort((cols, dist, rows))
         rows, cols = rows[order], cols[order]
@@ -105,7 +102,7 @@ def _inherit(points: np.ndarray, bases: np.ndarray, estimated: np.ndarray) -> np
 
 
 def _block_bases(
-    diff: np.ndarray, near: np.ndarray, params: TseParams, n: int
+    diff: np.ndarray, near: np.ndarray, d: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local-PCA bases of every row of one padded neighbor block.
 
@@ -134,33 +131,35 @@ def _block_bases(
     cov = scatter + scatter.transpose(0, 2, 1)
     cov *= 0.5
     _, eigvecs = np.linalg.eigh(cov)
-    return counts >= _MIN_NEIGHBORS, eigvecs[:, :, ::-1][:, :, : params.d]
+    return counts >= _MIN_NEIGHBORS, eigvecs[:, :, ::-1][:, :, :d]
 
 
 def estimate_tangents(
-    points: np.ndarray, params: TseParams, subset: list[int] | None = None
+    points: np.ndarray, h: float, d: int, subset: list[int] | None = None
 ) -> TangentField:
     """Local-PCA tangents at every point of the cloud, or at the points ``subset`` lists.
 
-    The neighbor pool is always the full cloud; ``subset``, integer indices
-    (repeats allowed), only selects the targets, and their rows are read
-    from a search of the whole cloud.  Row k of the field is the k-th
-    target.  A target with fewer than 3 neighbors within h
+    The neighbor pool is always the full cloud; ``subset``, a 1-d sequence
+    of integer indices (repeats allowed), only selects the targets, and
+    their rows are read from a search of the whole cloud.  Row k of the
+    field is the k-th target.  A target with fewer than 3 neighbors within h
     inherits the basis of the nearest estimated target, the first in target
     order on ties; ValueError when there are targets and none is estimable.
     """
     points = check_points(points)
+    check_positive(h, "bandwidth h")
+    check_int(d, "intrinsic dimension d", 1)
     n, big_d = points.shape
-    if params.d >= big_d:
-        raise ValueError(f"need d < ambient dimension, got d={params.d} in R^{big_d}")
+    if d >= big_d:
+        raise ValueError(f"need d < ambient dimension, got d={d} in R^{big_d}")
     targets = np.arange(n) if subset is None else _neighbours.check_indices(subset, n)
     # row k of bases holds the estimate at targets[k] once estimated[k] is set
-    bases = np.empty((len(targets), big_d, params.d))
+    bases = np.empty((len(targets), big_d, d))
     estimated = np.zeros(len(targets), dtype=bool)
-    h2 = params.h * params.h
+    h2 = h * h
     indptr, cols = _neighbours._candidates(points, h2)
     for chunk, listed, _, diff, d2 in _neighbours._blocks(points, indptr, cols, targets):
-        estimated[chunk], bases[chunk] = _block_bases(diff, listed & (d2 <= h2), params, n)
+        estimated[chunk], bases[chunk] = _block_bases(diff, listed & (d2 <= h2), d, n)
     skipped = _inherit(points[targets], bases, estimated)
     bases.setflags(write=False)
     return TangentField(bases=bases, skipped=skipped)

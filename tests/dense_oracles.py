@@ -25,12 +25,11 @@ from tdcrecon.denoise import (
     NO_TANGENT,
     IterationDiagnostics,
     SlabSpec,
-    Schedule,
     _slab_mask,
+    bandwidths,
 )
 from tdcrecon.geometry import _check_bases
 from tdcrecon.models import Sphere, Torus
-from tdcrecon.tangent import TseParams
 
 _CHUNK = 256
 
@@ -111,19 +110,20 @@ def local_covariance(points: np.ndarray, j: int, h: float) -> np.ndarray:
     return centered.T @ centered / (n - 1)
 
 
-def pca_bases(points, params, targets):
-    """``(bases, estimated)``: the local-PCA basis at each target, set where
-    the target has at least ``tdcrecon.tangent._MIN_NEIGHBORS`` neighbours."""
+def pca_bases(points, h, d, targets):
+    """``(bases, estimated)``: the d-dimensional local-PCA basis at bandwidth h at
+    each target, set where the target has at least
+    ``tdcrecon.tangent._MIN_NEIGHBORS`` neighbours."""
     points = np.asarray(points, dtype=float)
     n, big_d = points.shape
     targets = np.asarray(targets, dtype=int)
-    bases = np.zeros((len(targets), big_d, params.d))
+    bases = np.zeros((len(targets), big_d, d))
     estimated = np.zeros(len(targets), dtype=bool)
     for lo in range(0, len(targets), _CHUNK):
         idx = targets[lo : lo + _CHUNK]
         diff = points[None, :, :] - points[idx][:, None, :]  # (c, n, D)
         dist2 = np.einsum("cnd,cnd->cn", diff, diff)
-        mask = dist2 <= params.h * params.h
+        mask = dist2 <= h * h
         mask[np.arange(len(idx)), idx] = False
         counts = mask.sum(axis=1)
         ok = counts >= tdcrecon.tangent._MIN_NEIGHBORS
@@ -140,7 +140,7 @@ def pca_bases(points, params, targets):
         cov = 0.5 * (cov + cov.transpose(0, 2, 1))
         eigvals, eigvecs = np.linalg.eigh(cov)
         rows = lo + np.flatnonzero(ok)
-        bases[rows] = eigvecs[:, :, ::-1][:, :, : params.d]
+        bases[rows] = eigvecs[:, :, ::-1][:, :, :d]
         estimated[rows] = True
     return bases, estimated
 
@@ -155,11 +155,11 @@ def complete(points, bases, estimated):
         bases[k] = bases[sources[nearest]]
 
 
-def estimate_tangents(points, params, subset=None):
+def estimate_tangents(points, h, d, subset=None):
     """``(bases, skipped)`` of the library's field: one row per target, in target order."""
     points = np.asarray(points, dtype=float)
     targets = np.arange(len(points)) if subset is None else np.asarray(subset, dtype=int)
-    bases, estimated = pca_bases(points, params, targets)
+    bases, estimated = pca_bases(points, h, d, targets)
     if len(targets) and not estimated.any():
         raise ValueError("no tangent estimable")
     complete(points[targets], bases, estimated)
@@ -214,14 +214,12 @@ def directed_hausdorff(a, b):
 def iterative_denoise(cloud, d, beta, kappa, spec, k_iters):
     """The denoising loop on the dense tangents, completion and slab counts."""
     n_total = cloud.n
-    sched = Schedule(n_total, d, beta, kappa)
     threshold = spec.t * math.log(n_total - 1)
     alive = np.arange(n_total)
     diags = []
-    for k in range(k_iters + 1):
-        h = sched.h_at(k)
+    for k, h in enumerate(bandwidths(n_total, d, beta, kappa, k_iters)):
         pts = cloud.points[alive]
-        bases, estimated = pca_bases(pts, TseParams(h=h, d=d), np.arange(len(pts)))
+        bases, estimated = pca_bases(pts, h, d, np.arange(len(pts)))
         inherited, stop_reason = int(np.count_nonzero(~estimated)), None
         slab_p05 = slab_p50 = None
         if estimated.any():

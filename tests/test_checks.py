@@ -1,6 +1,7 @@
 """The lemma-check module (its close-pair sampler, its boundary with the package),
 and the public names, the settable surface, the docstring references and the
-input contract of the package.
+input contract of the package, and that every module of the package and the
+tests uses what it imports.
 
 The checks themselves are tested next to the code they are about
 (test_models, test_geometry, test_denoise).
@@ -22,7 +23,7 @@ import lemma_checks
 import tdcrecon
 from lemma_checks import circle_geodesic_distance, circle_points, geodesic_pairs
 from tdcrecon import denoise, models
-from tdcrecon.denoise import Schedule, SlabSpec, default_slab_spec, iterative_denoise
+from tdcrecon.denoise import SlabSpec, bandwidths, default_slab_spec, iterative_denoise
 from tdcrecon.geometry import directed_hausdorff, principal_angles
 from tdcrecon.models import (
     LabeledCloud,
@@ -35,7 +36,7 @@ from tdcrecon.models import (
     save_cloud_csv,
 )
 from tdcrecon.sparsify import farthest_point_sampling
-from tdcrecon.tangent import TseParams, default_bandwidth, estimate_tangents
+from tdcrecon.tangent import default_bandwidth, estimate_tangents
 
 MODULES = ["_neighbours", "denoise", "geometry", "models", "sparsify", "tangent"]
 CHECK_NAMES = {"monte_carlo_reach", "geodesic_pairs", "CheckReport"}
@@ -63,6 +64,25 @@ def test_estimator_modules_hold_no_checks():
         assert not leaked, f"tdcrecon.{name} defines {sorted(leaked)}"
 
 
+def test_every_import_is_used():
+    # no linter is installed: an import that a change leaves behind is found
+    # by reading each module of the package and of the tests
+    repo = Path(__file__).resolve().parents[1]
+    unused = []
+    for path in sorted((repo / "src").rglob("*.py")) + sorted((repo / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name.split(".")[0]): node.lineno for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {(a.asname or a.name): node.lineno for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(repo)}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused
+
+
 def module_trees():
     """(name, module, parsed source) of every module of the package, each imported."""
     modules = [(name, importlib.import_module(f"tdcrecon.{name}")) for name in MODULES]
@@ -84,10 +104,10 @@ def test_public_names():
         public[name] = sorted(n for n in defined if not n.startswith("_"))
     assert public == {
         "_neighbours": [
-            "ball_lists", "check_indices", "check_int", "check_points", "check_positive", "norms",
+            "ball_lists", "check_indices", "check_int", "check_points", "check_positive",
         ],
         "denoise": [
-            "IterationDiagnostics", "NO_SURVIVORS", "NO_TANGENT", "Schedule", "SlabSpec",
+            "IterationDiagnostics", "NO_SURVIVORS", "NO_TANGENT", "SlabSpec", "bandwidths",
             "default_slab_spec", "diagnostics_to_json", "iterative_denoise", "k_delta",
         ],
         "geometry": ["ORTHONORMALITY_TOL", "directed_hausdorff", "principal_angles"],
@@ -97,7 +117,7 @@ def test_public_names():
             "sample", "save_cloud_csv",
         ],
         "sparsify": ["farthest_point_sampling"],
-        "tangent": ["TangentField", "TseParams", "default_bandwidth", "estimate_tangents"],
+        "tangent": ["TangentField", "default_bandwidth", "estimate_tangents"],
     }
 
 
@@ -132,15 +152,23 @@ def test_docstring_references_resolve():
 def test_settable_surface():
     # each setting is one the paper's estimator has; a new one is argued for here
     fields = {spec: [f.name for f in dataclasses.fields(spec)]
-              for spec in (TseParams, SampleSpec, SlabSpec, Sphere, Torus)}
+              for spec in (SampleSpec, SlabSpec, Sphere, Torus)}
     assert fields == {
-        TseParams: ["h", "d"],
         SampleSpec: ["n", "beta", "seed"],
         SlabSpec: ["k1", "k2", "t"],
         Sphere: ["radius", "ambient_dim", "intrinsic_dim"],
         Torus: ["major_radius", "minor_radius", "ambient_dim"],
     }
-    assert list(inspect.signature(farthest_point_sampling).parameters) == ["points", "eps"]
+    # the scales are plain arguments, each checked where it enters
+    signatures = {f: list(inspect.signature(f).parameters)
+                  for f in (farthest_point_sampling, estimate_tangents, bandwidths,
+                            iterative_denoise)}
+    assert signatures == {
+        farthest_point_sampling: ["points", "eps"],
+        estimate_tangents: ["points", "h", "d", "subset"],
+        bandwidths: ["n", "d", "beta", "kappa", "k_iters"],
+        iterative_denoise: ["cloud", "d", "beta", "kappa", "spec", "k_iters"],
+    }
     # a cloud is written and read whole: its checks are LabeledCloud's
     assert list(inspect.signature(save_cloud_csv).parameters) == ["path", "cloud"]
     assert list(inspect.signature(load_cloud_csv).parameters) == ["path"]
@@ -198,13 +226,13 @@ class TestCircleGeodesicPairs:
 # check_positive; the other cases are tested next to each entry point.
 CLOUD = np.random.default_rng(0).normal(size=(30, 3))
 SCALES = {
-    "TseParams.h": lambda v: TseParams(h=v, d=1),
+    "estimate_tangents.h": lambda v: estimate_tangents(CLOUD, v, 1),
     "default_bandwidth.c": lambda v: default_bandwidth(100, 1, v),
     "SlabSpec.k1": lambda v: SlabSpec(v, 0.5, 1.0),
     "SlabSpec.k2": lambda v: SlabSpec(0.5, v, 1.0),
     "SlabSpec.t": lambda v: SlabSpec(0.5, 0.5, v),  # in [0, inf)
     "default_slab_spec.rho": lambda v: default_slab_spec(1, 3, v, 1.0),
-    "Schedule.kappa": lambda v: Schedule(100, 1, 0.8, v),
+    "bandwidths.kappa": lambda v: bandwidths(100, 1, 0.8, v, 2),
     "farthest_point_sampling.eps": lambda v: farthest_point_sampling(CLOUD, v),
     "Sphere.grid": lambda v: Sphere().grid(v),
     "Torus.grid": lambda v: Torus().grid(v),
@@ -212,7 +240,7 @@ SCALES = {
     "Torus.major_radius": lambda v: Torus(major_radius=v, minor_radius=0.5),
     "Torus.minor_radius": lambda v: Torus(major_radius=2.0, minor_radius=v),
     "SampleSpec.beta": lambda v: SampleSpec(n=5, beta=v),
-    "Schedule.beta": lambda v: Schedule(100, 1, v, 1.0),
+    "bandwidths.beta": lambda v: bandwidths(100, 1, v, 1.0, 2),
 }
 CALLS = {
     "farthest_point_sampling": lambda x: farthest_point_sampling(x, 0.1),
@@ -278,7 +306,7 @@ BASES = frozen(CIRCLE3.tangent_many(ON_CIRCLE))
 READ_MODELS = {"Sphere": (CIRCLE3, ON_CIRCLE, NEAR_CIRCLE), "Torus": (TORUS, ON_TORUS, NEAR_TORUS)}
 READS = {
     "estimate_tangents": (
-        lambda x, subset: estimate_tangents(x, TseParams(h=0.3, d=1), subset),
+        lambda x, subset: estimate_tangents(x, 0.3, 1, subset),
         (NEAR_CIRCLE, frozen(np.arange(0, 200, 7))),
     ),
     "iterative_denoise": (

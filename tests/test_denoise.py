@@ -8,11 +8,10 @@ import pytest
 import dense_oracles as dense
 from dense_oracles import Subspace, in_slab
 from lemma_checks import inclusion_radius_factor, verify_slab_inclusion, verify_slab_separation
-from tdcrecon import denoise
 from tdcrecon.denoise import (
     IterationDiagnostics,
-    Schedule,
     SlabSpec,
+    bandwidths,
     default_slab_spec,
     diagnostics_to_json,
     iterative_denoise,
@@ -27,7 +26,6 @@ from tdcrecon.models import (
     sample,
     save_cloud_csv,
 )
-from tdcrecon.tangent import TseParams
 
 
 def span(*vectors):
@@ -187,58 +185,78 @@ class TestSdStep:
             one_step(pts, 1, 1.0, SlabSpec(0.5, 0.5, 5.0))
 
 
+def exponents(n, d, beta, kappa, k_iters):
+    """gamma_0 .. gamma_{k_iters} read back from the bandwidths as log h_k / log base."""
+    base = kappa * math.log(n) / (beta * (n - 1))
+    return [math.log(h) / math.log(base) for h in bandwidths(n, d, beta, kappa, k_iters)]
+
+
+def closed_form_gamma(d, k):
+    """gamma_k = 1/d - (2/(d+2))^k / (d(d+1)), the solution of the recurrence."""
+    return 1.0 / d - (2.0 / (d + 2.0)) ** k / (d * (d + 1))
+
+
 class TestSchedule:
+    """The bandwidth schedule h_k = base ** gamma_k that ``bandwidths`` lists."""
+
     def test_gamma_d2(self):
-        s = Schedule(n=1000, d=2, beta=1.0, kappa=1.0)
-        assert [s.gamma_at(k) for k in range(3)] == pytest.approx([1 / 3, 5 / 12, 11 / 24])
+        assert exponents(1000, 2, 1.0, 1.0, 2) == pytest.approx([1 / 3, 5 / 12, 11 / 24])
 
     def test_gamma_d1(self):
-        s = Schedule(n=1000, d=1, beta=1.0, kappa=1.0)
-        assert [s.gamma_at(k) for k in range(3)] == pytest.approx([1 / 2, 2 / 3, 7 / 9])
+        assert exponents(1000, 1, 1.0, 1.0, 2) == pytest.approx([1 / 2, 2 / 3, 7 / 9])
 
     def test_fixed_point(self):
         for d in (1, 2, 3, 5):
             g = 1.0 / d
             assert (2 * g + 1) / (d + 2) == pytest.approx(g)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_closed_form_oracle(self, d):
+        # the walk of the recurrence against its solution
+        assert exponents(5000, d, 0.8, 1.0, 12) == pytest.approx(
+            [closed_form_gamma(d, k) for k in range(13)], rel=1e-12
+        )
+
     def test_monotone_increasing_below_limit(self):
-        s = Schedule(n=5000, d=2, beta=0.8, kappa=1.0)
-        gam = np.array([s.gamma_at(k) for k in range(13)])
+        gam = np.array(exponents(5000, 2, 0.8, 1.0, 12))
         assert np.all(np.diff(gam) > 0)
         assert np.all(gam <= 1 / 2 + 1e-12)
 
     def test_h_decreasing_when_base_below_one(self):
-        s = Schedule(n=5000, d=2, beta=0.8, kappa=1.0)
-        assert s.base < 1
-        hs = [s.h_at(k) for k in range(9)]
+        base = math.log(5000) / (0.8 * 4999)
+        assert base < 1
+        hs = bandwidths(5000, 2, 0.8, 1.0, 8)
+        assert len(hs) == 9
         assert np.all(np.diff(hs) < 0)
         # above the limit base ** (1/d)
-        assert hs[-1] > s.base ** (1.0 / s.d)
+        assert hs[-1] > base ** (1.0 / 2)
 
     def test_h_at_extends(self):
-        s = Schedule(n=5000, d=1, beta=1.0, kappa=1.0)
-        assert s.h_at(0) == s.base ** s.gamma_at(0) == s.base**0.5
-        assert s.h_at(5) == pytest.approx(s.base ** s.gamma_at(5))
-        assert s.gamma_at(5) < 1.0
+        # a longer schedule extends a shorter one, bit for bit
+        base = math.log(5000) / 4999
+        hs = bandwidths(5000, 1, 1.0, 1.0, 5)
+        assert hs[:1] == bandwidths(5000, 1, 1.0, 1.0, 0) == [base**0.5]
+        assert hs[:3] == bandwidths(5000, 1, 1.0, 1.0, 2)
+        assert hs[5] == pytest.approx(base ** closed_form_gamma(1, 5))
+        assert exponents(5000, 1, 1.0, 1.0, 5)[5] < 1.0
 
     def test_negative_index_raises(self):
-        # k = -1 used to read the last stored exponent: h_at(-1) returned h_at(2)
-        s = Schedule(n=1000, d=2, beta=1.0, kappa=1.0)
-        with pytest.raises(ValueError, match="need k >= 0, got -1"):
-            s.gamma_at(-1)
-        with pytest.raises(ValueError, match="need k >= 0, got -3"):
-            s.h_at(-3)
+        # a negative index once read the last stored exponent; a negative
+        # count is no schedule at all
+        with pytest.raises(ValueError, match="need an integer k_iters >= 0, got -1"):
+            bandwidths(1000, 2, 1.0, 1.0, -1)
+        with pytest.raises(ValueError, match="need an integer k_iters >= 0, got -3"):
+            bandwidths(1000, 2, 1.0, 1.0, -3)
 
     def test_formula(self):
-        s = Schedule(n=4000, d=1, beta=0.8, kappa=2.0)
-        assert s.h_at(0) == pytest.approx(
+        assert bandwidths(4000, 1, 0.8, 2.0, 0)[0] == pytest.approx(
             (2.0 * math.log(4000) / (0.8 * 3999)) ** 0.5
         )
 
     @pytest.mark.parametrize(
         "n, d, beta, kappa, message",
         [
-            # n - 1 = 0: h_at(0) divided by zero
+            # n - 1 = 0: h_0 divided by zero
             (1, 1, 1.0, 1.0, "need an integer n >= 3"),
             # d = 0, and with kappa = -1 a negative bandwidth, -0.0465
             (100, 0, 1.0, -1.0, "need an integer d >= 1"),
@@ -248,7 +266,7 @@ class TestSchedule:
     )
     def test_direct_construction_validates(self, n, d, beta, kappa, message):
         with pytest.raises(ValueError, match=message):
-            Schedule(n=n, d=d, beta=beta, kappa=kappa)
+            bandwidths(n, d, beta, kappa, 2)
 
     @pytest.mark.parametrize(
         "n, d, message",
@@ -261,21 +279,28 @@ class TestSchedule:
     def test_non_integer_sizes_raise(self, n, d, message):
         # each of these used to build
         with pytest.raises(ValueError, match=message):
-            Schedule(n=n, d=d, beta=0.8, kappa=1.0)
+            bandwidths(n, d, 0.8, 1.0, 2)
 
     def test_numpy_integer_sizes(self):
-        s = Schedule(n=np.int64(100), d=np.int32(1), beta=0.8, kappa=1.0)
-        assert s.h_at(1) == Schedule(n=100, d=1, beta=0.8, kappa=1.0).h_at(1)
+        hs = bandwidths(np.int64(100), np.int32(1), 0.8, 1.0, np.int64(1))
+        assert hs == bandwidths(100, 1, 0.8, 1.0, 1)
 
     def test_nan_kappa_raises(self):
         # a NaN kappa made every bandwidth NaN: iterative_denoise kept every
         # point and stopped with "no tangent estimable"
         with pytest.raises(ValueError, match="need kappa > 0 and finite, got nan"):
-            Schedule(n=200, d=1, beta=0.8, kappa=float("nan"))
+            bandwidths(200, 1, 0.8, float("nan"), 2)
         cloud = sample(make_model("circle"), SampleSpec(n=200, beta=0.8, seed=5))
         spec = default_slab_spec(1, 2, 1.0, t=0.4)
         with pytest.raises(ValueError, match="need kappa > 0 and finite, got nan"):
             iterative_denoise(cloud, d=1, beta=0.8, kappa=float("nan"), spec=spec, k_iters=2)
+
+    def test_every_scale_checked_before_use(self):
+        # d = "1" used to reach d >= D first: TypeError, '>=' not supported
+        cloud = sample(make_model("circle"), SampleSpec(n=200, beta=0.8, seed=5))
+        spec = default_slab_spec(1, 2, 1.0, t=0.4)
+        with pytest.raises(ValueError, match="need an integer d >= 1, got '1'"):
+            iterative_denoise(cloud, d="1", beta=0.8, kappa=8.0, spec=spec, k_iters=2)
 
 
 class TestKDelta:
@@ -319,11 +344,24 @@ class TestKDelta:
     def test_delta_to_zero_grows(self):
         assert k_delta(1, 1e-4) > k_delta(1, 1e-2) > 0
 
-    def test_bound_violation_raises(self, monkeypatch):
-        # the closed-form check is an exception, not an assert that -O strips
-        monkeypatch.setattr(denoise, "_k_delta_bound", lambda d, delta: -5.0)
-        with pytest.raises(RuntimeError, match="closed-form bound"):
-            k_delta(2, 0.05)
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_closed_form_oracle(self, d):
+        # gamma_k >= 1/d - delta exactly when (2/(d+2))^k <= delta d(d+1):
+        # k_delta is the closed form rounded up, for deltas whose closed form
+        # lies clear of an integer
+        rng = np.random.default_rng(d)
+        top = 1.0 / (d * (d + 1))
+        checked = 0
+        for delta in top * rng.uniform(1e-6, 1.0, size=200):
+            bound = math.log(1.0 / (delta * d * (d + 1))) / math.log((d + 2.0) / 2.0)
+            if abs(bound - round(bound)) < 1e-6:
+                continue
+            k = k_delta(d, delta)
+            assert k == max(0, math.ceil(bound))
+            assert closed_form_gamma(d, k) >= 1.0 / d - delta
+            assert k == 0 or closed_form_gamma(d, k - 1) < 1.0 / d - delta
+            checked += 1
+        assert checked > 190
 
 
 class TestLemmaConstants:
@@ -336,6 +374,17 @@ class TestLemmaConstants:
         spec = default_slab_spec(2, 3, rho=0.5, t=1.0)
         assert spec.k1 == pytest.approx(3.0 / (8.0 + 16.0 * math.sqrt(2.0)))
         assert spec.k2 == pytest.approx(0.25)
+
+    @pytest.mark.parametrize(
+        "d, angle_constant",
+        [(1, True), (1, -0.25), (1, math.nan), (1, math.inf), (4, -1.0)],
+        ids=["bool", "negative", "nan", "inf", "d4-minus-one"],
+    )
+    def test_bad_angle_constant_raises(self, d, angle_constant):
+        # True gave k1 = 0.25, -0.25 a slab wider than its ball (k1 = 1.5),
+        # inf "need k1 > 0", and d = 4 with K = -1 a ZeroDivisionError
+        with pytest.raises(ValueError, match="need angle constant K > 0 and finite"):
+            default_slab_spec(d, d + 2, 1.0, 0.4, angle_constant=angle_constant)
 
     def test_zero_dimension_raises(self):
         # k1 = 3 / (4 d + 8 K sqrt(d)) used to divide by zero
@@ -456,7 +505,7 @@ class TestIterativeDenoise:
         kept_signal = [j for j in keep if j in signal]
         # all signal survives and the far outliers are gone
         assert len(kept_signal) == len(signal)
-        far_cut = Schedule(2000, 1, 0.8, 8.0).h_at(2) ** 2 / 1.0
+        far_cut = bandwidths(2000, 1, 0.8, 8.0, 2)[2] ** 2 / 1.0
         dists = make_model("circle").distance_many(cloud.points[keep])
         labels = cloud.labels[keep]
         assert np.all(dists[labels == 0] <= far_cut)

@@ -24,9 +24,9 @@ from tdcrecon import _neighbours, sparsify, tangent
 from tdcrecon.denoise import (
     NO_SURVIVORS,
     NO_TANGENT,
-    Schedule,
     SlabSpec,
     _tangents_and_slab_counts,
+    bandwidths,
     default_slab_spec,
     diagnostics_to_json,
     iterative_denoise,
@@ -34,7 +34,7 @@ from tdcrecon.denoise import (
 from tdcrecon.geometry import directed_hausdorff
 from tdcrecon.models import LabeledCloud, SampleSpec, Sphere, Torus, make_model, sample
 from tdcrecon.sparsify import farthest_point_sampling
-from tdcrecon.tangent import TseParams, _inherit, estimate_tangents
+from tdcrecon.tangent import _inherit, estimate_tangents
 
 PROJECTOR_TOL = 1e-12
 
@@ -220,11 +220,6 @@ class TestBallLists:
             want = np.flatnonzero(np.linalg.norm(pts - centre, axis=1) <= radius)
             assert sorted(ball.tolist()) == want.tolist()
 
-    @pytest.mark.parametrize("shape", [(7, 3), (4, 5, 10), (0, 2)])
-    def test_norms_are_linalg_norms(self, shape):
-        diff = np.random.default_rng(7).normal(size=shape)
-        assert np.array_equal(_neighbours.norms(diff), np.linalg.norm(diff, axis=-1))
-
 
 def skewed_cloud():
     """9000 points in R^3: 2000 quadruples 1 apart and one tight cluster of 1000.
@@ -249,7 +244,7 @@ class TestBlockMemory:
         assert pairs > 10**6
         tracemalloc.start()
         try:
-            field = estimate_tangents(pts, TseParams(h=0.1, d=2))
+            field = estimate_tangents(pts, 0.1, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -289,11 +284,10 @@ class TestBlockCuts:
     def outputs():
         # signal and outliers interleaved: rows of many widths side by side
         cloud = sample(make_model("circle", ambient_dim=3), SampleSpec(n=600, beta=0.7, seed=305))
-        pts, h = cloud.points, 0.25
+        pts, h, d = cloud.points, 0.25, 1
         spec = SlabSpec(k1=0.6, k2=1.5, t=1.0)
-        params = TseParams(h=h, d=1)
-        field = estimate_tangents(pts, params)
-        counts, inherited, _ = _tangents_and_slab_counts(pts, params, spec)
+        field = estimate_tangents(pts, h, d)
+        counts, inherited, _ = _tangents_and_slab_counts(pts, h, d, spec)
         assert inherited > 0
         return [a.tobytes() for a in (field.bases, field.skipped, counts)]
 
@@ -310,31 +304,43 @@ class TestOutOfRangeIndices:
     @pytest.mark.parametrize("bad", [-1, -50, 50, 51])
     def test_estimate_tangents(self, bad):
         with pytest.raises(ValueError, match=f"index {bad} is outside \\[0, 50\\)"):
-            estimate_tangents(self.pts, TseParams(h=0.3, d=2), subset=[3, bad])
+            estimate_tangents(self.pts, 0.3, 2, subset=[3, bad])
 
 
 class TestNonIntegerIndices:
     pts = CLOUDS["D3-sphere"][0][:50]
-    params = TseParams(h=0.3, d=2)
+    h, d = 0.3, 2
 
     def test_boolean_mask_raises(self):
         # a mask with 3 True entries used to give 50 estimates at indices 0 and 1
         mask = np.zeros(50, dtype=bool)
         mask[[4, 9, 30]] = True
         with pytest.raises(ValueError, match="must be integers, got dtype bool"):
-            estimate_tangents(self.pts, self.params, subset=mask)
+            estimate_tangents(self.pts, self.h, self.d, subset=mask)
 
     def test_float_indices_raise(self):
         # [1.7, 2.2] used to be read as [1, 2]
         with pytest.raises(ValueError, match="must be integers, got dtype float64"):
-            estimate_tangents(self.pts, self.params, subset=[1.7, 2.2])
+            estimate_tangents(self.pts, self.h, self.d, subset=[1.7, 2.2])
 
     def test_empty_subset(self):
-        field = estimate_tangents(self.pts, self.params, subset=[])
+        field = estimate_tangents(self.pts, self.h, self.d, subset=[])
         assert field.bases.shape == (0, 3, 2) and len(field.skipped) == 0
 
+    @pytest.mark.parametrize(
+        "subset, shape",
+        [([[0, 1], [2, 3]], r"\(2, 2\)"), (5, r"\(\)"), (np.zeros((0, 2), int), r"\(0, 2\)")],
+        ids=["nested", "scalar", "empty-2d"],
+    )
+    def test_not_one_dimensional_raises(self, subset, shape):
+        # a nested list failed deep in the block cutter with a TypeError, a
+        # scalar with "len() of unsized object", and an empty (0, 2) array
+        # gave a (0, D, d) field
+        with pytest.raises(ValueError, match=f"need a 1-d array of indices, got shape {shape}"):
+            estimate_tangents(self.pts, self.h, self.d, subset=subset)
 
-def assert_pass_matches_stages(pts, params, spec):
+
+def assert_pass_matches_stages(pts, h, d, spec):
     """The one-pass slab counts hold the bits of the separate stages.
 
     The stages are ``estimate_tangents``, with a search of its own, and the
@@ -343,17 +349,17 @@ def assert_pass_matches_stages(pts, params, spec):
     dense count of pairs within h.  Returns the standalone field, or None
     when no tangent is estimable.
     """
-    counts, inherited, neighbours = _tangents_and_slab_counts(pts, params, spec)
-    rows = dense.ball_pairs(pts, np.arange(len(pts)), params.h * params.h)[0]
+    counts, inherited, neighbours = _tangents_and_slab_counts(pts, h, d, spec)
+    rows = dense.ball_pairs(pts, np.arange(len(pts)), h * h)[0]
     assert neighbours == len(rows) - len(pts)
     if counts is None:
         assert inherited == 0
         with pytest.raises(ValueError, match="no tangent estimable"):
-            estimate_tangents(pts, params)
+            estimate_tangents(pts, h, d)
         return None
-    want = estimate_tangents(pts, params)
+    want = estimate_tangents(pts, h, d)
     assert inherited == len(want.skipped)
-    want_counts = dense.slab_counts(pts, want.bases, params.h, spec)
+    want_counts = dense.slab_counts(pts, want.bases, h, spec)
     assert counts.tobytes() == want_counts.tobytes()
     return want
 
@@ -381,7 +387,7 @@ class TestSharedNeighbours:
     def test_both_readers_match_own_searches(self):
         for name, spec in itertools.product(TANGENT_CLOUDS, (NARROW_SLAB, WIDE_SLAB)):
             pts, h, d = CLOUDS[name]
-            field = assert_pass_matches_stages(pts, TseParams(h=h, d=d), spec)
+            field = assert_pass_matches_stages(pts, h, d, spec)
             assert len(field.bases) - len(field.skipped) > 0
 
     def test_lattice_radii_hit_exactly(self, monkeypatch):
@@ -390,13 +396,13 @@ class TestSharedNeighbours:
         monkeypatch.setattr(tangent, "_MIN_NEIGHBORS", 4)
         pts = lattice(range(5), range(4), range(3))
         for h, spec in [(1.0, SlabSpec(k1=1.0, k2=1.0, t=1.0)), (2.0, SlabSpec(0.5, 0.25, 1.0))]:
-            assert_pass_matches_stages(pts, TseParams(h=h, d=2), spec)
+            assert_pass_matches_stages(pts, h, 2, spec)
 
     def test_kept_radius_equal_to_search(self):
         # the slab ball is the search radius and the h-ball lies inside it
         pts, h, d = CLOUDS["D10-circle"]
         assert slab_ball_r2(h, WIDE_SLAB) > h * h
-        field = assert_pass_matches_stages(pts, TseParams(h=h, d=d), WIDE_SLAB)
+        field = assert_pass_matches_stages(pts, h, d, WIDE_SLAB)
         assert len(field.skipped)
 
     def test_kept_pairs_in_small_chunks(self, monkeypatch):
@@ -405,45 +411,42 @@ class TestSharedNeighbours:
             monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", block_bytes)
             for name, spec in itertools.product(TANGENT_CLOUDS, (NARROW_SLAB, WIDE_SLAB)):
                 pts, h, d = CLOUDS[name]
-                assert_pass_matches_stages(pts, TseParams(h=h, d=d), spec)
+                assert_pass_matches_stages(pts, h, d, spec)
 
     def test_nothing_estimable(self):
         # two points: no point has the 3 neighbours an estimate needs
         pts = np.array([[0.0, 0.0], [0.0, 0.5]])
-        assert assert_pass_matches_stages(pts, TseParams(h=1.0, d=1), NARROW_SLAB) is None
+        assert assert_pass_matches_stages(pts, 1.0, 1, NARROW_SLAB) is None
 
 
 class TestEstimateTangentsOracle:
     @pytest.mark.parametrize("name", TANGENT_CLOUDS)
     def test_matches_dense(self, name):
         pts, h, d = CLOUDS[name]
-        params = TseParams(h=h, d=d)
-        assert_same_field(estimate_tangents(pts, params), dense.estimate_tangents(pts, params))
+        assert_same_field(estimate_tangents(pts, h, d), dense.estimate_tangents(pts, h, d))
 
     def test_subset(self):
         pts, h, d = CLOUDS["D10-circle"]
-        params = TseParams(h=h, d=d)
         subset = [5, 17, 599, 100, 5, 3]
         assert_same_field(
-            estimate_tangents(pts, params, subset=subset),
-            dense.estimate_tangents(pts, params, subset=subset),
+            estimate_tangents(pts, h, d, subset=subset),
+            dense.estimate_tangents(pts, h, d, subset=subset),
         )
 
     def test_small_chunks(self, monkeypatch):
         # blocks of a few slots: many hold a single target
         monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", 256)
         pts, h, d = CLOUDS["D3-sphere"]
-        params = TseParams(h=h, d=d)
-        assert_same_field(estimate_tangents(pts, params), dense.estimate_tangents(pts, params))
+        assert_same_field(estimate_tangents(pts, h, d), dense.estimate_tangents(pts, h, d))
 
     def test_lattice_closed_ball(self, monkeypatch):
         # the plane z = 0 in R^3 with h = 1: each interior point has exactly
         # its four axis neighbours, all on the sphere of radius h
         monkeypatch.setattr(tangent, "_MIN_NEIGHBORS", 4)
         pts = np.column_stack([lattice(range(6), range(5)), np.zeros(30)])
-        params = TseParams(h=1.0, d=2)
-        field = estimate_tangents(pts, params)
-        assert_same_field(field, dense.estimate_tangents(pts, params))
+        h, d = 1.0, 2
+        field = estimate_tangents(pts, h, d)
+        assert_same_field(field, dense.estimate_tangents(pts, h, d))
         interior = [j for j, p in enumerate(pts) if 0 < p[0] < 5 and 0 < p[1] < 4]
         assert dense.estimated_rows(field).tolist() == interior
         plane = np.diag([1.0, 1.0, 0.0])
@@ -457,7 +460,7 @@ class TestSlabCountsOracle:
     def test_matches_dense_estimated_tangents(self):
         pts, h, d = CLOUDS["D10-circle"]
         spec = SlabSpec(k1=0.375, k2=1.0 / 12.0, t=0.4)
-        assert_pass_matches_stages(pts, TseParams(h=h, d=d), spec)
+        assert_pass_matches_stages(pts, h, d, spec)
 
     @pytest.mark.parametrize(
         "h, k1, k2",
@@ -482,7 +485,7 @@ class TestSlabCountsOracle:
     def test_small_chunks(self, monkeypatch):
         monkeypatch.setattr(_neighbours, "_BLOCK_BYTES", 256)
         pts, h, d = CLOUDS["D3-sphere"]
-        assert_pass_matches_stages(pts, TseParams(h=h, d=d), SlabSpec(k1=0.6, k2=1.5, t=1.0))
+        assert_pass_matches_stages(pts, h, d, SlabSpec(k1=0.6, k2=1.5, t=1.0))
 
 
 def inherited_both_ways(points, bases, estimated):
@@ -498,7 +501,7 @@ class TestCompleteOracle:
 
     def test_matches_dense(self):
         pts, h, d = CLOUDS["D10-circle"]
-        bases, estimated = dense.pca_bases(pts, TseParams(h=h, d=d), np.arange(len(pts)))
+        bases, estimated = dense.pca_bases(pts, h, d, np.arange(len(pts)))
         assert not estimated.all()
         got, want = inherited_both_ways(pts, bases, estimated)
         assert np.array_equal(got, want)
@@ -643,7 +646,7 @@ class TestIterativeDenoiseOracle:
 
     def test_slab_ball_wider_than_h(self):
         cloud, d, kappa, spec = denoise_case("wide-slab")
-        h = Schedule(cloud.n, d, 0.8, kappa).h_at(0)
+        h = bandwidths(cloud.n, d, 0.8, kappa, 0)[0]
         assert slab_ball_r2(h, spec) > h * h
         self.assert_matches_dense("wide-slab")
 
@@ -700,7 +703,7 @@ class TestIterativeDenoiseOracle:
         points[:, 0] = np.arange(n)
         cloud = LabeledCloud(points, np.ones(n, dtype=np.int8))
         spec = SlabSpec(k1=0.5, k2=0.5, t=0.6)
-        assert Schedule(n, d, 0.8, kappa).h_at(0) < 1.0
+        assert bandwidths(n, d, 0.8, kappa, 0)[0] < 1.0
         keep, diags = iterative_denoise(cloud, d, 0.8, kappa, spec, 2)
         assert keep == list(range(cloud.n))
         assert len(diags) == 1 and calls == ["query_pairs"]
@@ -752,7 +755,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("value", BAD)
     def test_estimate_tangents(self, value):
         with pytest.raises(ValueError, match="NaN or inf"):
-            estimate_tangents(with_bad(self.pts, value), TseParams(h=0.3, d=2))
+            estimate_tangents(with_bad(self.pts, value), 0.3, 2)
 
     @pytest.mark.parametrize("value", BAD)
     def test_slab_counts(self, value):

@@ -13,7 +13,7 @@ from dense_oracles import (
 from tdcrecon import tangent
 from tdcrecon.geometry import principal_angles
 from tdcrecon.models import SampleSpec, Sphere, make_model, sample
-from tdcrecon.tangent import TseParams, _inherit, default_bandwidth, estimate_tangents
+from tdcrecon.tangent import _inherit, default_bandwidth, estimate_tangents
 
 
 def span(*vectors):
@@ -142,28 +142,27 @@ class TestBlockBases:
         # 0, 1, 2, 3 and 6 neighbours within h, and one listed outside it
         nbrs = [[far], [0, far], [0, 1, far], [0, 1, 2, far], [0, 1, 2, 3, 5, 6]]
         diff, near = self._block(points, nbrs, h=50.0)
-        params = TseParams(h=50.0, d=2)
-        ok, bases = tangent._block_bases(diff, near, params, 12)
+        ok, bases = tangent._block_bases(diff, near, 2, 12)
         counts = near.sum(axis=1)
         assert counts.tolist() == [0, 1, 2, 3, 6]
         assert np.array_equal(ok, counts >= 3)
         assert bases.shape == (5, 4, 2) and np.isfinite(bases).all()
         for r in np.flatnonzero(ok):
-            alone_ok, alone = tangent._block_bases(diff[r : r + 1], near[r : r + 1], params, 12)
+            alone_ok, alone = tangent._block_bases(diff[r : r + 1], near[r : r + 1], 2, 12)
             assert alone_ok.tolist() == [True]
             assert alone[0].tobytes() == bases[r].tobytes()
 
     def test_isolated_rows(self):
         # a block of zero width: no row has a neighbour at all
         diff, near = np.zeros((3, 0, 5)), np.zeros((3, 0), dtype=bool)
-        ok, bases = tangent._block_bases(diff, near, TseParams(h=0.1, d=3), 40)
+        ok, bases = tangent._block_bases(diff, near, 3, 40)
         assert not ok.any()
         assert bases.shape == (3, 5, 3) and np.isfinite(bases).all()
 
     def test_single_point_cloud(self):
         # its one row reaches the covariance, whose divisor n - 1 is 0
         with pytest.raises(ValueError, match="no tangent estimable"):
-            estimate_tangents(np.zeros((1, 3)), TseParams(h=0.1, d=1))
+            estimate_tangents(np.zeros((1, 3)), 0.1, 1)
 
 
 class TestEstimateTangents:
@@ -171,7 +170,7 @@ class TestEstimateTangents:
         monkeypatch.setattr(tangent, "_MIN_NEIGHBORS", 2)
         x = np.linspace(0.0, 1.0, 50)
         pts = np.column_stack([x, np.zeros(50), np.zeros(50)])
-        field = estimate_tangents(pts, TseParams(h=0.1, d=1))
+        field = estimate_tangents(pts, 0.1, 1)
         assert not len(field.skipped)
         for sub in subspaces(field.bases):
             assert principal_angle(sub, span([1, 0, 0])) < 1e-12
@@ -181,7 +180,7 @@ class TestEstimateTangents:
         xx, yy = np.meshgrid(g, g)
         pts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(400)])
         step = g[1] - g[0]
-        field = estimate_tangents(pts, TseParams(h=3 * step, d=2))
+        field = estimate_tangents(pts, 3 * step, 2)
         assert not len(field.skipped)
         plane = span([1, 0, 0], [0, 1, 0])
         for sub in subspaces(field.bases):
@@ -192,7 +191,7 @@ class TestEstimateTangents:
         basis = np.linalg.qr(rng.normal(size=(5, 2)))[0]
         coeff = rng.normal(size=(80, 2))
         pts = coeff @ basis.T + rng.normal(size=5)
-        field = estimate_tangents(pts, TseParams(h=10.0, d=2))
+        field = estimate_tangents(pts, 10.0, 2)
         target = Subspace(basis)
         for sub in subspaces(field.bases):
             assert principal_angle(sub, target) < 1e-10
@@ -201,7 +200,7 @@ class TestEstimateTangents:
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [9.0, 9.0]])
         for min_neighbors in (1, 2):
             monkeypatch.setattr(tangent, "_MIN_NEIGHBORS", min_neighbors)
-            field = estimate_tangents(pts, TseParams(h=0.3, d=1))
+            field = estimate_tangents(pts, 0.3, 1)
             assert field.skipped.tolist() == [3]
             assert estimated_rows(field).tolist() == [0, 1, 2]
             # the isolated point inherits from the nearest estimate
@@ -210,34 +209,34 @@ class TestEstimateTangents:
         # an estimate needs 3 neighbours; the collinear points have 2 each
         monkeypatch.setattr(tangent, "_MIN_NEIGHBORS", 3)
         with pytest.raises(ValueError, match="no target has 3 neighbours within h"):
-            estimate_tangents(pts, TseParams(h=0.3, d=1))
+            estimate_tangents(pts, 0.3, 1)
 
     def test_nan_bandwidth_raises(self):
         with pytest.raises(ValueError, match="need bandwidth h > 0"):
-            TseParams(h=float("nan"), d=1)
+            estimate_tangents(np.eye(3), float("nan"), 1)
 
     @pytest.mark.parametrize("d", [1.5, 1.0, True])
     def test_non_integer_dimension_raises(self, d):
         # d = 1.5 used to pass and then fail in np.empty with a TypeError
         with pytest.raises(ValueError, match="need an integer intrinsic dimension"):
-            TseParams(h=0.5, d=d)
+            estimate_tangents(np.eye(3), 0.5, d)
 
     def test_numpy_integer_dimension(self):
         pts = np.column_stack([np.linspace(0.0, 1.0, 20), np.zeros(20)])
-        field = estimate_tangents(pts, TseParams(h=0.2, d=np.int64(1)))
+        field = estimate_tangents(pts, 0.2, np.int64(1))
         assert field.bases.shape == (20, 2, 1)
 
     @pytest.mark.parametrize("shape", [(5,), (4, 5, 2)])
     def test_points_not_two_dimensional_raise(self, shape):
         # these used to fail unpacking the shape: not enough / too many values
         with pytest.raises(ValueError, match=r"need an \(n, D\) point array"):
-            estimate_tangents(np.zeros(shape), TseParams(h=0.5, d=1))
+            estimate_tangents(np.zeros(shape), 0.5, 1)
 
     def test_matches_local_covariance_oracle(self):
         # each estimate spans the top d eigenvectors of the scalar oracle's
         # covariance of that point's closed h-ball
         cloud = sample(make_model("circle", ambient_dim=4), SampleSpec(n=300, beta=0.9, seed=6))
-        field = estimate_tangents(cloud.points, TseParams(h=0.3, d=1))
+        field = estimate_tangents(cloud.points, 0.3, 1)
         assert len(field.bases) - len(field.skipped) > 250
         for j, sub in estimates(field):
             eigvecs = np.linalg.eigh(local_covariance(cloud.points, j, 0.3))[1]
@@ -248,34 +247,34 @@ class TestEstimateTangents:
         # d > D used to return D-dimensional "tangents" without complaint
         pts = np.random.default_rng(2).normal(size=(50, 3))
         with pytest.raises(ValueError, match="d < ambient dimension"):
-            estimate_tangents(pts, TseParams(h=5.0, d=4))
+            estimate_tangents(pts, 5.0, 4)
 
     def test_dimension_equal_to_ambient(self):
         # d = D used to return R^D itself as every "tangent"
         pts = np.random.default_rng(2).normal(size=(50, 3))
         with pytest.raises(ValueError, match="need d < ambient dimension, got d=3 in R\\^3"):
-            estimate_tangents(pts, TseParams(h=5.0, d=3))
+            estimate_tangents(pts, 5.0, 3)
 
     def test_subset_matches_full(self):
         cloud = sample(make_model("circle"), SampleSpec(n=300, beta=1.0, seed=2))
-        params = TseParams(h=0.2, d=1)
-        full = estimate_tangents(cloud.points, params)
-        part = estimate_tangents(cloud.points, params, subset=[5, 17, 100])
+        h, d = 0.2, 1
+        full = estimate_tangents(cloud.points, h, d)
+        part = estimate_tangents(cloud.points, h, d, subset=[5, 17, 100])
         for k, j in enumerate([5, 17, 100]):
             assert np.array_equal(part.bases[k], full.bases[j])
 
     def test_rigid_motion_equivariance(self):
         rng = np.random.default_rng(3)
         cloud = sample(make_model("circle"), SampleSpec(n=200, beta=1.0, seed=4))
-        params = TseParams(h=0.25, d=1)
-        base = estimate_tangents(cloud.points, params)
+        h, d = 0.25, 1
+        base = estimate_tangents(cloud.points, h, d)
         theta = 0.7
         rot = np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
         shift = rng.normal(size=2)
         moved = cloud.points @ rot.T + shift
-        rotated = estimate_tangents(moved, params)
+        rotated = estimate_tangents(moved, h, d)
         for j, sub in estimates(base):
             expected = Subspace(rot @ sub.basis)
             assert principal_angle(subspace_at(rotated, j), expected) < 1e-8
@@ -283,8 +282,8 @@ class TestEstimateTangents:
     def test_scale_invariance(self):
         cloud = sample(make_model("circle"), SampleSpec(n=200, beta=1.0, seed=5))
         lam = 3.7
-        a = estimate_tangents(cloud.points, TseParams(h=0.25, d=1))
-        b = estimate_tangents(lam * cloud.points, TseParams(h=lam * 0.25, d=1))
+        a = estimate_tangents(cloud.points, 0.25, 1)
+        b = estimate_tangents(lam * cloud.points, lam * 0.25, 1)
         for j, sub in estimates(a):
             assert principal_angle(subspace_at(b, j), sub) < 1e-8
 
@@ -296,7 +295,7 @@ class TestEstimateTangents:
             for seed in range(3):
                 cloud = sample(make_model("circle"), SampleSpec(n=n, beta=1.0, seed=seed))
                 h = default_bandwidth(n, 1, c=4.0)
-                field = estimate_tangents(cloud.points, TseParams(h=h, d=1))
+                field = estimate_tangents(cloud.points, h, 1)
                 model = make_model("circle")
                 true = model.tangent_many(model.project_many(cloud.points))
                 worst.append(principal_angles(field.bases, true).max())
@@ -312,8 +311,8 @@ class TestEstimateTangents:
         for n in (2000, 8000):
             cloud = sample(model, SampleSpec(n=n, beta=1.0, seed=7))
             targets = np.arange(300)
-            params = TseParams(h=default_bandwidth(n, 3, 40.0), d=3)
-            field = estimate_tangents(cloud.points, params, subset=targets)
+            h, d = default_bandwidth(n, 3, 40.0), 3
+            field = estimate_tangents(cloud.points, h, d, subset=targets)
             assert field.skipped.size == 0
             true = model.tangent_many(cloud.points[targets])
             medians.append(np.median(principal_angles(field.bases, true)))
@@ -350,13 +349,13 @@ class TestTangentField:
         pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
         monkeypatch.setattr(tangent, "_MIN_NEIGHBORS", 1)
         with pytest.raises(ValueError, match="no tangent estimable"):
-            estimate_tangents(pts, TseParams(h=1.0, d=1))
+            estimate_tangents(pts, 1.0, 1)
 
     def test_restrict_reindexes(self):
         # the field of a subset is re-indexed to it: row k is subset[k]
         cloud = sample(make_model("circle"), SampleSpec(n=300, beta=1.0, seed=2))
-        params = TseParams(h=0.2, d=1)
-        full = estimate_tangents(cloud.points, params)
-        sub = estimate_tangents(cloud.points, params, subset=[7, 2, 7])
+        h, d = 0.2, 1
+        full = estimate_tangents(cloud.points, h, d)
+        sub = estimate_tangents(cloud.points, h, d, subset=[7, 2, 7])
         assert sub.bases.shape == (3, 2, 1)
         assert np.array_equal(sub.bases, full.bases[[7, 2, 7]])
