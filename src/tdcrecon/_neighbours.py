@@ -25,8 +25,9 @@ and its oracle test compares its ``einsum`` distances bit for bit.
 
 A block covers targets in stable order of width, the number of candidates
 the self-join lists for each, one row each; it is as wide as its last row,
-and a shorter row is padded with the target's own index.  Blocks are cut so
-that rows x max(widest row, D) x D float64 values stay within
+and a shorter row is padded with the target itself, at zero difference but
+infinite squared distance, so that no ball or slab test counts it.  Blocks
+are cut so that rows x max(widest row, D) x D float64 values stay within
 ``_BLOCK_BYTES``, a size that fits in a core's L2 cache, unless one row
 alone is wider; so the block of differences and the local PCA's (rows, D, D)
 stacks have a hard bound, however skewed the neighbour counts are.
@@ -138,13 +139,13 @@ def _chunks(widths: np.ndarray, big_d: int):
 def _blocks(points: np.ndarray, indptr: np.ndarray, cols: np.ndarray, targets: np.ndarray):
     """Padded neighbour blocks of ``points[targets]`` from the lists of :func:`_candidates`.
 
-    Yields ``(chunk, listed, nbr, diff, d2)`` per block; ``chunk`` indexes
-    the ``targets`` it covers, and the blocks cover each once.  Row r is
-    target ``targets[chunk[r]]``: ``nbr[r]`` its neighbours in increasing
-    order, padded with itself (``listed`` is False there, ``diff`` zero),
-    ``diff[r]`` their differences from it and ``d2[r]`` the squared lengths.
-    The closed ball of squared radius r2, no wider than the search, is
-    ``listed & (d2 <= r2)``: a dense scan's predicate, exact on the sphere.
+    Yields ``(chunk, diff, d2)`` per block; ``chunk`` indexes the
+    ``targets`` it covers, and the blocks cover each once.  Row r is target
+    ``targets[chunk[r]]``: ``diff[r]`` its neighbours' differences from it,
+    in increasing index order, then padding (the target itself, at zero
+    difference), and ``d2[r]`` the squared lengths, inf on the padding.  The
+    closed ball of squared radius r2, no wider than the search, is
+    ``d2 <= r2``: a dense scan's predicate, exact on the sphere.
     """
     starts = indptr[targets]
     widths = indptr[targets + 1] - starts
@@ -153,14 +154,13 @@ def _blocks(points: np.ndarray, indptr: np.ndarray, cols: np.ndarray, targets: n
         chunk = order[rows]
         own, c = targets[chunk], widths[chunk]
         slot = np.arange(int(c[-1]))
-        at = starts[chunk, None] + slot
-        listed = slot < c[:, None]
-        nbr = np.where(listed, np.take(cols, at, mode="clip"), own[:, None])
-        # padding is the target itself: its differences are exactly zero
+        pad = slot >= c[:, None]
+        nbr = np.where(pad, own[:, None], np.take(cols, starts[chunk, None] + slot, mode="clip"))
         diff = np.take(points, nbr, axis=0)
         diff -= points[own][:, None]
         d2 = np.einsum("rwi,rwi->rw", diff, diff)
-        yield chunk, listed, nbr, diff, d2
+        d2[pad] = np.inf
+        yield chunk, diff, d2
 
 
 def ball_lists(tree, centres: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,8 @@ is 1/d.
 The slab at bandwidth h lies in the ball of radius sqrt((k1 h)^2 + (k2 h^2)^2),
 so each iteration runs one neighbour search of the surviving cloud, a KD-tree
 self-join at the larger of that radius and the tangent bandwidth, and reads
-its neighbour blocks in one pass: each block gives a local-PCA basis for
+its neighbour blocks in one pass (a padded slot of a block sits at infinite
+distance, in no ball and no slab): each block gives a local-PCA basis for
 every row and, with those bases, the slab counts of the rows with enough
 neighbours for an estimate.  The other rows hold a placeholder basis; once
 :func:`.tangent._inherit` has overwritten it with the nearest estimate, only
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from itertools import islice
 
@@ -52,8 +54,9 @@ class SlabSpec:
     def __post_init__(self):
         check_positive(self.k1, "k1")
         check_positive(self.k2, "k2")
-        if isinstance(self.t, bool) or not 0 <= self.t < math.inf:
-            raise ValueError(f"need t >= 0 and finite, got {self.t!r}")
+        t = self.t
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 <= t < math.inf:
+            raise ValueError(f"need t >= 0 and finite, got {t!r}")
 
 
 def default_slab_spec(
@@ -80,7 +83,9 @@ def _slab_mask(
 
     ``basis`` is the D x d tangent basis shared by every row, or a stack of
     bases, one per matrix of rows: (..., D, d) against ``diff`` (..., rows, D).
-    ``d2``, the squared lengths of the rows, is computed when not given.
+    ``d2``, the rows' squared lengths, is computed when not given.  A padded
+    slot of a neighbour block, at zero offset and ``d2`` inf, is in no slab:
+    inf - 0 exceeds (k2 h^2)^2.
     """
     if d2 is None:
         d2 = np.einsum("...i,...i->...", diff, diff)
@@ -88,14 +93,6 @@ def _slab_mask(
     tang2 = np.einsum("...j,...j->...", tang, tang)
     norm2 = d2 - tang2
     return (tang2 <= (spec.k1 * h) ** 2) & (np.maximum(norm2, 0.0) <= (spec.k2 * h * h) ** 2)
-
-
-def _slab_hits(diff, d2, inside, bases, h: float, spec: SlabSpec) -> np.ndarray:
-    """Per row of a neighbour block, the slots ``inside`` that lie in the row's slab.
-
-    ``bases`` holds one tangent basis per row.
-    """
-    return np.count_nonzero(inside & _slab_mask(diff, bases, h, spec, d2), axis=1)
 
 
 def _tangents_and_slab_counts(
@@ -123,19 +120,19 @@ def _tangents_and_slab_counts(
     # every point lies in its own slab
     counts = np.ones(n, dtype=int)
     neighbours = 0
-    for chunk, listed, _, diff, d2 in _neighbours._blocks(points, indptr, cols, np.arange(n)):
-        near = listed & (d2 <= h2)
+    for chunk, diff, d2 in _neighbours._blocks(points, indptr, cols, np.arange(n)):
+        near = d2 <= h2
         neighbours += int(np.count_nonzero(near))
         ok, block = _block_bases(diff, near, d, n)
         bases[chunk], estimated[chunk] = block, ok
         # a row without an estimate of its own counts its slab once it has inherited
-        counts[chunk] += _slab_hits(diff, d2, listed & ok[:, None], block, h, spec)
+        counts[chunk] += ok * np.count_nonzero(_slab_mask(diff, block, h, spec, d2), axis=1)
     if not estimated.any():
         return None, 0, neighbours
     skipped = _inherit(points, bases, estimated)
-    for chunk, listed, _, diff, d2 in _neighbours._blocks(points, indptr, cols, skipped):
+    for chunk, diff, d2 in _neighbours._blocks(points, indptr, cols, skipped):
         rows = skipped[chunk]
-        counts[rows] += _slab_hits(diff, d2, listed, bases[rows], h, spec)
+        counts[rows] += np.count_nonzero(_slab_mask(diff, bases[rows], h, spec, d2), axis=1)
     return counts, len(skipped), neighbours
 
 
@@ -167,7 +164,7 @@ def bandwidths(n: int, d: int, beta: float, kappa: float, k_iters: int) -> list[
 def k_delta(d: int, delta: float) -> int:
     """Smallest k with gamma_k >= 1/d - delta."""
     check_int(d, "d", 1)
-    if not 0.0 < delta < 1.0 / (d * (d + 1)):
+    if not isinstance(delta, numbers.Real) or not 0.0 < delta < 1.0 / (d * (d + 1)):
         raise ValueError(f"need 0 < delta < 1/(d(d+1)) = {1.0 / (d * (d + 1)):.6g}")
     return next(k for k, g in enumerate(_exponents(d)) if g >= 1.0 / d - delta)
 

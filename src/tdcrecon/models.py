@@ -178,11 +178,10 @@ class Torus(ManifoldModel):
     ambient_dim: int = 3
 
     def __post_init__(self):
-        if not 0 < self.minor_radius < self.major_radius < math.inf:
-            raise ValueError("need 0 < minor_radius < major_radius < inf")
-        # what the comparisons let through, a bool
         check_positive(self.major_radius, "major_radius")
         check_positive(self.minor_radius, "minor_radius")
+        if not self.minor_radius < self.major_radius:
+            raise ValueError("need 0 < minor_radius < major_radius < inf")
         check_int(self.ambient_dim, "ambient_dim", 3)
 
     intrinsic_dim = 2
@@ -320,8 +319,10 @@ class LabeledCloud:
         if self.labels is None:
             return
         labels, n = np.asarray(self.labels), self.n
-        if labels.shape != (n,):
-            raise ValueError(f"need one label per point, got {labels.size} labels for {n} points")
+        if labels.ndim != 1:
+            raise ValueError(f"need a 1-d array of labels, got shape {labels.shape}")
+        if len(labels) != n:
+            raise ValueError(f"need one label per point, got {len(labels)} labels for {n} points")
         bad = np.flatnonzero((labels != 0) & (labels != 1))
         if bad.size:
             raise ValueError(f"labels must be 0 or 1, row {bad[0]} has {labels[bad[0]]}")

@@ -3,14 +3,15 @@
 At each requested point the covariance of the neighbors inside the closed ball
 of radius h (the point itself excluded, scaled by 1/(n-1)) is eigendecomposed
 and the span of the top d eigenvectors is the tangent estimate.  A point with
-fewer than 3 neighbors within h is listed as skipped and inherits
+fewer than 3 neighbors within h is skipped and inherits
 the basis of the nearest estimated point (:func:`_inherit`), so a field has
 one basis per requested point, in the order requested.
 Neighbors come from one KD-tree self-join of the cloud (:mod:`._neighbours`),
 which finds each neighbor pair once, so the work grows with the number of
 neighbor pairs, not with n^2.  They are read in padded blocks of a bounded
-size, targets of similar neighbor counts together, and the covariances of a
-block are formed together.  The block arithmetic is :func:`_block_bases`:
+size (a padded slot at infinite distance, so the h-ball is one comparison),
+targets of similar neighbor counts together, and the covariances of a block
+are formed together.  The block arithmetic is :func:`_block_bases`:
 it gives every row of a block a basis, and a row with too few neighbors a
 finite placeholder, so each block's eigenvectors go straight into the
 field's (m, D, d) array of bases, and :func:`_inherit` then overwrites the
@@ -158,8 +159,8 @@ def estimate_tangents(
     estimated = np.zeros(len(targets), dtype=bool)
     h2 = h * h
     indptr, cols = _neighbours._candidates(points, h2)
-    for chunk, listed, _, diff, d2 in _neighbours._blocks(points, indptr, cols, targets):
-        estimated[chunk], bases[chunk] = _block_bases(diff, listed & (d2 <= h2), d, n)
+    for chunk, diff, d2 in _neighbours._blocks(points, indptr, cols, targets):
+        estimated[chunk], bases[chunk] = _block_bases(diff, d2 <= h2, d, n)
     skipped = _inherit(points[targets], bases, estimated)
     bases.setflags(write=False)
     return TangentField(bases=bases, skipped=skipped)

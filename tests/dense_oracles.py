@@ -8,12 +8,13 @@ runs the denoising loop on these dense stages, each with a scan of its own,
 and scans once more for each iteration's neighbour counts.
 ``estimate_tangents`` is ``pca_bases`` followed by ``complete``, the argmin
 inheritance of the skipped rows, in target order, as the library's field
-holds them.  ``Subspace`` is one subspace, ``subspaces`` turns a stack of
-bases into ``Subspace`` objects, and ``estimated_rows`` lists the rows of a
-field that were not inherited.  ``tangent`` and ``principal_angle`` are the
-one-point and one-pair forms that the models' ``tangent_many`` and
-``geometry.principal_angles`` replace.  ``in_slab`` is the slab predicate
-for one pair of points; the tests tie ``slab_counts`` to it pair by pair.
+holds them.  ``Subspace`` is one subspace, ``span`` the one spanned by some
+orthogonal vectors, ``subspaces`` turns a stack of bases into ``Subspace``
+objects, and ``estimated_rows`` lists the rows of a field that were not
+inherited.  ``tangent`` and ``principal_angle`` are the one-point and one-pair
+forms that the models' ``tangent_many`` and ``geometry.principal_angles``
+replace.  ``in_slab`` is the slab predicate for one pair of points; the tests
+tie ``slab_counts`` to it pair by pair.
 """
 import math
 
@@ -57,6 +58,13 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.basis.shape[1]}, ambient_dim={self.basis.shape[0]})"
+
+
+def span(*vectors):
+    """The ``Subspace`` spanned by orthogonal ``vectors``, each scaled to unit length."""
+    basis = np.array(vectors, dtype=float).T
+    basis /= np.linalg.norm(basis, axis=0)
+    return Subspace(basis)
 
 
 def subspaces(bases):

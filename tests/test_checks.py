@@ -1,7 +1,8 @@
 """The lemma-check module (its close-pair sampler, its boundary with the package),
 and the public names, the settable surface, the docstring references and the
-input contract of the package, and that every module of the package and the
-tests uses what it imports.
+input contract of the package, that every module of the package and the
+tests uses what it imports, and that the package reads every private name it
+defines.
 
 The checks themselves are tested next to the code they are about
 (test_models, test_geometry, test_denoise).
@@ -23,7 +24,7 @@ import lemma_checks
 import tdcrecon
 from lemma_checks import circle_geodesic_distance, circle_points, geodesic_pairs
 from tdcrecon import denoise, models
-from tdcrecon.denoise import SlabSpec, bandwidths, default_slab_spec, iterative_denoise
+from tdcrecon.denoise import SlabSpec, bandwidths, default_slab_spec, iterative_denoise, k_delta
 from tdcrecon.geometry import directed_hausdorff, principal_angles
 from tdcrecon.models import (
     LabeledCloud,
@@ -81,6 +82,28 @@ def test_every_import_is_used():
         unused += [f"{path.relative_to(repo)}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused
+
+
+def test_every_private_name_is_read():
+    # dead code gets deleted: each private function, class, constant and
+    # method that a module of the package defines is read by some module
+    # of the package, as a name or as an attribute
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(tdcrecon.__file__).resolve().parent.rglob("*.py"))]
+    defined = set()
+    for node in (node for tree in trees for node in tree.body):
+        items = [node, *node.body] if isinstance(node, ast.ClassDef) else [node]
+        defined |= {n.name for n in items if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    defined = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    # a constant, a function and a method are among them
+    assert {"_BLOCK_BYTES", "_blocks", "_rows"} <= defined
+    assert sorted(defined - read) == []
 
 
 def module_trees():
@@ -243,6 +266,7 @@ SCALES = {
     "bandwidths.beta": lambda v: bandwidths(100, 1, v, 1.0, 2),
 }
 CALLS = {
+    "k_delta.delta": lambda v: k_delta(1, v),  # in (0, 1/(d(d+1)))
     "farthest_point_sampling": lambda x: farthest_point_sampling(x, 0.1),
     "directed_hausdorff-a": lambda x: directed_hausdorff(x, CLOUD),
     "directed_hausdorff-b": lambda x: directed_hausdorff(CLOUD, x),
@@ -258,6 +282,8 @@ BAD = {
     "inf-point": INF_CLOUD,
     "inf": math.inf,
     "bool": True,
+    "str": "0.1",
+    "None": None,
 }
 CASES = [
     ("farthest_point_sampling", "no-columns"),  # scipy's IndexError
@@ -271,6 +297,9 @@ CASES = [
     # through checks this contract now reorders)
     *((scale, "inf") for scale in SCALES if scale not in ("default_slab_spec.rho", "Sphere.radius")),
     *((scale, "bool") for scale in SCALES),
+    # a comparison raised TypeError on these before the radii, t and delta
+    # were checked for a real number first; the others raised already
+    *((scale, kind) for scale in [*SCALES, "k_delta.delta"] for kind in ("str", "None")),
 ]
 
 

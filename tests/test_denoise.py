@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dense_oracles as dense
-from dense_oracles import Subspace, in_slab
+from dense_oracles import Subspace, in_slab, span
 from lemma_checks import inclusion_radius_factor, verify_slab_inclusion, verify_slab_separation
 from tdcrecon.denoise import (
     IterationDiagnostics,
@@ -26,12 +26,6 @@ from tdcrecon.models import (
     sample,
     save_cloud_csv,
 )
-
-
-def span(*vectors):
-    basis = np.array(vectors, dtype=float).T
-    basis /= np.linalg.norm(basis, axis=0)
-    return Subspace(basis)
 
 
 X_AXIS = span([1.0, 0.0])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import Subspace, principal_angle
+from dense_oracles import Subspace, principal_angle, span
 from lemma_checks import (
     perturbation_angle_bound_check,
     random_subspace,
@@ -13,12 +13,6 @@ from lemma_checks import (
     top_eigenspace,
 )
 from tdcrecon.geometry import directed_hausdorff, principal_angles
-
-
-def span(*vectors):
-    basis = np.array(vectors, dtype=float).T
-    basis /= np.linalg.norm(basis, axis=0)
-    return Subspace(basis)
 
 
 class TestSubspace:

@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import dense_oracles as dense
-from dense_oracles import Subspace, principal_angle
+from dense_oracles import Subspace, principal_angle, span
 from lemma_checks import (
     circle_geodesic_distance,
     circle_points,
@@ -97,8 +97,8 @@ class TestBasics:
             (Sphere, dict(intrinsic_dim=0), "integer intrinsic_dim >= 1"),
             (Sphere, dict(intrinsic_dim=2.0), "integer intrinsic_dim >= 1"),
             (Sphere, dict(ambient_dim=6, intrinsic_dim=4), "need intrinsic_dim <= 3"),
-            (Torus, dict(major_radius=np.inf), "major_radius < inf"),  # was built
-            (Torus, dict(minor_radius=np.nan), "0 < minor_radius"),
+            (Torus, dict(major_radius=np.inf), "major_radius > 0 and finite, got inf"),  # was built
+            (Torus, dict(minor_radius=np.nan), "minor_radius > 0 and finite, got nan"),
             (Torus, dict(ambient_dim=3.0), "integer ambient_dim >= 3"),
             (Torus, dict(ambient_dim=np.float64(4)), "integer ambient_dim >= 3"),
         ],
@@ -269,15 +269,15 @@ def _tangent_at(model, p):
 class TestTangent:
     def test_circle(self):
         sub = _tangent_at(CIRCLE, [1.0, 0.0])
-        assert principal_angle(sub, _span([0.0, 1.0])) < 1e-12
+        assert principal_angle(sub, span([0.0, 1.0])) < 1e-12
 
     def test_sphere_pole(self):
         sub = _tangent_at(Sphere(1.0), [0.0, 0.0, 1.0])
-        assert principal_angle(sub, _span([1, 0, 0], [0, 1, 0])) < 1e-12
+        assert principal_angle(sub, span([1, 0, 0], [0, 1, 0])) < 1e-12
 
     def test_torus_outer_point(self):
         sub = _tangent_at(Torus(2.0, 0.5), [2.5, 0.0, 0.0])
-        assert principal_angle(sub, _span([0, 1, 0], [0, 0, 1])) < 1e-12
+        assert principal_angle(sub, span([0, 1, 0], [0, 0, 1])) < 1e-12
 
     def test_off_manifold_rejected(self):
         with pytest.raises(ValueError):
@@ -360,12 +360,6 @@ class TestTangentMany:
         assert bases.shape == (0, model.ambient_dim, model.intrinsic_dim)
 
 
-def _span(*vectors):
-    basis = np.array(vectors, dtype=float).T
-    basis /= np.linalg.norm(basis, axis=0)
-    return Subspace(basis)
-
-
 class TestSampling:
     def test_beta_one_on_manifold(self):
         for model in MODELS:
@@ -432,6 +426,12 @@ class TestSampling:
             LabeledCloud(THREE, np.zeros(2))
         with pytest.raises(ValueError, match="row 1 has 2"):
             LabeledCloud(THREE, np.array([0, 2, 1]))
+
+    def test_labels_not_one_dimensional_raise(self):
+        # a column of 5 labels for 5 points used to be reported as
+        # "got 5 labels for 5 points"
+        with pytest.raises(ValueError, match=r"need a 1-d array of labels, got shape \(5, 1\)"):
+            LabeledCloud(np.eye(5), np.ones((5, 1)))
 
     def test_cloud_takes_array_likes(self):
         # lists of labels or of points used to fail on ``.shape``

@@ -77,13 +77,20 @@ def closed_ball_blocks(points, targets, r2):
     """``(chunk, nbr, diff, d2, inside)`` per block of ``targets`` in the closed ball of ``r2``.
 
     The library's own reading: one ``_candidates`` self-join at ``r2``, its
-    ``_blocks`` and the exact test ``listed & (d2 <= r2)``.
+    ``_blocks`` and the exact test ``d2 <= r2``.  ``nbr[r]`` holds the
+    columns the self-join lists for row r, padded with the target itself
+    as ``_blocks`` pads its slots.
     """
     points = np.asarray(points, dtype=float)
     targets = np.asarray(targets)
     indptr, cols = _neighbours._candidates(points, r2)
-    for chunk, listed, nbr, diff, d2 in _neighbours._blocks(points, indptr, cols, targets):
-        yield chunk, nbr, diff, d2, listed & (d2 <= r2)
+    for chunk, diff, d2 in _neighbours._blocks(points, indptr, cols, targets):
+        own = targets[chunk]
+        nbr = np.repeat(own[:, None], d2.shape[1], axis=1)
+        for r, t in enumerate(own):
+            listed = cols[indptr[t] : indptr[t + 1]]
+            nbr[r, : len(listed)] = listed
+        yield chunk, nbr, diff, d2, d2 <= r2
 
 
 def flatten(blocks, targets):
@@ -92,7 +99,7 @@ def flatten(blocks, targets):
     Pairs are sorted by row, then by column, as ``dense.ball_pairs`` gives
     them.  Checks the layout of each block on the way: listed neighbours
     first, in increasing index order, then padding with the target itself,
-    with zero differences and never inside.
+    with zero differences at infinite distance and never inside.
     """
     targets = np.asarray(targets)
     parts = []
@@ -100,7 +107,8 @@ def flatten(blocks, targets):
         rows, own = chunk, targets[chunk]
         pad = nbr == own[:, None]
         assert not np.any(inside & pad)
-        assert np.all(diff[pad] == 0.0) and np.all(d2[pad] == 0.0)
+        assert np.all(diff[pad] == 0.0) and np.all(d2[pad] == np.inf)
+        assert np.all(np.isfinite(d2[~pad]))
         for r in range(len(own)):
             listed = np.count_nonzero(~pad[r])
             assert np.all(pad[r, listed:])
@@ -270,9 +278,9 @@ class TestBlockMemory:
         # slots per listed candidate here; in order of width, 1.0
         pts = skewed_cloud()
         padded = listed = 0
-        for chunk, nbr, _, _, _ in closed_ball_blocks(pts, np.arange(len(pts)), 0.01):
-            padded += nbr.size
-            listed += np.count_nonzero(nbr != chunk[:, None])
+        for _, _, _, d2, _ in closed_ball_blocks(pts, np.arange(len(pts)), 0.01):
+            padded += d2.size
+            listed += np.count_nonzero(np.isfinite(d2))
         assert listed > 10**6
         assert padded <= 1.05 * listed
 
@@ -776,11 +784,10 @@ class TestNonFiniteInput:
             farthest_point_sampling(with_bad(self.pts, value), 0.2)
 
     @pytest.mark.parametrize("value", BAD)
-    @pytest.mark.parametrize("func", [directed_hausdorff])
-    def test_hausdorff_either_argument(self, func, value):
+    def test_hausdorff_either_argument(self, value):
         # a NaN used to vanish in the minimum and give 0.0
         bad = with_bad(self.pts, value)
         with pytest.raises(ValueError, match="NaN or inf"):
-            func(bad, self.pts)
+            directed_hausdorff(bad, self.pts)
         with pytest.raises(ValueError, match="NaN or inf"):
-            func(self.pts, bad)
+            directed_hausdorff(self.pts, bad)

@@ -8,18 +8,13 @@ from dense_oracles import (
     estimated_rows,
     local_covariance,
     principal_angle,
+    span,
     subspaces,
 )
 from tdcrecon import tangent
 from tdcrecon.geometry import principal_angles
 from tdcrecon.models import SampleSpec, Sphere, make_model, sample
 from tdcrecon.tangent import _inherit, default_bandwidth, estimate_tangents
-
-
-def span(*vectors):
-    basis = np.array(vectors, dtype=float).T
-    basis /= np.linalg.norm(basis, axis=0)
-    return Subspace(basis)
 
 
 def subspace_at(field, j):
@@ -126,14 +121,14 @@ class TestBlockBases:
     @staticmethod
     def _block(points, nbrs, h):
         # row r: the offsets of the neighbours nbrs[r] from point r, padded
-        # with zeros as _neighbours._blocks pads them
+        # as _neighbours._blocks pads them, at zero offset and infinite distance
         diff = np.zeros((len(nbrs), max(map(len, nbrs)), points.shape[1]))
-        listed = np.zeros(diff.shape[:2], dtype=bool)
+        d2 = np.full(diff.shape[:2], np.inf)
         for r, cols in enumerate(nbrs):
-            diff[r, : len(cols)] = points[cols] - points[r]
-            listed[r, : len(cols)] = True
-        d2 = np.einsum("rwi,rwi->rw", diff, diff)
-        return diff, listed & (d2 <= h * h)
+            offsets = points[cols] - points[r]
+            diff[r, : len(cols)] = offsets
+            d2[r, : len(cols)] = np.einsum("wi,wi->w", offsets, offsets)
+        return diff, d2 <= h * h
 
     def test_every_row_has_a_basis(self):
         points = np.random.default_rng(3).normal(size=(12, 4))
