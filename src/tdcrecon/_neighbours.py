@@ -1,8 +1,9 @@
 """The neighbour queries behind every local computation of the package, and
 the input checks of every entry point: :func:`check_points` for a cloud (every
 :class:`.models.LabeledCloud`, sampled or read, is built through it),
-:func:`check_positive` for a scale, :func:`check_int` for a size and
-:func:`check_indices` for a list of indices.
+:func:`check_positive` for a scale, :func:`check_int` for a size,
+:func:`check_indices` for a list of indices and :func:`_check_instance` for
+an object argument, such as a cloud or a spec.
 
 Each query asks which points of a cloud lie in a closed ball: a
 ``scipy.spatial.cKDTree`` search proposes candidates and the ball is then
@@ -14,9 +15,9 @@ decided exactly, as a dense scan decides it.  The primitives:
   and the denoise pass of :mod:`.denoise`, the package's only slab counter,
   read them.  A subset of the points reads its rows from the whole search.
 - :func:`ball_lists`, the flattened lists of balls around some centres,
-  whose candidates the caller decides on exact ``np.linalg.norm`` norms:
-  the farthest-point net's round update and the tie gather of the tangent
-  inheritance (:func:`.tangent._inherit`).
+  with each candidate's exact distance, which the caller compares with no
+  norm of its own: the farthest-point net's round update and the tie
+  gather of the tangent inheritance (:func:`.tangent._inherit`).
 
 Every search runs a relative ``_RADIUS_SLACK`` wider than its ball, since
 the tree rounds distances its own way.  Only :mod:`.geometry`'s Hausdorff
@@ -71,6 +72,12 @@ def check_int(value, name: str, low: int) -> None:
     numpy integer, not a bool and not a float of integral value."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
+
+
+def _check_instance(value, cls: type, name: str) -> None:
+    """Raise ValueError, naming the argument, unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"need a {cls.__name__} as {name}, got {type(value).__name__}")
 
 
 def check_indices(indices, n: int) -> np.ndarray:
@@ -163,14 +170,16 @@ def _blocks(points: np.ndarray, indptr: np.ndarray, cols: np.ndarray, targets: n
         yield chunk, diff, d2
 
 
-def ball_lists(tree, centres: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(lengths, cols)``: the ``lengths[i]`` tree indices within ``radii[i]`` of ``centres[i]``.
+def ball_lists(tree, centres: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(rows, cols, dist)``: tree index ``cols[k]`` lies ``dist[k]`` from ``centres[rows[k]]``.
 
-    The lists follow one another in ``cols``, each in no set order.  Each
-    ball is searched a relative ``_RADIUS_SLACK`` wider; the caller decides
-    membership on exact norms.
+    ``rows`` is non-decreasing, each ball's ``cols`` in no set order.  Each
+    ball is searched a relative ``_RADIUS_SLACK`` wider; ``dist``, the exact
+    ``np.linalg.norm``, decides membership: the closed ball is ``dist <= radii[rows]``.
     """
     near = tree.query_ball_point(centres, radii * (1.0 + _RADIUS_SLACK), return_sorted=False)
     lengths = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
     cols = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=int(lengths.sum()))
-    return lengths, cols
+    # each centre repeated: faster than a gather of the centres through rows
+    dist = np.linalg.norm(tree.data[cols] - np.repeat(centres, lengths, axis=0), axis=-1)
+    return np.repeat(np.arange(len(centres)), lengths), cols, dist

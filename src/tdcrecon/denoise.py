@@ -23,11 +23,12 @@ points of a net, come from :func:`.tangent.estimate_tangents`.
 
 Each entry point checks its input once: :func:`bandwidths` takes n, d and
 k_iters through ``check_int`` and beta (at most 1) and kappa through
-``check_positive``; :func:`iterative_denoise` calls it first, so every
-scale is checked before it is used, then needs d below the cloud's D (the
-cloud itself was checked when it was built); :func:`default_slab_spec`
-takes d and D through ``check_int`` and the reach and the angle constant K
-through ``check_positive``; :func:`k_delta` takes d through ``check_int``.
+``check_positive``; :func:`iterative_denoise` takes its cloud and spec
+through ``_check_instance``, then calls it, so every scale is checked before
+it is used, then needs d below the cloud's D (the cloud's points were
+checked when it was built); :func:`default_slab_spec` takes d and D through
+``check_int`` and the reach and the angle constant K through
+``check_positive``; :func:`k_delta` takes d through ``check_int``.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from itertools import islice
 import numpy as np
 
 from . import _neighbours
-from ._neighbours import check_int, check_positive
+from ._neighbours import _check_instance, check_int, check_positive
 from .models import LabeledCloud
 from .tangent import _block_bases, _inherit
 
@@ -77,18 +78,16 @@ def default_slab_spec(
 
 
 def _slab_mask(
-    diff: np.ndarray, basis: np.ndarray, h: float, spec: SlabSpec, d2: np.ndarray | None = None
+    diff: np.ndarray, basis: np.ndarray, h: float, spec: SlabSpec, d2: np.ndarray
 ) -> np.ndarray:
     """Closed slab membership of offsets from slab centres, one per row of ``diff``.
 
     ``basis`` is the D x d tangent basis shared by every row, or a stack of
     bases, one per matrix of rows: (..., D, d) against ``diff`` (..., rows, D).
-    ``d2``, the rows' squared lengths, is computed when not given.  A padded
-    slot of a neighbour block, at zero offset and ``d2`` inf, is in no slab:
-    inf - 0 exceeds (k2 h^2)^2.
+    ``d2`` holds the rows' squared lengths, as a neighbour block of
+    :mod:`._neighbours` gives them; a padded slot, at zero offset and ``d2``
+    inf, is in no slab: inf - 0 exceeds (k2 h^2)^2.
     """
-    if d2 is None:
-        d2 = np.einsum("...i,...i->...", diff, diff)
     tang = np.matmul(diff, basis)
     tang2 = np.einsum("...j,...j->...", tang, tang)
     norm2 = d2 - tang2
@@ -216,6 +215,8 @@ def iterative_denoise(
     or no point survives, the loop stops; that iteration's diagnostics give
     the reason.
     """
+    _check_instance(cloud, LabeledCloud, "cloud")
+    _check_instance(spec, SlabSpec, "spec")
     n_total, points = cloud.n, cloud.points
     hs = bandwidths(n_total, d, beta, kappa, k_iters)
     if d >= points.shape[1]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._neighbours import check_int, check_points, check_positive
+from ._neighbours import _check_instance, check_int, check_points, check_positive
 
 MEDIAL_TOL = 1e-9
 ON_MANIFOLD_TOL = 1e-9
@@ -351,6 +351,8 @@ def sample(model: ManifoldModel, spec: SampleSpec) -> LabeledCloud:
     """Draw n points: signal uniform on M with probability beta, else uniform
     in the ball B(0, default_k0(model)) around the models' common centroid.
     Bit-deterministic given the seed."""
+    _check_instance(model, ManifoldModel, "model")
+    _check_instance(spec, SampleSpec, "spec")
     rng = np.random.default_rng(spec.seed)
     labels = (rng.random(spec.n) < spec.beta).astype(np.int8)
     n_signal = int(labels.sum())

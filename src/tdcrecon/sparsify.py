@@ -14,12 +14,12 @@ over the whole cloud takes, the lowest index of the tied included.  If the
 largest distance ties with v there are no candidates, and the round picks
 that point alone.
 
-The round's picks then update the distances with one KD-tree ball query
-(:func:`._neighbours.ball_lists`, searching a relative ``_RADIUS_SLACK``
-wider).  Each pick searches the ball of its distance when it was picked, as
-the greedy one pick at a time does: no point outside it can move closer.  A
-minimum does not depend on order and each (point, pick) distance is computed
-the same way, so the distances after a round equal the one-pick-at-a-time
+The round's picks then update the distances with one KD-tree ball query,
+:func:`._neighbours.ball_lists`, which returns each (point, pick) distance
+as the exact ``np.linalg.norm``.  Each pick searches the ball of its distance
+when it was picked, as the greedy one pick at a time does: no point outside
+it can move closer.  A minimum does not depend on order and each distance is
+that one norm, so the distances after a round equal the one-pick-at-a-time
 greedy's bit for bit.
 """
 from __future__ import annotations
@@ -73,8 +73,5 @@ def farthest_point_sampling(points: np.ndarray, eps: float) -> list[int]:
         chosen.extend(picked.tolist())
         # every distance is at most a pick's distance when it was picked, so
         # only points within that of the pick can move closer
-        centres = points[picked]
-        lengths, cols = ball_lists(tree, centres, np.array(reach))
-        np.minimum.at(
-            dist, cols, np.linalg.norm(points[cols] - np.repeat(centres, lengths, axis=0), axis=-1)
-        )
+        _, cols, gap = ball_lists(tree, points[picked], np.array(reach))
+        np.minimum.at(dist, cols, gap)

@@ -87,17 +87,13 @@ def _inherit(points: np.ndarray, bases: np.ndarray, estimated: np.ndarray) -> np
     nearest_dist, nearest = tree.query(queries, k=2)
     source = nearest[:, 0]
     tied = np.flatnonzero(nearest_dist[:, 1] <= nearest_dist[:, 0] * (1.0 + _RADIUS_SLACK))
-    if len(tied):
-        # gather every estimate within that margin and keep, per query,
-        # the first at the least norm
-        lengths, cols = _neighbours.ball_lists(tree, queries[tied], nearest_dist[tied, 0])
-        rows = np.repeat(tied, lengths)
-        dist = np.linalg.norm(tree.data[cols] - queries[rows], axis=-1)
-        # per query: least norm first, then the earliest estimate
-        order = np.lexsort((cols, dist, rows))
-        rows, cols = rows[order], cols[order]
-        first = np.flatnonzero(np.diff(rows, prepend=-1))
-        source[rows[first]] = cols[first]
+    # gather every estimate within that margin (none if no query ties) and
+    # keep, per tied query, the least norm, then the earliest estimate
+    rows, cols, dist = _neighbours.ball_lists(tree, queries[tied], nearest_dist[tied, 0])
+    order = np.lexsort((cols, dist, rows))
+    rows, cols = rows[order], cols[order]
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    source[tied[rows[first]]] = cols[first]
     bases[skipped] = bases[sources[source]]
     return skipped
 

@@ -176,8 +176,9 @@ def estimate_tangents(points, h, d, subset=None):
 
 def in_slab(x: np.ndarray, tangent: Subspace, h: float, spec: SlabSpec, y) -> bool:
     """Closed-condition membership of y in the slab at x with direction T."""
-    diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    return bool(_slab_mask(diff[None, :], tangent.basis, h, spec)[0])
+    diff = (np.asarray(y, dtype=float) - np.asarray(x, dtype=float))[None, :]
+    d2 = np.einsum("...i,...i->...", diff, diff)
+    return bool(_slab_mask(diff, tangent.basis, h, spec, d2)[0])
 
 
 def slab_counts(points, bases, h, spec):

@@ -358,7 +358,9 @@ def verify_slab_separation(
         near = tree.query_ball_point(x, spec.k1 * h + spec.k2 * h * h + res)
         if not near:
             continue
-        violations += int(np.sum(_slab_mask(grid[near] - x, tangent.basis, h, spec)))
+        diff = grid[near] - x
+        d2 = np.einsum("...i,...i->...", diff, diff)
+        violations += int(np.sum(_slab_mask(diff, tangent.basis, h, spec, d2)))
     return CheckReport(trials=trials, violations=violations)
 
 
@@ -395,7 +397,9 @@ def verify_slab_inclusion(
             continue
         near = grid[idx]
         near = near[np.linalg.norm(near - p, axis=1) <= k3 * h]
-        inside = _slab_mask(near - p, model.tangent_many(p)[0], h, spec)
+        diff = near - p
+        d2 = np.einsum("...i,...i->...", diff, diff)
+        inside = _slab_mask(diff, model.tangent_many(p)[0], h, spec, d2)
         violations += int(np.sum(~inside))
     return CheckReport(trials=trials, violations=violations)
 

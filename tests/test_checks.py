@@ -15,6 +15,7 @@ import math
 import pkgutil
 import re
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -244,9 +245,11 @@ class TestCircleGeodesicPairs:
 
 # The input contract of every entry point (tdcrecon._neighbours): a cloud is
 # (m, D) finite floats with D >= 1, a scale a real number in (0, inf) and not
-# a bool.  The table holds the cases that an entry point took, or failed on
-# inside scipy, before it took its input through check_points or
-# check_positive; the other cases are tested next to each entry point.
+# a bool, an object argument an instance of its class.  The table holds the
+# cases that an entry point took, or failed on inside scipy or with an
+# AttributeError, before it took its input through check_points,
+# check_positive or _check_instance; the other cases are tested next to each
+# entry point.  SCALES has a row for every scale (test_every_scale_has_a_row).
 CLOUD = np.random.default_rng(0).normal(size=(30, 3))
 SCALES = {
     "estimate_tangents.h": lambda v: estimate_tangents(CLOUD, v, 1),
@@ -255,6 +258,7 @@ SCALES = {
     "SlabSpec.k2": lambda v: SlabSpec(0.5, v, 1.0),
     "SlabSpec.t": lambda v: SlabSpec(0.5, 0.5, v),  # in [0, inf)
     "default_slab_spec.rho": lambda v: default_slab_spec(1, 3, v, 1.0),
+    "default_slab_spec.K": lambda v: default_slab_spec(1, 3, 1.0, 1.0, v),
     "bandwidths.kappa": lambda v: bandwidths(100, 1, 0.8, v, 2),
     "farthest_point_sampling.eps": lambda v: farthest_point_sampling(CLOUD, v),
     "Sphere.grid": lambda v: Sphere().grid(v),
@@ -271,8 +275,13 @@ CALLS = {
     "directed_hausdorff-a": lambda x: directed_hausdorff(x, CLOUD),
     "directed_hausdorff-b": lambda x: directed_hausdorff(CLOUD, x),
     "LabeledCloud": LabeledCloud,
+    "iterative_denoise.cloud": lambda v: iterative_denoise(v, 1, 0.8, 8.0, SlabSpec(1, 1, 1), 2),
+    "iterative_denoise.spec": lambda v: iterative_denoise(LabeledCloud(CLOUD), 1, 0.8, 8.0, v, 2),
+    "sample.model": lambda v: sample(v, SampleSpec(n=5)),
+    "sample.spec": lambda v: sample(Torus(), v),
     **SCALES,
 }
+OBJECTS = ("cloud", "spec", "model")  # object arguments, named in the error
 NAN_CLOUD, INF_CLOUD = CLOUD.copy(), CLOUD.copy()
 NAN_CLOUD[3, 0], INF_CLOUD[3, 0] = math.nan, -math.inf
 BAD = {
@@ -284,6 +293,9 @@ BAD = {
     "bool": True,
     "str": "0.1",
     "None": None,
+    "points": CLOUD,
+    "tuple": (0.5, 0.5, 1.0),
+    "kind": "circle",
 }
 CASES = [
     ("farthest_point_sampling", "no-columns"),  # scipy's IndexError
@@ -300,13 +312,38 @@ CASES = [
     # a comparison raised TypeError on these before the radii, t and delta
     # were checked for a real number first; the others raised already
     *((scale, kind) for scale in [*SCALES, "k_delta.delta"] for kind in ("str", "None")),
+    # these raised AttributeError on the first attribute read
+    ("iterative_denoise.cloud", "points"),
+    ("iterative_denoise.spec", "None"),
+    ("iterative_denoise.spec", "tuple"),
+    ("sample.model", "kind"),
+    ("sample.spec", "None"),
 ]
 
 
 @pytest.mark.parametrize("entry, kind", CASES, ids=[f"{e}-{k}" for e, k in CASES])
 def test_bad_input_raises(entry, kind):
-    with pytest.raises(ValueError):
+    arg = entry.partition(".")[2]
+    with pytest.raises(ValueError, match=f" as {arg}, got" if arg in OBJECTS else None):
         CALLS[entry](BAD[kind])
+
+
+def test_every_scale_has_a_row():
+    # each name src/ passes to check_positive, as often as it passes it, is
+    # the name a SCALES row's error gives for a bool: a new scale adds a row
+    repo = Path(__file__).resolve().parents[1]
+    checked = Counter(
+        node.args[1].value
+        for path in sorted((repo / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_positive"
+    )
+    named = Counter()
+    for call in SCALES.values():
+        with pytest.raises(ValueError) as raised:
+            call(True)
+        named.update(re.findall(r"^need (.+) > 0", str(raised.value)))
+    assert named == checked
 
 
 def test_hausdorff_names_a_stack_of_clouds():

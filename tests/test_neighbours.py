@@ -217,16 +217,26 @@ class TestBallPairs:
 class TestBallLists:
     def test_flattened_closed_balls(self):
         # unit lattice: the axis neighbours at radius 1 and the diagonal ones
-        # at sqrt 2 lie on the spheres; radius 0 holds the centre alone
+        # at sqrt 2 lie on the spheres; radius 0 holds the centre alone, and
+        # no centres give three empty arrays
         pts = lattice(range(5), range(5))
-        centres = pts[[0, 12, 24, 7]]
-        radii = np.array([1.0, np.sqrt(2.0), 0.0, 2.0])
-        lengths, cols = _neighbours.ball_lists(cKDTree(pts), centres, radii)
-        assert lengths.dtype == cols.dtype == np.intp and lengths.sum() == len(cols)
-        balls = np.split(cols, np.cumsum(lengths)[:-1])
-        for ball, centre, radius in zip(balls, centres, radii, strict=True):
-            want = np.flatnonzero(np.linalg.norm(pts - centre, axis=1) <= radius)
-            assert sorted(ball.tolist()) == want.tolist()
+        tree = cKDTree(pts)
+        for picked, radii in [
+            ([0, 12, 24, 7], np.array([1.0, np.sqrt(2.0), 0.0, 2.0])),
+            ([], np.array([])),
+        ]:
+            centres = pts[picked]
+            rows, cols, dist = _neighbours.ball_lists(tree, centres, radii)
+            assert rows.dtype == cols.dtype == np.intp
+            assert len(rows) == len(cols) == len(dist) and np.all(np.diff(rows) >= 0)
+            # the exact norm, which no caller recomputes
+            want_dist = np.linalg.norm(pts[cols] - centres[rows], axis=1)
+            assert dist.tobytes() == want_dist.tobytes()
+            for i, (centre, radius) in enumerate(zip(centres, radii, strict=True)):
+                ball, gap = cols[rows == i], dist[rows == i]
+                want = np.flatnonzero(np.linalg.norm(pts - centre, axis=1) <= radius)
+                assert sorted(ball.tolist()) == want.tolist()
+                assert sorted(ball[gap <= radius].tolist()) == want.tolist()
 
 
 def skewed_cloud():
