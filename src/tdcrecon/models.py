@@ -85,6 +85,12 @@ class ManifoldModel:
     ambient_dim: int
     intrinsic_dim: int
 
+    def __new__(cls, *args, **kwargs):
+        # the base stands for no manifold: it has no sampler, projection or grid
+        if cls is ManifoldModel:
+            raise ValueError("ManifoldModel is no manifold: build a Sphere or a Torus, or call make_model")
+        return super().__new__(cls)
+
     def _rows(self, x) -> np.ndarray:
         """``x`` as (m, D) floats; ValueError unless each row is D finite coordinates."""
         x = check_points(np.atleast_2d(x))

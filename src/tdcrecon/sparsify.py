@@ -14,22 +14,34 @@ over the whole cloud takes, the lowest index of the tied included.  If the
 largest distance ties with v there are no candidates, and the round picks
 that point alone.
 
-The round's picks then update the distances with one KD-tree ball query,
-:func:`._neighbours.ball_lists`, which returns each (point, pick) distance
-as the exact ``np.linalg.norm``.  Each pick searches the ball of its distance
-when it was picked, as the greedy one pick at a time does: no point outside
-it can move closer.  A minimum does not depend on order and each distance is
-that one norm, so the distances after a round equal the one-pick-at-a-time
-greedy's bit for bit.
+The round's picks then update the distances.  Each pick need only reach
+the ball of its distance when it was picked, as the greedy one pick at a
+time does: no point outside it can move closer.  The first rounds' balls
+hold much of the cloud, so they update every point densely, against one
+coordinate-major copy of the cloud, and count the points within each
+pick's reach.  Once a round's balls average fewer than n / ``_BALL_COST``
+points, every later round lists its balls with one KD-tree query,
+:func:`._neighbours.ball_lists`, instead: reaches only shrink, so the
+balls do not widen again.  Every distance, the candidates' gaps
+included, comes from :func:`._neighbours._norms`, bit for bit the norm
+numpy's ``norm`` gives the one-pick loop, and a point outside a pick's ball
+keeps its distance on either path: a minimum does not depend on order, so
+the distances after a round equal the one-pick-at-a-time greedy's bit for
+bit.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._neighbours import ball_lists, check_points, check_positive
+from ._neighbours import _norms, ball_lists, check_points, check_positive
 
 _BATCH = 32  # picks a round may find; the fastest of 16, 32, 64 and 128 on a torus at n = 20k
+# listing a point of a ball through the tree costs about as much as the
+# dense update of this many points: 8 to 15 tied as the fastest of 8, 10, 15,
+# 20, 30 and 60 on a torus at n = 20k and 50k and a circle in R^10 at
+# n = 50k, and from 20 on the circle's net took 8% longer
+_BALL_COST = 15
 
 
 def farthest_point_sampling(points: np.ndarray, eps: float) -> list[int]:
@@ -45,9 +57,11 @@ def farthest_point_sampling(points: np.ndarray, eps: float) -> list[int]:
         raise ValueError("need a nonempty point array")
     check_positive(eps, "eps")
     n = points.shape[0]
-    tree = cKDTree(points)
+    columns = np.ascontiguousarray(points.T)
+    tree = None  # built for the first round that lists its balls
     chosen = [0]
-    dist = np.linalg.norm(points - points[0], axis=-1)
+    diff = np.empty_like(columns)  # every dense update writes here
+    dist = _norms(np.subtract(columns, columns[:, :1], out=diff)).copy()
     k = min(_BATCH, n)
     while True:
         v = np.partition(dist, n - k)[n - k]
@@ -56,8 +70,8 @@ def farthest_point_sampling(points: np.ndarray, eps: float) -> list[int]:
             # the largest distance ties with v: its first point is the one
             # pick of the round
             candidates, v = np.argmax(dist, keepdims=True), -np.inf
-        sub = points[candidates]
-        gaps = np.linalg.norm(sub[None, :, :] - sub[:, None, :], axis=-1)  # row j: to sub[j]
+        sub = columns[:, candidates]
+        gaps = _norms(sub[:, None, :] - sub[:, :, None])  # row j: to sub[j]
         value = dist[candidates]
         rows, reach = [], []
         while True:
@@ -73,5 +87,14 @@ def farthest_point_sampling(points: np.ndarray, eps: float) -> list[int]:
         chosen.extend(picked.tolist())
         # every distance is at most a pick's distance when it was picked, so
         # only points within that of the pick can move closer
-        _, cols, gap = ball_lists(tree, points[picked], np.array(reach))
-        np.minimum.at(dist, cols, gap)
+        if tree is None:  # dense: every point, counting those within reach
+            inside = 0
+            for p, r in zip(picked, reach):
+                gap = _norms(np.subtract(columns, columns[:, p, None], out=diff))
+                inside += np.count_nonzero(gap <= r)
+                np.minimum(dist, gap, out=dist)
+            if _BALL_COST * inside < n * len(picked):
+                tree = cKDTree(points)
+        else:
+            _, cols, gap = ball_lists(tree, points[picked], np.array(reach))
+            np.minimum.at(dist, cols, gap)

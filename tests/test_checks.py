@@ -204,6 +204,9 @@ def test_settable_surface():
         "sphere": Sphere(1.0, ambient_dim=3, intrinsic_dim=2),
         "torus": Torus(),
     }
+    # the base class stands for no manifold; its error names what does
+    with pytest.raises(ValueError, match=r"a Sphere or a Torus, or call make_model"):
+        models.ManifoldModel()
     with pytest.raises(ValueError, match="expected one of \\['circle', 'sphere', 'torus'\\]"):
         make_model("s3")
     assert not hasattr(models, "Circle")
@@ -279,6 +282,7 @@ CALLS = {
     "iterative_denoise.spec": lambda v: iterative_denoise(LabeledCloud(CLOUD), 1, 0.8, 8.0, v, 2),
     "sample.model": lambda v: sample(v, SampleSpec(n=5)),
     "sample.spec": lambda v: sample(Torus(), v),
+    "ManifoldModel": lambda v: models.ManifoldModel(),
     **SCALES,
 }
 OBJECTS = ("cloud", "spec", "model")  # object arguments, named in the error
@@ -318,6 +322,8 @@ CASES = [
     ("iterative_denoise.spec", "tuple"),
     ("sample.model", "kind"),
     ("sample.spec", "None"),
+    # the base class was built, and sample() then raised AttributeError on it
+    ("ManifoldModel", "None"),
 ]
 
 

@@ -11,6 +11,7 @@ over the dense stages returns.
 import dataclasses
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -212,6 +213,42 @@ class TestBallPairs:
         pts, targets, r2 = PAIR_CASES["subset"]
         list(closed_ball_blocks(pts, targets, r2))
         assert calls == ["query_pairs"]
+
+
+class TestNorms:
+    """``_norms`` of coordinate-major differences is ``np.linalg.norm`` bit for bit.
+
+    numpy sums a row's squares left to right below 8 coordinates, in 8
+    running sums up to 128 and by halves above, so D = 1 ... 140 takes
+    every branch.
+    """
+
+    @staticmethod
+    def rows(rng, m, big_d):
+        """(m, D) coordinates of magnitudes 1e-3 to 5, every third row zero."""
+        scale = 10.0 ** rng.uniform(-3.0, np.log10(5.0), size=(m, big_d))
+        x = scale * rng.choice([-1.0, 1.0], size=(m, big_d))
+        x[::3] = 0.0
+        return x
+
+    @pytest.mark.parametrize("big_d", range(1, 141))
+    def test_bit_equal_to_linalg_norm(self, big_d):
+        rng = np.random.default_rng(300 + big_d)
+        a, b = self.rows(rng, 40, big_d), self.rows(rng, 40, big_d)
+        b[::4] = a[::4]  # exact zero differences
+        cases = [
+            # equal shapes, coordinate-major, and the transposed view ball_lists passes
+            (a - b, a.T - b.T),
+            (a - b, (a - b).T),
+            # every row against one centre
+            (a - a[5], a.T - a.T[:, 5, None]),
+            # (1, k, D) against (k, 1, D)
+            (a[None, :, :] - a[:, None, :], a.T[:, None, :] - a.T[:, :, None]),
+        ]
+        for diff, columns in cases:
+            want = np.linalg.norm(diff, axis=-1)
+            got = _neighbours._norms(columns)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestBallLists:
@@ -571,10 +608,8 @@ class TestFarthestPointOracle:
         pts = lattice(range(6), range(5), range(3))
         assert farthest_point_sampling(pts, eps) == dense.farthest_point_sampling(pts, eps)
 
-    # one pick a round, two, and more than any cloud has points
-    @pytest.mark.parametrize("batch", [1, 2, 10_000])
-    def test_forced_round_sizes(self, monkeypatch, batch):
-        monkeypatch.setattr(sparsify, "_BATCH", batch)
+    @staticmethod
+    def assert_nets_match_dense():
         for pts, _, _ in CLOUDS.values():
             for eps in (0.05, 0.7):
                 assert farthest_point_sampling(pts, eps) == dense.farthest_point_sampling(pts, eps)
@@ -585,12 +620,34 @@ class TestFarthestPointOracle:
         for eps in (0.5, 1.0, 1.5, 2.0):
             assert farthest_point_sampling(grid, eps) == dense.farthest_point_sampling(grid, eps)
 
+    # one pick a round, two, and more than any cloud has points
+    @pytest.mark.parametrize("batch", [1, 2, 10_000])
+    def test_forced_round_sizes(self, monkeypatch, batch):
+        monkeypatch.setattr(sparsify, "_BATCH", batch)
+        self.assert_nets_match_dense()
+
+    # every round updates densely; every round after the first lists balls
+    @pytest.mark.parametrize("ball_cost", [math.inf, 0])
+    def test_forced_update_paths(self, monkeypatch, ball_cost):
+        monkeypatch.setattr(sparsify, "_BALL_COST", ball_cost)
+        self.assert_nets_match_dense()
+
     def test_one_ball_query_per_round(self, monkeypatch):
         calls = count_searches(monkeypatch, sparsify)
         pts = sample(Torus(), SampleSpec(n=4000, seed=5)).points
         net = farthest_point_sampling(pts, 0.1)
         # one query per net point would be about 1.5k
         assert calls.count("query_ball_point") <= len(net) / 8
+
+    def test_dense_rounds_replace_ball_queries(self, monkeypatch):
+        calls = count_searches(monkeypatch, sparsify)
+        pts = sample(Torus(), SampleSpec(n=4000, seed=5)).points
+        net = farthest_point_sampling(pts, 0.1)
+        queries = calls.count("query_ball_point")
+        monkeypatch.setattr(sparsify, "_BALL_COST", 0)
+        calls.clear()
+        assert farthest_point_sampling(pts, 0.1) == net
+        assert calls.count("query_ball_point") > queries
 
 
 class TestHausdorffOracle:
