@@ -59,7 +59,11 @@ _RADIUS_SLACK = 1e-12
 
 
 def check_points(x, name: str = "points") -> np.ndarray:
-    """``x`` as (m, D) floats, m >= 0; ValueError unless D >= 1 and every entry is finite."""
+    """``x`` as (m, D) floats, m >= 0; ValueError unless D >= 1 and every entry is
+    real and finite.  A complex entry raises before the cast, which would drop
+    its imaginary part."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"need real points as {name}, got complex entries")
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or not x.shape[1]:
         raise ValueError(f"need an (n, D) point array with D >= 1 as {name}, got shape {x.shape}")

@@ -86,12 +86,13 @@ def _slab_mask(
     bases, one per matrix of rows: (..., D, d) against ``diff`` (..., rows, D).
     ``d2`` holds the rows' squared lengths, as a neighbour block of
     :mod:`._neighbours` gives them; a padded slot, at zero offset and ``d2``
-    inf, is in no slab: inf - 0 exceeds (k2 h^2)^2.
+    inf, is in no slab: inf - 0 exceeds (k2 h^2)^2.  The normal part
+    ``d2 - tang2`` needs no clamp at zero: a negative rounding residue
+    passes the test, as a zero would.
     """
     tang = np.matmul(diff, basis)
     tang2 = np.einsum("...j,...j->...", tang, tang)
-    norm2 = d2 - tang2
-    return (tang2 <= (spec.k1 * h) ** 2) & (np.maximum(norm2, 0.0) <= (spec.k2 * h * h) ** 2)
+    return (tang2 <= (spec.k1 * h) ** 2) & (d2 - tang2 <= (spec.k2 * h * h) ** 2)
 
 
 def _tangents_and_slab_counts(
@@ -122,7 +123,7 @@ def _tangents_and_slab_counts(
     for chunk, diff, d2 in _neighbours._blocks(points, indptr, cols, np.arange(n)):
         near = d2 <= h2
         neighbours += int(np.count_nonzero(near))
-        ok, block = _block_bases(diff, near, d, n)
+        ok, block = _block_bases(diff, near, d)
         bases[chunk], estimated[chunk] = block, ok
         # a row without an estimate of its own counts its slab once it has inherited
         counts[chunk] += ok * np.count_nonzero(_slab_mask(diff, block, h, spec, d2), axis=1)

@@ -312,7 +312,7 @@ class LabeledCloud:
     labels: np.ndarray | None = None  # 1 = signal, 0 = outlier; None when unlabelled
 
     def __post_init__(self):
-        points = check_points(np.array(self.points, dtype=float))
+        points = np.array(check_points(self.points))
         # equal rows sort next to each other, the lower index first
         order = np.lexsort(points.T)
         rows = points[order]
@@ -343,6 +343,7 @@ class LabeledCloud:
 
 def default_k0(model: ManifoldModel) -> float:
     """K0, the radius of the outliers' ball: diameter(M) + reach."""
+    _check_instance(model, ManifoldModel, "model")
     return model.diameter() + model.reach
 
 
@@ -375,7 +376,9 @@ def sample(model: ManifoldModel, spec: SampleSpec) -> LabeledCloud:
 
 
 def save_cloud_csv(path, cloud: LabeledCloud) -> None:
-    """Write ``cloud`` as the module docstring says; ValueError if it has no points."""
+    """Write ``cloud`` as the module docstring says; ValueError if it is no
+    :class:`LabeledCloud`, before any file is opened, or if it has no points."""
+    _check_instance(cloud, LabeledCloud, "cloud")
     if not cloud.n:
         raise ValueError(f"no points in {path}")
     columns = [f"x{i}" for i in range(cloud.points.shape[1])]

@@ -1,11 +1,11 @@
 """Tangent-space estimation by local PCA.
 
-At each requested point the covariance of the neighbors inside the closed ball
-of radius h (the point itself excluded, scaled by 1/(n-1)) is eigendecomposed
-and the span of the top d eigenvectors is the tangent estimate.  A point with
-fewer than 3 neighbors within h is skipped and inherits
-the basis of the nearest estimated point (:func:`_inherit`), so a field has
-one basis per requested point, in the order requested.
+At each requested point the scatter about their mean of the neighbors in the
+closed ball of radius h (the point itself excluded; a covariance only scales it,
+which moves no eigenvector) is eigendecomposed, and the span of the top d
+eigenvectors is the tangent estimate.  A point with fewer than 3 neighbors
+within h is skipped and inherits the basis of the nearest estimated point
+(:func:`_inherit`), so a field has one basis per requested point, in order.
 Neighbors come from one KD-tree self-join of the cloud (:mod:`._neighbours`),
 which finds each neighbor pair once, so the work grows with the number of
 neighbor pairs, not with n^2.  They are read in padded blocks of a bounded
@@ -56,9 +56,9 @@ class TangentField:
     """Local-PCA tangents at the targets of one :func:`estimate_tangents` call.
 
     Row k of ``bases``, a read-only (m, D, d) stack of orthonormal bases, is
-    the tangent at the k-th target.  ``skipped`` lists the rows where no
-    estimate could be made; each holds the basis of the nearest estimated
-    target instead.
+    the tangent at the k-th target.  ``skipped``, read-only too, lists the
+    rows where no estimate could be made; each holds the basis of the
+    nearest estimated target instead.
     """
 
     bases: np.ndarray
@@ -98,20 +98,17 @@ def _inherit(points: np.ndarray, bases: np.ndarray, estimated: np.ndarray) -> np
     return skipped
 
 
-def _block_bases(
-    diff: np.ndarray, near: np.ndarray, d: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _block_bases(diff: np.ndarray, near: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Local-PCA bases of every row of one padded neighbor block.
 
     ``diff`` is a (rows, width, D) block of neighbor offsets from each row's
-    target, in increasing index order, and ``near`` marks the slots inside
-    the h-ball; ``n`` is the size of the cloud.  Returns ``ok``, the rows
-    with at least ``_MIN_NEIGHBORS`` neighbors, and the (rows, D, d) stack
-    of the bases of all rows.  A row that is not ok gets a finite
-    placeholder, from the covariance of its fewer neighbors (none at all
-    gives the zero matrix), which the caller overwrites with
-    :func:`_inherit`; each ok row's basis is the one it gets in a block of
-    its own.
+    target, in increasing index order; ``near`` marks the slots in the h-ball.
+    Returns ``ok``, the rows with ``_MIN_NEIGHBORS`` neighbors or more, and
+    every row's basis, (rows, D, d), from its scatter as it is: a covariance's
+    positive divisor moves no eigenvector, and ``eigh`` reads one triangle.
+    A row not ok gets a finite placeholder from its fewer neighbors (none
+    gives the zero scatter), which the caller overwrites with
+    :func:`_inherit`; an ok row's basis is the one it gets in a block alone.
     """
     counts = near.sum(axis=1)
     # each row's neighbor offsets, zero wherever a slot holds no neighbor
@@ -122,12 +119,7 @@ def _block_bases(
     # sum of outer products minus the rank-one mean correction
     scatter = np.matmul(w.transpose(0, 2, 1), w)
     scatter -= counts[:, None, None] * np.einsum("ca,cb->cab", means, means)
-    # in place, as a narrow block's (rows, D, D) stacks outweigh its offsets;
-    # a cloud of one point has only the zero scatter
-    scatter /= max(n - 1, 1)
-    cov = scatter + scatter.transpose(0, 2, 1)
-    cov *= 0.5
-    _, eigvecs = np.linalg.eigh(cov)
+    _, eigvecs = np.linalg.eigh(scatter)
     return counts >= _MIN_NEIGHBORS, eigvecs[:, :, ::-1][:, :, :d]
 
 
@@ -156,7 +148,8 @@ def estimate_tangents(
     h2 = h * h
     indptr, cols = _neighbours._candidates(points, h2)
     for chunk, diff, d2 in _neighbours._blocks(points, indptr, cols, targets):
-        estimated[chunk], bases[chunk] = _block_bases(diff, d2 <= h2, d, n)
+        estimated[chunk], bases[chunk] = _block_bases(diff, d2 <= h2, d)
     skipped = _inherit(points[targets], bases, estimated)
-    bases.setflags(write=False)
+    for array in (bases, skipped):
+        array.setflags(write=False)
     return TangentField(bases=bases, skipped=skipped)

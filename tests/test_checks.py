@@ -12,6 +12,7 @@ import dataclasses
 import importlib
 import inspect
 import math
+import os
 import pkgutil
 import re
 import types
@@ -32,6 +33,7 @@ from tdcrecon.models import (
     SampleSpec,
     Sphere,
     Torus,
+    default_k0,
     load_cloud_csv,
     make_model,
     sample,
@@ -282,6 +284,8 @@ CALLS = {
     "iterative_denoise.spec": lambda v: iterative_denoise(LabeledCloud(CLOUD), 1, 0.8, 8.0, v, 2),
     "sample.model": lambda v: sample(v, SampleSpec(n=5)),
     "sample.spec": lambda v: sample(Torus(), v),
+    "save_cloud_csv.cloud": lambda v: save_cloud_csv(os.devnull, v),
+    "default_k0.model": default_k0,
     "ManifoldModel": lambda v: models.ManifoldModel(),
     **SCALES,
 }
@@ -293,7 +297,9 @@ BAD = {
     "no-columns": np.zeros((30, 0)),
     "nan-point": NAN_CLOUD,
     "inf-point": INF_CLOUD,
+    "complex-point": np.array([[1 + 2j, 0.0], [3.0, 4.0]]),
     "inf": math.inf,
+    "above-1": 1.5,
     "bool": True,
     "str": "0.1",
     "None": None,
@@ -307,6 +313,9 @@ CASES = [
     ("directed_hausdorff-b", "1-d"),
     # a cloud took NaN, inf and no columns; it rejected a 1-d array already
     *(("LabeledCloud", kind) for kind in ("1-d", "no-columns", "nan-point", "inf-point")),
+    # numpy's cast kept the real part of a complex cloud, with a ComplexWarning
+    *((entry, "complex-point")
+      for entry in ("LabeledCloud", "farthest_point_sampling", "directed_hausdorff-a")),
     # an infinite h listed all n^2 pairs, an infinite eps gave the net [0]
     # and an infinite resolution a grid of 3 points; an infinite reach or
     # sphere radius raised already (the torus radii and the betas did too,
@@ -316,12 +325,17 @@ CASES = [
     # a comparison raised TypeError on these before the radii, t and delta
     # were checked for a real number first; the others raised already
     *((scale, kind) for scale in [*SCALES, "k_delta.delta"] for kind in ("str", "None")),
+    # a beta above 1 raised already; the rows keep both comparisons tested
+    ("SampleSpec.beta", "above-1"),
+    ("bandwidths.beta", "above-1"),
     # these raised AttributeError on the first attribute read
     ("iterative_denoise.cloud", "points"),
     ("iterative_denoise.spec", "None"),
     ("iterative_denoise.spec", "tuple"),
     ("sample.model", "kind"),
     ("sample.spec", "None"),
+    *((entry, kind) for entry in ("save_cloud_csv.cloud", "default_k0.model")
+      for kind in ("points", "None")),
     # the base class was built, and sample() then raised AttributeError on it
     ("ManifoldModel", "None"),
 ]

@@ -137,25 +137,25 @@ class TestBlockBases:
         # 0, 1, 2, 3 and 6 neighbours within h, and one listed outside it
         nbrs = [[far], [0, far], [0, 1, far], [0, 1, 2, far], [0, 1, 2, 3, 5, 6]]
         diff, near = self._block(points, nbrs, h=50.0)
-        ok, bases = tangent._block_bases(diff, near, 2, 12)
+        ok, bases = tangent._block_bases(diff, near, 2)
         counts = near.sum(axis=1)
         assert counts.tolist() == [0, 1, 2, 3, 6]
         assert np.array_equal(ok, counts >= 3)
         assert bases.shape == (5, 4, 2) and np.isfinite(bases).all()
         for r in np.flatnonzero(ok):
-            alone_ok, alone = tangent._block_bases(diff[r : r + 1], near[r : r + 1], 2, 12)
+            alone_ok, alone = tangent._block_bases(diff[r : r + 1], near[r : r + 1], 2)
             assert alone_ok.tolist() == [True]
             assert alone[0].tobytes() == bases[r].tobytes()
 
     def test_isolated_rows(self):
         # a block of zero width: no row has a neighbour at all
         diff, near = np.zeros((3, 0, 5)), np.zeros((3, 0), dtype=bool)
-        ok, bases = tangent._block_bases(diff, near, 3, 40)
+        ok, bases = tangent._block_bases(diff, near, 3)
         assert not ok.any()
         assert bases.shape == (3, 5, 3) and np.isfinite(bases).all()
 
     def test_single_point_cloud(self):
-        # its one row reaches the covariance, whose divisor n - 1 is 0
+        # its one row reaches the scatter of no neighbours, the zero matrix
         with pytest.raises(ValueError, match="no tangent estimable"):
             estimate_tangents(np.zeros((1, 3)), 0.1, 1)
 
@@ -205,6 +205,13 @@ class TestEstimateTangents:
         monkeypatch.setattr(tangent, "_MIN_NEIGHBORS", 3)
         with pytest.raises(ValueError, match="no target has 3 neighbours within h"):
             estimate_tangents(pts, 0.3, 1)
+
+    def test_field_is_read_only(self):
+        pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.3, 0.0], [9.0, 9.0]])
+        field = estimate_tangents(pts, 0.35, 1)
+        assert field.skipped.tolist() == [4]
+        with pytest.raises(ValueError, match="read-only"):
+            field.skipped[0] = 0
 
     def test_nan_bandwidth_raises(self):
         with pytest.raises(ValueError, match="need bandwidth h > 0"):
