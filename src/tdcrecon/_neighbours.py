@@ -28,8 +28,9 @@ decided exactly, as a dense scan decides it.  The primitives:
 
 Every search runs a relative ``_RADIUS_SLACK`` wider than its ball, since
 the tree rounds distances its own way.  Only :mod:`.geometry`'s Hausdorff
-distance keeps its own query: it asks for one nearest point, not a ball,
-and its oracle test compares its ``einsum`` distances bit for bit.
+distance keeps its own query: it asks for one nearest point, not a ball, of
+the rows its anchors' nearest points cannot bound, and its oracle test
+compares its ``einsum`` distances bit for bit.
 
 A block covers targets in stable order of width, the number of candidates
 the self-join lists for each, one row each; it is as wide as its last row,
@@ -60,10 +61,14 @@ _RADIUS_SLACK = 1e-12
 
 def check_points(x, name: str = "points") -> np.ndarray:
     """``x`` as (m, D) floats, m >= 0; ValueError unless D >= 1 and every entry is
-    real and finite.  A complex entry raises before the cast, which would drop
-    its imaginary part."""
+    a real, finite integer or float.  A complex entry raises before the cast,
+    which would drop its imaginary part; so do text and bytes, which it would
+    parse, bools, which it would read as 0 and 1, and objects."""
     if np.iscomplexobj(x):
         raise ValueError(f"need real points as {name}, got complex entries")
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf":
+        raise ValueError(f"need integer or float points as {name}, got dtype {x.dtype}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or not x.shape[1]:
         raise ValueError(f"need an (n, D) point array with D >= 1 as {name}, got shape {x.shape}")

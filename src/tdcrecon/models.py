@@ -80,7 +80,9 @@ class ManifoldModel:
     ``grid(resolution)``.  The ValueError of ``tangent_many`` names the first
     row farther than ON_MANIFOLD_TOL from M; ``grid`` gives distinct points of
     M, the same on every call, with every point of M within ``resolution`` of
-    one."""
+    one.  Its rows come ring by ring, each ring in order of angle, so
+    consecutive rows lie close together, which the upper bound of
+    :func:`.geometry.directed_hausdorff` relies on."""
 
     ambient_dim: int
     intrinsic_dim: int

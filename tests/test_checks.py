@@ -298,6 +298,11 @@ BAD = {
     "nan-point": NAN_CLOUD,
     "inf-point": INF_CLOUD,
     "complex-point": np.array([[1 + 2j, 0.0], [3.0, 4.0]]),
+    # three columns, as CLOUD has, so that directed_hausdorff took them
+    "text-cloud": [["1", "2", "3"], ["4", "5", "6"]],
+    "bytes-cloud": [[b"1", 2, 3], [4, 5, 6]],
+    "bool-cloud": np.array([[True, False, True], [False, True, False]]),
+    "object-complex-cloud": np.array([[1 + 0j, 2, 3], [4, 5, 6]], dtype=object),
     "inf": math.inf,
     "above-1": 1.5,
     "bool": True,
@@ -316,6 +321,11 @@ CASES = [
     # numpy's cast kept the real part of a complex cloud, with a ComplexWarning
     *((entry, "complex-point")
       for entry in ("LabeledCloud", "farthest_point_sampling", "directed_hausdorff-a")),
+    # the cast parsed text and bytes and read bools as 0 and 1; an object
+    # array holding a complex entry raised numpy's TypeError
+    *((entry, kind)
+      for entry in ("LabeledCloud", "farthest_point_sampling", "directed_hausdorff-a")
+      for kind in ("text-cloud", "bytes-cloud", "bool-cloud", "object-complex-cloud")),
     # an infinite h listed all n^2 pairs, an infinite eps gave the net [0]
     # and an infinite resolution a grid of 3 points; an infinite reach or
     # sphere radius raised already (the torus radii and the betas did too,
@@ -364,6 +374,13 @@ def test_every_scale_has_a_row():
             call(True)
         named.update(re.findall(r"^need (.+) > 0", str(raised.value)))
     assert named == checked
+
+
+def test_cloud_error_names_its_dtype():
+    with pytest.raises(ValueError, match=r"integer or float points as a, got dtype bool"):
+        directed_hausdorff(BAD["bool-cloud"], CLOUD)
+    with pytest.raises(ValueError, match=r"integer or float points as b, got dtype <U1"):
+        directed_hausdorff(CLOUD, BAD["text-cloud"])
 
 
 def test_hausdorff_names_a_stack_of_clouds():

@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 import dense_oracles as dense
 from dense_oracles import Subspace, in_slab
 from lemma_checks import random_subspace
-from tdcrecon import _neighbours, sparsify, tangent
+from tdcrecon import _neighbours, geometry, sparsify, tangent
 from tdcrecon.denoise import (
     NO_SURVIVORS,
     NO_TANGENT,
@@ -657,14 +657,85 @@ class TestHausdorffOracle:
         for _ in range(5):
             a = rng.normal(size=(int(rng.integers(1, 300)), big_d))
             b = rng.normal(size=(int(rng.integers(1, 300)), big_d))
-            assert directed_hausdorff(a, b) == dense.directed_hausdorff(a, b)
-            assert directed_hausdorff(b, a) == dense.directed_hausdorff(b, a)
+            self.assert_both_ways(a, b)
 
     def test_lattice_with_duplicates(self):
         a = lattice(range(4), range(4))
         b = np.vstack([a[::3], a[::3]]) + 0.5
+        self.assert_both_ways(a, b)
+
+    def assert_both_ways(self, a, b):
         assert directed_hausdorff(a, b) == dense.directed_hausdorff(a, b)
         assert directed_hausdorff(b, a) == dense.directed_hausdorff(b, a)
+
+    # 103 rows: anchors at 0, 4, ..., 100, so rows 101 and 102 have only the
+    # anchor before them; one far row at each residue mod the stride, and last
+    @pytest.mark.parametrize("big_d", [1, 3, 10])
+    @pytest.mark.parametrize("far", [40, 41, 42, 43, 102])
+    def test_far_row_of_an_ordered_curve(self, big_d, far):
+        rng = np.random.default_rng(far + big_d)
+        a, b = ordered_curve(rng, 103, big_d)
+        a[far] = 10.0
+        assert directed_hausdorff(a, b) > 5.0
+        self.assert_both_ways(a, b)
+        # the far row is found in any row order
+        self.assert_both_ways(a[rng.permutation(len(a))], b)
+
+    @pytest.mark.parametrize("big_d", [1, 3, 10])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_fewer_rows_than_a_stride(self, big_d, m):
+        rng = np.random.default_rng(10 * m + big_d)
+        a, b = rng.normal(size=(m, big_d)), rng.normal(size=(50, big_d))
+        self.assert_both_ways(a, b)
+
+    @pytest.mark.parametrize("big_d", [1, 3, 10])
+    def test_subset(self, monkeypatch, big_d):
+        rng = np.random.default_rng(300 + big_d)
+        _, b = ordered_curve(rng, 200, big_d)
+        rows = count_query_rows(monkeypatch)
+        part = b[5:30]
+        assert directed_hausdorff(part, b) == 0.0
+        self.assert_both_ways(part, b)
+        # each point of part repeated a stride's length sits on its anchor's
+        # nearest point: every bound is 0, and only the anchors are queried
+        rows.clear()
+        assert directed_hausdorff(np.repeat(part, geometry._ANCHOR_STRIDE, axis=0), b) == 0.0
+        assert rows == [len(part)]
+
+    def test_grid_rows_are_mostly_bounded(self, monkeypatch):
+        grid = Torus().grid(0.05)
+        pts = sample(Torus(), SampleSpec(n=4000, seed=5)).points
+        net = pts[farthest_point_sampling(pts, 0.1)]
+        rows = count_query_rows(monkeypatch)
+        got = directed_hausdorff(grid, net)
+        # the anchors alone are a quarter of the rows
+        assert len(grid) // 4 < sum(rows) < len(grid) / 2
+        assert got == dense.directed_hausdorff(grid, net)
+
+
+def ordered_curve(rng, m, big_d):
+    """(a, b): m consecutive points of a curve in R^big_d, 0.02 apart in the
+    first coordinate, and a noisy fifth of them in random order."""
+    t = 0.02 * np.arange(m)
+    a = np.zeros((m, big_d))
+    a[:, 0] = t
+    a[:, 1:] = np.sin(t[:, None] + np.arange(1, big_d))
+    b = a[rng.permutation(m)[: m // 5]] + 0.01 * rng.normal(size=(m // 5, big_d))
+    return a, b
+
+
+def count_query_rows(monkeypatch):
+    """Record the number of rows of each nearest-point query of a tree that
+    :mod:`tdcrecon.geometry` builds from now on."""
+    rows = []
+
+    class Counted(cKDTree):
+        def query(self, x, *args, **kwargs):
+            rows.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "cKDTree", Counted)
+    return rows
 
 
 def denoise_case(name):
