@@ -15,22 +15,22 @@ decided exactly, as a dense scan decides it.  The primitives:
   and the denoise pass of :mod:`.denoise`, the package's only slab counter,
   read them.  A subset of the points reads its rows from the whole search.
 - :func:`ball_lists`, the flattened lists of balls around some centres,
-  with each candidate's exact distance, which the caller compares with no
-  norm of its own: the farthest-point net's round update and the tie
-  gather of the tangent inheritance (:func:`.tangent._inherit`).
-- :func:`_norms`, the Euclidean norms of coordinate differences given
-  coordinate-major, bit for bit numpy's ``norm(x, axis=-1)``: it sums the
-  squares in numpy's pairwise order, one whole-array operation per
-  coordinate, where numpy's ``norm`` over a narrow last axis pays numpy's
-  per-row cost (about 50 ns a row at D = 3).  The distances of
-  :func:`ball_lists` and every distance of the farthest-point net
-  (:mod:`.sparsify`) come from it.
+  with each candidate's exact squared distance, which the caller compares
+  with no norm of its own: the farthest-point net's round update and the
+  tie gather of the tangent inheritance (:func:`.tangent._inherit`).
+- :func:`_sq_norms`, the squared lengths of coordinate differences given
+  coordinate-major, one whole-array operation per coordinate, where a sum
+  over a narrow last axis pays numpy's per-row cost (about 50 ns a row at
+  D = 3).  The squared distances of :func:`ball_lists` and of the
+  farthest-point net (:mod:`.sparsify`) come from it.
 
-Every search runs a relative ``_RADIUS_SLACK`` wider than its ball, since
-the tree rounds distances its own way.  Only :mod:`.geometry`'s Hausdorff
-distance keeps its own query: it asks for one nearest point, not a ball, of
-the rows its anchors' nearest points cannot bound, and its oracle test
-compares its ``einsum`` distances bit for bit.
+Every ball test, in a block or a ball list, is one comparison of a squared
+distance with a squared radius: a dense scan's predicate, exact on the
+sphere.  Every search runs a relative ``_RADIUS_SLACK`` wider than its
+ball, since the tree rounds distances its own way.  Only :mod:`.geometry`'s
+Hausdorff distance keeps its own query: it asks for one nearest point, not a
+ball, of the rows its anchors' nearest points cannot bound, and its oracle
+test compares its ``einsum`` distances bit for bit.
 
 A block covers targets in stable order of width, the number of candidates
 the self-join lists for each, one row each; it is as wide as its last row,
@@ -186,61 +186,34 @@ def _blocks(points: np.ndarray, indptr: np.ndarray, cols: np.ndarray, targets: n
         yield chunk, diff, d2
 
 
-def _pairwise_sum(squares: np.ndarray) -> np.ndarray:
-    """``squares`` summed over its first axis in numpy's pairwise order, in place.
+def _sq_norms(columns: np.ndarray) -> np.ndarray:
+    """Squared lengths of ``x`` from ``x`` coordinate-major, in place.
 
-    numpy's ``add.reduce`` over a contiguous axis of m values adds them left
-    to right for m < 8; up to 128 in 8 running sums, one per residue mod 8,
-    joined as a balanced tree before the last m % 8 are added; and above 128
-    as the sums of two halves, the first cut to a multiple of 8.  Returns
-    ``squares[0]``, which holds the sums; the other rows hold partial sums.
+    ``columns[i]`` is ``x[..., i]``: a (D, ...) array, which this
+    overwrites; the squares, added left to right, are returned as its view
+    ``columns[0]``.
     """
-    m = len(squares)
-    if m > 128:
-        half = m // 2
-        half -= half % 8
-        total = _pairwise_sum(squares[:half])
-        total += _pairwise_sum(squares[half:])
-        return total
-    tail = 1  # the values from here on are added one by one
-    if m >= 8:
-        acc = squares[:8]
-        tail = m - m % 8
-        for i in range(8, tail, 8):
-            acc += squares[i : i + 8]
-        for step in (1, 2, 4):
-            acc[:: 2 * step] += acc[step :: 2 * step]
-    total = squares[0]
-    for s in squares[tail:]:
-        total += s
+    np.square(columns, out=columns)
+    total = columns[0]
+    for square in columns[1:]:
+        total += square
     return total
 
 
-def _norms(columns: np.ndarray) -> np.ndarray:
-    """numpy's ``norm(x, axis=-1)`` bit for bit, from ``x`` coordinate-major.
+def ball_lists(tree, centres: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(rows, cols, d2)``, the balls of squared radii ``r2`` around ``centres``.
 
-    ``columns[i]`` is ``x[..., i]``: a (D, ...) array, which this
-    overwrites; the norms are returned as its view ``columns[0]``.  The
-    squares are summed as numpy sums the last axis (:func:`_pairwise_sum`),
-    and the square root is the same correctly rounded one.
+    Tree index ``cols[k]`` lies at squared distance ``d2[k]`` from
+    ``centres[rows[k]]``; ``rows`` is non-decreasing, each ball's ``cols``
+    in no set order.  Each ball is searched a relative ``_RADIUS_SLACK``
+    wider; ``d2``, exact (:func:`_sq_norms`), decides membership: the
+    closed ball is ``d2 <= r2[rows]``, the predicate of :func:`_blocks`.
     """
-    np.square(columns, out=columns)
-    return np.sqrt(_pairwise_sum(columns), out=columns[0])
-
-
-def ball_lists(tree, centres: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(rows, cols, dist)``: tree index ``cols[k]`` lies ``dist[k]`` from ``centres[rows[k]]``.
-
-    ``rows`` is non-decreasing, each ball's ``cols`` in no set order.  Each
-    ball is searched a relative ``_RADIUS_SLACK`` wider; ``dist``, the exact
-    norm numpy's ``norm`` gives (:func:`_norms`), decides membership: the
-    closed ball is ``dist <= radii[rows]``.
-    """
-    near = tree.query_ball_point(centres, radii * (1.0 + _RADIUS_SLACK), return_sorted=False)
+    radii = np.sqrt(r2) * (1.0 + _RADIUS_SLACK)
+    near = tree.query_ball_point(centres, radii, return_sorted=False)
     lengths = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
     cols = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=int(lengths.sum()))
     # each centre repeated: faster than a gather of the centres through rows
     diff = tree.data[cols]
     diff -= np.repeat(centres, lengths, axis=0)
-    dist = _norms(diff.T)
-    return np.repeat(np.arange(len(centres)), lengths), cols, dist
+    return np.repeat(np.arange(len(centres)), lengths), cols, _sq_norms(diff.T)

@@ -13,19 +13,21 @@ self-join at the larger of that radius and the tangent bandwidth, and reads
 its neighbour blocks in one pass (a padded slot of a block sits at infinite
 distance, in no ball and no slab): each block gives a local-PCA basis for
 every row and, with those bases, the slab counts of the rows with enough
-neighbours for an estimate.  The other rows hold a placeholder basis; once
-:func:`.tangent._inherit` has overwritten it with the nearest estimate, only
-those rows are read a second time, from the same lists, and count their
-slabs.  The lists are dropped before the next iteration searches.
+neighbours for an estimate.  The other rows hold a placeholder basis.  One
+that lists no neighbour counts only itself, whatever its basis; the rest
+have it overwritten with the nearest estimate by :func:`.tangent._inherit`,
+and only those rows are read a second time, from the same lists, and count
+their slabs.  The lists are dropped before the next iteration searches.
 
 That pass is the package's only slab counter.  Tangents alone, say at the
 points of a net, come from :func:`.tangent.estimate_tangents`.
 
 Each entry point checks its input once: :func:`bandwidths` takes n, d and
 k_iters through ``check_int`` and beta (at most 1) and kappa through
-``check_positive``; :func:`iterative_denoise` takes its cloud and spec
-through ``_check_instance``, then calls it, so every scale is checked before
-it is used, then needs d below the cloud's D (the cloud's points were
+``check_positive``, and needs kappa log(n) / (beta (n - 1)) below 1, so
+that the bandwidths shrink; :func:`iterative_denoise` takes its cloud and
+spec through ``_check_instance``, then calls it, so every scale is checked
+before it is used, then needs d below the cloud's D (the cloud's points were
 checked when it was built); :func:`default_slab_spec` takes d and D through
 ``check_int`` and the reach and the angle constant K through
 ``check_positive``; :func:`k_delta` takes d through ``check_int``.
@@ -101,14 +103,15 @@ def _tangents_and_slab_counts(
     """Slab counts of every point along its local-PCA tangent, from one neighbour search.
 
     Returns the number of points in each point's slab (None when no tangent
-    is estimable), the number of points whose tangent was inherited from the
-    nearest estimate, and the number of (point, neighbour) pairs within h,
-    each point left out of its own.  One self-join at the wider of h and the
-    slab ball is read once: each block gives a basis for every row, and the
+    is estimable), the number of points with no tangent estimate of their
+    own, and the number of (point, neighbour) pairs within h, each point
+    left out of its own.  One self-join at the wider of h and the slab ball
+    is read once: each block gives a basis for every row, and the
     rows with an estimate of their own count their slabs with the bases
-    just computed, on the same differences.  The other rows, whose
-    placeholder bases :func:`.tangent._inherit` overwrites, are read again
-    from the same lists and counted then.
+    just computed, on the same differences.  Of the other rows, those that
+    list a neighbour have their placeholder bases overwritten by
+    :func:`.tangent._inherit`, are read again from the same lists and are
+    counted then; a row that lists none counts itself alone.
     """
     n, big_d = points.shape
     # the slab lies in the ball of squared radius slab_r2; the search's own
@@ -129,11 +132,13 @@ def _tangents_and_slab_counts(
         counts[chunk] += ok * np.count_nonzero(_slab_mask(diff, block, h, spec, d2), axis=1)
     if not estimated.any():
         return None, 0, neighbours
-    skipped = _inherit(points, bases, estimated)
+    # a row that lists no neighbour counts itself alone, whatever its basis
+    listed = np.diff(indptr) > 0
+    skipped = _inherit(points, bases, estimated, np.flatnonzero(~estimated & listed))
     for chunk, diff, d2 in _neighbours._blocks(points, indptr, cols, skipped):
         rows = skipped[chunk]
         counts[rows] += np.count_nonzero(_slab_mask(diff, bases[rows], h, spec, d2), axis=1)
-    return counts, len(skipped), neighbours
+    return counts, n - int(np.count_nonzero(estimated)), neighbours
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +154,11 @@ def _exponents(d: int):
 
 
 def bandwidths(n: int, d: int, beta: float, kappa: float, k_iters: int) -> list[float]:
-    """h_0, ..., h_{k_iters}: h_k = (kappa log(n) / (beta (n - 1))) ** gamma_k."""
+    """h_0, ..., h_{k_iters}: h_k = (kappa log(n) / (beta (n - 1))) ** gamma_k.
+
+    ValueError unless that base is below 1: at or above it the bandwidths
+    would grow with k instead of shrinking.
+    """
     check_int(n, "n", 3)
     check_int(d, "d", 1)
     check_positive(beta, "beta")
@@ -158,6 +167,9 @@ def bandwidths(n: int, d: int, beta: float, kappa: float, k_iters: int) -> list[
     check_positive(kappa, "kappa")
     check_int(k_iters, "k_iters", 0)
     base = kappa * math.log(n) / (beta * (n - 1))
+    if base >= 1:
+        # h_k = base ** gamma_k would grow with k, not shrink
+        raise ValueError(f"need kappa log(n) / (beta (n - 1)) < 1, got {base!r}")
     return [base**g for g in islice(_exponents(d), k_iters + 1)]
 
 
@@ -186,7 +198,9 @@ class IterationDiagnostics:
     survivors: int
     true_positives: int | None = None  # signal points kept
     false_positives: int | None = None  # outliers kept
-    inherited: int = 0  # tangents skipped at h and filled from the nearest estimate
+    # rows with no tangent estimate of their own at h; each that lists a
+    # neighbour takes the nearest estimate's
+    inherited: int = 0
     stop_reason: str | None = None  # why the loop ended at this iteration, if it did
     threshold: float | None = None  # slab count a point needs to survive, t log(n-1)
     # 5th and 50th percentiles of the slab counts (None when none were counted)

@@ -22,19 +22,21 @@ coordinate-major copy of the cloud, and count the points within each
 pick's reach.  Once a round's balls average fewer than n / ``_BALL_COST``
 points, every later round lists its balls with one KD-tree query,
 :func:`._neighbours.ball_lists`, instead: reaches only shrink, so the
-balls do not widen again.  Every distance, the candidates' gaps
-included, comes from :func:`._neighbours._norms`, bit for bit the norm
-numpy's ``norm`` gives the one-pick loop, and a point outside a pick's ball
-keeps its distance on either path: a minimum does not depend on order, so
-the distances after a round equal the one-pick-at-a-time greedy's bit for
-bit.
+balls do not widen again.
+
+The greedy needs only an order on distances, so every distance is held
+squared, the candidates' gaps included, each from
+:func:`._neighbours._sq_norms`, and eps is compared squared.  A point
+outside a pick's ball keeps its distance on either path, and a minimum does
+not depend on order, so the distances after a round equal the
+one-pick-at-a-time greedy's bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._neighbours import _norms, ball_lists, check_points, check_positive
+from ._neighbours import _sq_norms, ball_lists, check_points, check_positive
 
 _BATCH = 32  # picks a round may find; the fastest of 16, 32, 64 and 128 on a torus at n = 20k
 # listing a point of a ball through the tree costs about as much as the
@@ -56,12 +58,13 @@ def farthest_point_sampling(points: np.ndarray, eps: float) -> list[int]:
     if not len(points):
         raise ValueError("need a nonempty point array")
     check_positive(eps, "eps")
-    n = points.shape[0]
+    n, eps2 = points.shape[0], eps * eps
     columns = np.ascontiguousarray(points.T)
     tree = None  # built for the first round that lists its balls
     chosen = [0]
     diff = np.empty_like(columns)  # every dense update writes here
-    dist = _norms(np.subtract(columns, columns[:, :1], out=diff)).copy()
+    # squared distances to the net, as are the gaps and each pick's reach
+    dist = _sq_norms(np.subtract(columns, columns[:, :1], out=diff)).copy()
     k = min(_BATCH, n)
     while True:
         v = np.partition(dist, n - k)[n - k]
@@ -71,12 +74,12 @@ def farthest_point_sampling(points: np.ndarray, eps: float) -> list[int]:
             # pick of the round
             candidates, v = np.argmax(dist, keepdims=True), -np.inf
         sub = columns[:, candidates]
-        gaps = _norms(sub[:, None, :] - sub[:, :, None])  # row j: to sub[j]
+        gaps = _sq_norms(sub[:, None, :] - sub[:, :, None])  # row j: to sub[j]
         value = dist[candidates]
         rows, reach = [], []
         while True:
             j = int(value.argmax())  # first occurrence wins ties
-            if not (value[j] > eps and value[j] > v):
+            if not (value[j] > eps2 and value[j] > v):
                 break
             rows.append(j)
             reach.append(value[j])
@@ -90,7 +93,7 @@ def farthest_point_sampling(points: np.ndarray, eps: float) -> list[int]:
         if tree is None:  # dense: every point, counting those within reach
             inside = 0
             for p, r in zip(picked, reach):
-                gap = _norms(np.subtract(columns, columns[:, p, None], out=diff))
+                gap = _sq_norms(np.subtract(columns, columns[:, p, None], out=diff))
                 inside += np.count_nonzero(gap <= r)
                 np.minimum(dist, gap, out=dist)
             if _BALL_COST * inside < n * len(picked):

@@ -17,7 +17,8 @@ finite placeholder, so each block's eigenvectors go straight into the
 field's (m, D, d) array of bases, and :func:`_inherit` then overwrites the
 placeholders.  A denoising iteration runs it on the blocks of its own single
 pass, which also count the slabs (:mod:`.denoise`), so there is one read of
-each block per iteration, and it overwrites the placeholders the same way.
+each block per iteration, and it overwrites the same way the placeholders
+its slab counts read.
 :func:`estimate_tangents` is the standalone call, with a search of its own:
 the one to use for tangents outside the denoising loop, such as at the
 points of a net.
@@ -65,13 +66,17 @@ class TangentField:
     skipped: np.ndarray
 
 
-def _inherit(points: np.ndarray, bases: np.ndarray, estimated: np.ndarray) -> np.ndarray:
-    """Give each row not ``estimated`` the basis of the nearest estimated row, in place.
+def _inherit(
+    points: np.ndarray, bases: np.ndarray, estimated: np.ndarray, skipped: np.ndarray | None = None
+) -> np.ndarray:
+    """Give rows not ``estimated`` the basis of the nearest estimated row, in place.
 
     Row k of ``bases`` is the tangent at ``points[k]``; ties in distance go
-    to the estimated row that comes first.  Returns the rows that inherited.
+    to the estimated row that comes first.  The rows filled, and returned,
+    are ``skipped`` if given, else every row not estimated.
     """
-    skipped = np.flatnonzero(~estimated)
+    if skipped is None:
+        skipped = np.flatnonzero(~estimated)
     if not len(skipped):
         return skipped
     sources = np.flatnonzero(estimated)
@@ -88,9 +93,10 @@ def _inherit(points: np.ndarray, bases: np.ndarray, estimated: np.ndarray) -> np
     source = nearest[:, 0]
     tied = np.flatnonzero(nearest_dist[:, 1] <= nearest_dist[:, 0] * (1.0 + _RADIUS_SLACK))
     # gather every estimate within that margin (none if no query ties) and
-    # keep, per tied query, the least norm, then the earliest estimate
-    rows, cols, dist = _neighbours.ball_lists(tree, queries[tied], nearest_dist[tied, 0])
-    order = np.lexsort((cols, dist, rows))
+    # keep, per tied query, the least squared distance, then the earliest
+    # estimate
+    rows, cols, d2 = _neighbours.ball_lists(tree, queries[tied], nearest_dist[tied, 0] ** 2)
+    order = np.lexsort((cols, d2, rows))
     rows, cols = rows[order], cols[order]
     first = np.flatnonzero(np.diff(rows, prepend=-1))
     source[tied[rows[first]]] = cols[first]

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import dense_oracles as dense
 from dense_oracles import Subspace, in_slab, span
 from lemma_checks import inclusion_radius_factor, verify_slab_inclusion, verify_slab_separation
+from tdcrecon import _neighbours
 from tdcrecon.denoise import (
     IterationDiagnostics,
     SlabSpec,
@@ -288,6 +290,27 @@ class TestSchedule:
         spec = default_slab_spec(1, 2, 1.0, t=0.4)
         with pytest.raises(ValueError, match="need kappa > 0 and finite, got nan"):
             iterative_denoise(cloud, d=1, beta=0.8, kappa=float("nan"), spec=spec, k_iters=2)
+
+    def test_growing_schedule_raises(self, monkeypatch):
+        # a base of 1 or more made h_k grow: kappa = 1e6 ran to h_2 = 3002 and
+        # kept all 200 points, 18 of them outliers
+        searches = []
+
+        class Counted(cKDTree):
+            def query_pairs(self, *args, **kwargs):
+                searches.append(args)
+                return super().query_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(_neighbours, "cKDTree", Counted)
+        base = 1e6 * math.log(200) / (0.9 * 199)
+        message = f"need kappa log\\(n\\) / \\(beta \\(n - 1\\)\\) < 1, got {base!r}"
+        with pytest.raises(ValueError, match=message):
+            bandwidths(200, 1, 0.9, 1e6, 2)
+        cloud = sample(make_model("circle"), SampleSpec(n=200, beta=0.9, seed=5))
+        spec = default_slab_spec(1, 2, 1.0, t=0.4)
+        with pytest.raises(ValueError, match=message):
+            iterative_denoise(cloud, 1, 0.9, 1e6, spec, k_iters=2)
+        assert searches == []
 
     def test_every_scale_checked_before_use(self):
         # d = "1" used to reach d >= D first: TypeError, '>=' not supported

@@ -20,7 +20,7 @@ import pytest
 
 from tdcrecon import denoise, geometry, models, sparsify
 
-TABLE = Path(__file__).resolve().parent / "golden.json"
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden.json").read_text())
 
 # name: (model, ambient D, n, beta, eps, grid resolution, kappa, t, k_iters, seed);
 # the denoise runs with the angle constant K = 0.5 and the model's reach
@@ -64,9 +64,9 @@ def run(name: str) -> dict:
 
 
 def test_table_covers_every_configuration():
-    assert sorted(json.loads(TABLE.read_text())) == sorted(CONFIGS)
+    assert sorted(GOLDEN) == sorted(CONFIGS)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_unchanged(name):
-    assert run(name) == json.loads(TABLE.read_text())[name]
+    assert run(name) == GOLDEN[name]

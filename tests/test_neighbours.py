@@ -215,12 +215,11 @@ class TestBallPairs:
         assert calls == ["query_pairs"]
 
 
-class TestNorms:
-    """``_norms`` of coordinate-major differences is ``np.linalg.norm`` bit for bit.
+class TestSqNorms:
+    """``_sq_norms`` of coordinate-major differences adds the squares left to right.
 
-    numpy sums a row's squares left to right below 8 coordinates, in 8
-    running sums up to 128 and by halves above, so D = 1 ... 140 takes
-    every branch.
+    Its reference is ``np.cumsum``, a sequential sum; numpy's ``norm`` and
+    ``sum`` add in a pairwise order of their own from 8 coordinates on.
     """
 
     @staticmethod
@@ -231,8 +230,8 @@ class TestNorms:
         x[::3] = 0.0
         return x
 
-    @pytest.mark.parametrize("big_d", range(1, 141))
-    def test_bit_equal_to_linalg_norm(self, big_d):
+    @pytest.mark.parametrize("big_d", [1, 2, 3, 7, 8, 10, 129])
+    def test_bit_equal_to_sequential_sum(self, big_d):
         rng = np.random.default_rng(300 + big_d)
         a, b = self.rows(rng, 40, big_d), self.rows(rng, 40, big_d)
         b[::4] = a[::4]  # exact zero differences
@@ -246,34 +245,31 @@ class TestNorms:
             (a[None, :, :] - a[:, None, :], a.T[:, None, :] - a.T[:, :, None]),
         ]
         for diff, columns in cases:
-            want = np.linalg.norm(diff, axis=-1)
-            got = _neighbours._norms(columns)
+            want = np.cumsum(np.square(diff), axis=-1)[..., -1]
+            got = _neighbours._sq_norms(columns)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestBallLists:
     def test_flattened_closed_balls(self):
-        # unit lattice: the axis neighbours at radius 1 and the diagonal ones
-        # at sqrt 2 lie on the spheres; radius 0 holds the centre alone, and
-        # no centres give three empty arrays
+        # unit lattice: the axis neighbours at squared radius 1 and the
+        # diagonal ones at 2 lie on the spheres; 0 holds the centre alone,
+        # and no centres give three empty arrays
         pts = lattice(range(5), range(5))
         tree = cKDTree(pts)
-        for picked, radii in [
-            ([0, 12, 24, 7], np.array([1.0, np.sqrt(2.0), 0.0, 2.0])),
-            ([], np.array([])),
-        ]:
+        for picked, r2 in [([0, 12, 24, 7], np.array([1.0, 2.0, 0.0, 4.0])), ([], np.array([]))]:
             centres = pts[picked]
-            rows, cols, dist = _neighbours.ball_lists(tree, centres, radii)
+            rows, cols, d2 = _neighbours.ball_lists(tree, centres, r2)
             assert rows.dtype == cols.dtype == np.intp
-            assert len(rows) == len(cols) == len(dist) and np.all(np.diff(rows) >= 0)
-            # the exact norm, which no caller recomputes
-            want_dist = np.linalg.norm(pts[cols] - centres[rows], axis=1)
-            assert dist.tobytes() == want_dist.tobytes()
-            for i, (centre, radius) in enumerate(zip(centres, radii, strict=True)):
-                ball, gap = cols[rows == i], dist[rows == i]
-                want = np.flatnonzero(np.linalg.norm(pts - centre, axis=1) <= radius)
+            assert len(rows) == len(cols) == len(d2) and np.all(np.diff(rows) >= 0)
+            # integer coordinates: every squared distance is exact, which
+            # no caller recomputes
+            assert d2.tolist() == np.sum((pts[cols] - centres[rows]) ** 2, axis=1).tolist()
+            for i, (centre, radius2) in enumerate(zip(centres, r2, strict=True)):
+                ball, gap = cols[rows == i], d2[rows == i]
+                want = np.flatnonzero(np.sum((pts - centre) ** 2, axis=1) <= radius2)
                 assert sorted(ball.tolist()) == want.tolist()
-                assert sorted(ball[gap <= radius].tolist()) == want.tolist()
+                assert sorted(ball[gap <= radius2].tolist()) == want.tolist()
 
 
 def skewed_cloud():
@@ -811,21 +807,52 @@ class TestIterativeDenoiseOracle:
 
     def test_each_row_read_once(self, monkeypatch):
         # every point's block row is read once, for its tangent and its slab
-        # count together; a row whose tangent is inherited once more
-        rows = []
-        blocks = _neighbours._blocks
+        # count together; a row whose tangent is inherited, once more if it
+        # lists a neighbour
+        rows, searches = [], []
+        blocks, candidates = _neighbours._blocks, _neighbours._candidates
 
         def counted(*args):
             for block in blocks(*args):
                 rows.append(len(block[0]))
                 yield block
 
+        def recorded(points, r2):
+            lists = candidates(points, r2)
+            searches.append((points, lists[0]))
+            return lists
+
         monkeypatch.setattr(_neighbours, "_blocks", counted)
+        monkeypatch.setattr(_neighbours, "_candidates", recorded)
         cloud, d, kappa, spec = denoise_case("circle-D10")
         _, diags = iterative_denoise(cloud, d, 0.8, kappa, spec, k_iters=2)
         sizes = [cloud.n] + [diag.survivors for diag in diags[:-1]]
-        assert len(diags) == 3 and diags[0].inherited > 0
-        assert sum(rows) == sum(sizes) + sum(diag.inherited for diag in diags)
+        assert len(diags) == len(searches) == 3 and diags[0].inherited > 0
+        read_again = 0
+        for (pts, indptr), diag in zip(searches, diags, strict=True):
+            # too few others within h for an estimate of its own
+            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+            inherits = np.count_nonzero(d2 <= diag.h_k**2, axis=1) - 1 < tangent._MIN_NEIGHBORS
+            assert np.count_nonzero(inherits) == diag.inherited
+            read_again += np.count_nonzero(inherits & (np.diff(indptr) > 0))
+        assert sum(rows) == sum(sizes) + read_again
+
+    def test_no_tree_for_rows_that_list_nobody(self, monkeypatch):
+        # iteration 0 inherits only at rows that list no neighbour, which
+        # count themselves alone whatever their basis: no inheritance tree
+        trees = []
+
+        class Counted(cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                trees.append(len(data))
+                super().__init__(data, *args, **kwargs)
+
+        monkeypatch.setattr(tangent, "cKDTree", Counted)
+        cloud, d, kappa, spec = denoise_case("circle-D10")
+        want = dense.iterative_denoise(cloud, d, 0.8, kappa, spec, 0)
+        got = iterative_denoise(cloud, d, 0.8, kappa, spec, k_iters=0)
+        assert got == want and got[1][0].inherited > 0
+        assert trees == []
 
     def test_diagnostics_against_threshold(self):
         cloud, d, kappa, spec = denoise_case("circle-D10")
