@@ -215,6 +215,43 @@ class TestBallPairs:
         assert calls == ["query_pairs"]
 
 
+def signed_rows(rng, m, big_d):
+    """(m, D) coordinates of magnitudes 1e-3 to 5, every third row zero."""
+    scale = 10.0 ** rng.uniform(-3.0, np.log10(5.0), size=(m, big_d))
+    x = scale * rng.choice([-1.0, 1.0], size=(m, big_d))
+    x[::3] = 0.0
+    return x
+
+
+class TestNorms:
+    """The net on squared distances is the ``np.linalg.norm`` net, index for index.
+
+    :func:`._neighbours._sq_norms` adds the squares left to right, numpy's
+    ``norm`` sums below 8 coordinates that way, in 8 running sums up to 128
+    and by halves above, so D = 1 ... 140 takes every one of its branches.
+    The distances differ in their last bits from 8 coordinates on; the net,
+    which only orders them and compares them with eps, must not.
+    """
+
+    @pytest.mark.parametrize("big_d", range(1, 141))
+    def test_bit_equal_to_linalg_norm(self, monkeypatch, big_d):
+        rng = np.random.default_rng(300 + big_d)
+        pts = signed_rows(rng, 60, big_d)
+        pts[1::4] = pts[2::4][: len(pts[1::4])]  # duplicate rows: exact zero distances
+        far = np.unique(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1))
+        reach = np.max(np.linalg.norm(pts, axis=1))  # row 0 is zero: the first pick's distance
+        # eps halfway between two distances: none lies on a sphere, where
+        # the rounding of the two sums may decide the stop differently
+        for i in np.searchsorted(far, reach * np.array([0.05, 0.3, 0.7])):
+            eps = 0.5 * (far[i - 1] + far[i])
+            want = dense.farthest_point_sampling(pts, eps)
+            assert 1 < len(want) < len(pts)
+            # dense updates every round, then ball lists after the first
+            for ball_cost in (math.inf, 0):
+                monkeypatch.setattr(sparsify, "_BALL_COST", ball_cost)
+                assert farthest_point_sampling(pts, eps) == want
+
+
 class TestSqNorms:
     """``_sq_norms`` of coordinate-major differences adds the squares left to right.
 
@@ -222,13 +259,7 @@ class TestSqNorms:
     ``sum`` add in a pairwise order of their own from 8 coordinates on.
     """
 
-    @staticmethod
-    def rows(rng, m, big_d):
-        """(m, D) coordinates of magnitudes 1e-3 to 5, every third row zero."""
-        scale = 10.0 ** rng.uniform(-3.0, np.log10(5.0), size=(m, big_d))
-        x = scale * rng.choice([-1.0, 1.0], size=(m, big_d))
-        x[::3] = 0.0
-        return x
+    rows = staticmethod(signed_rows)
 
     @pytest.mark.parametrize("big_d", [1, 2, 3, 7, 8, 10, 129])
     def test_bit_equal_to_sequential_sum(self, big_d):
